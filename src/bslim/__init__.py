@@ -22,6 +22,7 @@ from .errors import (
     ShapeMismatch,
     UndecidableSpec,
     UnsupportedSpecKind,
+    WitnessCheckFailed,
     ZeroElement,
 )
 from .madic import (

@@ -54,6 +54,10 @@ class ShapeMismatch(BslError):
     """Reduced forms do not have the shape required by the solver."""
 
 
+class WitnessCheckFailed(BslError):
+    """A computed witness failed its verification by the word problem."""
+
+
 class PreconditionViolated(BslError):
     """Arguments violate a documented precondition."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
-from .errors import ParseError, ShapeMismatch
+from .errors import ParseError, ShapeMismatch, WitnessCheckFailed
 from .intsolve import solve_integer_system
 from .lattice import (
     EVec,
@@ -270,17 +270,27 @@ def _reduce_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int]) ->
     """Eliminate pinches in place, leftmost first, until none remains."""
     i = 0
     while i < len(deltas) - 1:
-        d1, d2 = deltas[i], deltas[i + 1]
-        mid = segs[i + 1]
-        if d1 == 1 and d2 == -1 and _in_emxi(ctx, mid):
-            fired = _up(ctx, mid)
-        elif d1 == -1 and d2 == 1 and _in_e1(mid):
-            fired = _down(ctx, mid)
-        else:
+        d1 = deltas[i]
+        if d1 == deltas[i + 1]:
             i += 1
             continue
-        _merge_into(segs[i], fired)
-        _merge_into(segs[i], segs[i + 2])
+        mid = segs[i + 1]
+        if d1 == 1:
+            fired = _up(ctx, mid)  # None unless mid is in E_{m,xi}
+        else:
+            fired = None if mid.get(0) else _down(ctx, mid)
+        if fired is None:
+            i += 1
+            continue
+        # merge into the larger of the two outer segments
+        left, right = segs[i], segs[i + 2]
+        if len(left) < len(right):
+            left, right = right, left
+            segs[i] = left
+        if fired:
+            _merge_into(left, fired)
+        if right:
+            _merge_into(left, right)
         del segs[i + 1 : i + 3]
         del deltas[i : i + 2]
         i = max(i - 1, 0)
@@ -315,20 +325,16 @@ def _normalize_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int])
     """
     m = ctx.m_abs
     for i in range(len(deltas), 0, -1):
-        seg = segs[i]
+        seg = segs[i]  # replaced by its representative, so edited in place
         if deltas[i - 1] == 1:
             c = _emxi_value(ctx, seg) % m
-            rep = {0: c} if c else {}
-            part = dict(seg)
-            _merge_into(part, {0: -c} if c else {})
-            push = _up(ctx, part)
+            if c:
+                seg[0] = seg.get(0, 0) - c
+            push = _up(ctx, seg)
         else:
-            c = seg.get(0, 0)
-            rep = {0: c} if c else {}
-            part = dict(seg)
-            part.pop(0, None)
-            push = _down(ctx, part)
-        segs[i] = rep
+            c = seg.pop(0, 0)
+            push = _down(ctx, seg)
+        segs[i] = {0: c} if c else {}
         _merge_into(segs[i - 1], push)
 
 
@@ -449,22 +455,24 @@ def base_conjugacy_solve(
             # pass through a: membership in E_1, then e_1 -> m e_0 etc.
             if d.get(0):
                 equations.append(d[0])
+            rs = ctx.table(max(d) - 1)
             e0: dict[int, int] = {}
             nd: dict[int, dict[int, int]] = {}
             for j, expr in d.items():
                 if j == 1:
                     _expr_add(e0, expr, m)
                 elif j >= 2:
-                    _expr_add(e0, expr, -ctx.r(j - 1))
+                    _expr_add(e0, expr, -rs[j - 1])
                     nd[j - 1] = expr
             if e0:
                 nd[0] = e0
             d = nd
         else:
             # pass through a^-1: congruence value = m * t with fresh t
+            rs = ctx.table(max(d))
             cong: dict[int, int] = {}
             for j, expr in d.items():
-                _expr_add(cong, expr, ctx.r(j) if j else 1)
+                _expr_add(cong, expr, rs[j])
             t_var = nvars
             nvars += 1
             _expr_add(cong, {t_var: -m})
@@ -537,7 +545,8 @@ def are_conjugate(
             break
         if witness is None:
             return None
-    assert is_trivial(ctx, witness * w * witness.inverse() * v.inverse())
+    if not is_trivial(ctx, witness * w * witness.inverse() * v.inverse()):
+        raise WitnessCheckFailed("the conjugacy witness does not conjugate w to v")
     return witness
 
 

@@ -18,6 +18,7 @@ Any operation touching support index k reads at most k digits.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Optional, Union
 
@@ -171,15 +172,24 @@ class IntPoly:
 
 
 class GroupCtx:
-    """A marked group with its shared digit stream.
+    """A marked group with its shared digit stream and digit table.
 
-    Read-only once constructed; safe to share between threads subject to
-    the digit-stream memo contract.
+    ``m_abs`` is |m| and ``rs`` is the digit table: ``rs[0] = 1`` (the
+    weight of e_0) and ``rs[i] = r_i``, so the E_{m,xi} value
+    beta_0 + sum_i beta_i r_i is one dot product with ``rs``.  Kernels
+    call :meth:`table` with the largest index they need, once per call,
+    and then index ``rs`` directly.  The table only grows, in index order
+    and under a lock, by reading ``digits.digit``; so a budget or a finite
+    digit sequence raises :class:`RDigitBudgetExceeded` at the first
+    missing index.  Read-only otherwise, and safe to share between threads.
     """
 
     def __init__(self, spec: MarkedGroupSpec, digits: Optional[RDigitStream] = None):
         self.spec = spec
         self.digits = digits if digits is not None else RDigitStream(spec)
+        self.m_abs = spec.m_abs
+        self.rs = [1]
+        self._lock = threading.Lock()
 
     @classmethod
     def make(
@@ -190,9 +200,15 @@ class GroupCtx:
         spec = MarkedGroupSpec(m, xi)
         return cls(spec, RDigitStream(spec, budget=budget))
 
-    @property
-    def m_abs(self) -> int:
-        return self.spec.m_abs
+    def table(self, k: int) -> list[int]:
+        """The digit table, grown to hold at least rs[0..k]."""
+        rs = self.rs
+        if k >= len(rs):
+            with self._lock:
+                digit = self.digits.digit
+                while len(rs) <= k:
+                    rs.append(digit(len(rs)))
+        return rs
 
     def r(self, i: int) -> int:
         return self.digits.digit(i)
@@ -205,9 +221,10 @@ class GroupCtx:
 
 def _emxi_value(ctx: GroupCtx, seg: Mapping[int, int]) -> int:
     """beta_0 + sum_i beta_i r_i; membership in E_{m,xi} is value = 0 mod m."""
+    rs = ctx.table(max(seg) if seg else 0)
     total = 0
     for i, c in seg.items():
-        total += c * (ctx.r(i) if i else 1)
+        total += c * rs[i]
     return total
 
 
@@ -219,23 +236,21 @@ def _in_e1(seg: Mapping[int, int]) -> bool:
     return seg.get(0, 0) == 0
 
 
-def _up(ctx: GroupCtx, seg: Mapping[int, int]) -> dict[int, int]:
-    """a x a^-1 for x in E_{m,xi}: the e_0 part folds into e_1."""
+def _up(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
+    """a x a^-1 for x in E_{m,xi}, or None when x is not in E_{m,xi}: the
+    membership test and the shift share one pass, and the e_0 part folds
+    into e_1."""
+    rs = ctx.table(max(seg) if seg else 0)
     k0, out = 0, {}
-    m = ctx.m_abs
     for i, c in seg.items():
-        if i == 0:
-            k0 += c
-        else:
-            k0 += c * ctx.r(i)
+        k0 += c * rs[i]
+        if i:
             out[i + 1] = c
-    q, rem = divmod(k0, m)
+    q, rem = divmod(k0, ctx.m_abs)
     if rem:
-        raise PinchDomainViolation("element is not in E_{m,xi}")
+        return None
     if q:
-        out[1] = out.get(1, 0) + q
-        if not out[1]:
-            del out[1]
+        out[1] = q
     return out
 
 
@@ -243,20 +258,17 @@ def _down(ctx: GroupCtx, seg: Mapping[int, int]) -> dict[int, int]:
     """a^-1 x a for x in E_1: e_1 -> m e_0, e_{i+1} -> e_i - r_i e_0."""
     if seg.get(0, 0):
         raise PinchDomainViolation("element is not in E_1")
+    rs = ctx.table(max(seg) - 1 if seg else 0)
     c0 = 0
     out: dict[int, int] = {}
     for i, c in seg.items():
-        if i == 0:
-            continue
         if i == 1:
             c0 += ctx.m_abs * c
-        else:
-            c0 -= c * ctx.r(i - 1)
+        elif i:
+            c0 -= c * rs[i - 1]
             out[i - 1] = c
     if c0:
-        out[0] = out.get(0, 0) + c0
-        if not out[0]:
-            del out[0]
+        out[0] = c0
     return out
 
 
@@ -285,9 +297,10 @@ def phi_apply(ctx: GroupCtx, x: EVec, direction: PhiDirection) -> EVec:
             raise PinchDomainViolation("down direction needs an element of E_1")
         return EVec.from_items(_down(ctx, x.to_dict()))
     if direction == "up":
-        if not _in_emxi(ctx, x.to_dict()):
+        out = _up(ctx, x.to_dict())
+        if out is None:
             raise PinchDomainViolation("up direction needs an element of E_{m,xi}")
-        return EVec.from_items(_up(ctx, x.to_dict()))
+        return EVec.from_items(out)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -299,9 +312,9 @@ def a_conjugate(ctx: GroupCtx, x: EVec, n: int) -> Optional[EVec]:
     seg = x.to_dict()
     for _ in range(abs(n)):
         if n > 0:
-            if not _in_emxi(ctx, seg):
-                return None
             seg = _up(ctx, seg)
+            if seg is None:
+                return None
         else:
             if not _in_e1(seg):
                 return None
@@ -316,19 +329,17 @@ def q_poly(ctx: GroupCtx, x: EVec) -> IntPoly:
     with diagonal coefficient m.
     """
     top = x.max_index()
+    rs = ctx.table(max(top - 1, 0))
+    m = ctx.m_abs
     out = [0] * (top + 1 if top >= 0 else 1)
-    # p holds P_built with ascending coefficients (-r_built, ..., -r_1, m)
-    p = [ctx.m_abs]
-    built = 0
     for i, c in x.entries:
         if i == 0:
             out[0] += c
             continue
-        while built < i - 1:
-            built += 1
-            p = [-ctx.r(built)] + p
-        for e, pc in enumerate(p):  # add c * X * P_{i-1}
-            out[e + 1] += c * pc
+        # X * P_{i-1} = m X^i - sum_{j<i} r_j X^(i-j)
+        out[i] += c * m
+        for j in range(1, i):
+            out[i - j] -= c * rs[j]
     return IntPoly(tuple(out))
 
 
@@ -360,8 +371,8 @@ def fixed_interval(
         raise ZeroElement("fixed interval undefined for the zero element")
     nu = q_poly(ctx, x).x_valuation()
     mu = 0
-    seg = x.to_dict()
-    while _in_emxi(ctx, seg):
+    seg = _up(ctx, x.to_dict())
+    while seg is not None:
         mu += 1
         if mu >= cap:
             return CAP_REACHED, nu

@@ -8,10 +8,12 @@ and an m-adic integer ``xi``.  Everything the group algorithms need from
     r_0 = 0,  s_0 = 1,
     xi * s_{i-1} = m * s_i + r_i,   r_i in {0, ..., |m|-1}.
 
-Digits are computed with exact rational arithmetic; no floating point is
-used anywhere.  A parameter with m < 0 is normalized on construction to
-(|m|, -xi), which labels the same marked group, so all digit math runs
-over a positive modulus.
+For xi = p/q (q = 1 for integers) the digits come from the integer state
+t_i = q^i * s_i, which satisfies p * t_{i-1} = m * t_i + r_i * q^i, so
+r_i = p * t_{i-1} * q^{-i} mod m.  All arithmetic is on exact integers; no
+floating point is used anywhere.  A parameter with m < 0 is normalized on
+construction to (|m|, -xi), which labels the same marked group, so all
+digit math runs over a positive modulus.
 """
 
 from __future__ import annotations
@@ -193,9 +195,11 @@ def _xi_fraction(spec: MarkedGroupSpec) -> Fraction:
 class RDigitStream:
     """Memoized, on-demand access to the digits r_1, r_2, ... of a spec.
 
-    Recomputation from scratch yields identical digits; the memo is
-    guarded by a lock so a stream may be shared between threads.  An
-    optional ``budget`` caps the highest digit index that may be read.
+    Recomputation from scratch yields identical digits.  A stream may be
+    shared between threads: memoized reads take no lock, and growth runs
+    under a lock that appends t_i before r_i, so a reader that sees r_i
+    also sees t_i.  An optional ``budget`` caps the highest digit index
+    that may be read.
     """
 
     def __init__(self, spec: MarkedGroupSpec, budget: int | None = None):
@@ -204,11 +208,11 @@ class RDigitStream:
         self._lock = threading.Lock()
         self._r: list[int] = []
         if isinstance(spec.xi_norm, EXACT_KINDS):
-            self._xi = _xi_fraction(spec)
-            self._s: list[Fraction] | None = [Fraction(1)]  # s_0
+            xi = _xi_fraction(spec)
+            self._p, self._q = xi.numerator, xi.denominator
+            self._t: list[int] | None = [1]  # t_0 = s_0 = 1
         else:
-            self._xi = None
-            self._s = None
+            self._t = None
 
     def digit(self, i: int) -> int:
         """Return r_i (1-based)."""
@@ -226,7 +230,8 @@ class RDigitStream:
                 return xi.preperiod[i - 1]
             k = (i - len(xi.preperiod) - 1) % len(xi.period)
             return xi.period[k]
-        self._extend(i)
+        if len(self._r) < i:
+            self._extend(i)
         return self._r[i - 1]
 
     def digits(self, count: int) -> list[int]:
@@ -234,26 +239,25 @@ class RDigitStream:
 
     def s_value(self, i: int) -> Fraction:
         """Return s_i (0-based; s_0 = 1) as an exact rational."""
-        if self._s is None:
+        if self._t is None:
             raise UnsupportedSpecKind(
                 "exact s_i values exist only for integer or rational parameters"
             )
         if i < 0:
             raise ValueError("s indices start at 0")
-        self._extend(i)
-        return self._s[i]
+        if len(self._r) < i:
+            self._extend(i)
+        return Fraction(self._t[i], self._q**i)
 
     def _extend(self, i: int) -> None:
-        m = self.spec.m_abs
+        m, p, q = self.spec.m_abs, self._p, self._q
         with self._lock:
             while len(self._r) < i:
-                val = self._xi * self._s[-1]
-                if m == 1:
-                    r = 0
-                else:
-                    r = val.numerator * pow(val.denominator, -1, m) % m
+                k = len(self._r) + 1
+                t = self._t[-1]
+                r = p * t * pow(q, -k, m) % m
+                self._t.append((p * t - r * q**k) // m)
                 self._r.append(r)
-                self._s.append((val - r) / m)
 
 
 def r_digits(spec: MarkedGroupSpec, count: int) -> list[int]:
@@ -319,25 +323,15 @@ def project_unit(spec: MarkedGroupSpec) -> MarkedGroupSpec:
     return MarkedGroupSpec(m_hat, XiRat(xi.p // d, xi.q))
 
 
-def _int_digits(n: int, m: int, count: int) -> list[int]:
-    # integer-only copy of the recurrence, for tight search loops
-    out = []
-    s = 1
-    for _ in range(count):
-        v = n * s
-        r = v % m
-        out.append(r)
-        s = (v - r) // m
-    return out
-
-
 def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
     """The unique residue class (n mod |m|^h) of units whose first h digits
     equal ``prefix``.
 
-    Found by exhaustive search over the phi(|m|) * |m|^(h-1) coprime
-    residues; raises :class:`NoUnitRealization` when prefix[0] shares a
-    factor with m (no unit starts with such a digit).
+    r_1..r_k depend only on n mod |m|^k, so the residue is lifted one digit
+    at a time: of the |m| lifts n + j*|m|^k of the residue matching the
+    first k digits, exactly one also matches digit k+1.  That is O(h^2 |m|)
+    digit steps.  Raises :class:`NoUnitRealization` when prefix[0] shares
+    a factor with m (no unit starts with such a digit).
     """
     if m == 0:
         raise ValueError("m must be nonzero")
@@ -351,14 +345,16 @@ def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
         raise NoUnitRealization(
             f"first digit {prefix[0]} is not coprime to m={m}"
         )
-    modulus = m**h
-    target = list(prefix)
-    for n in range(modulus):
-        if math.gcd(n, m) != 1:
-            continue
-        if _int_digits(n, m, h) == target:
-            return n, modulus
-    raise NoUnitRealization(f"no unit realizes prefix {prefix} (unexpected)")
+    n, modulus = prefix[0], m  # r_1 = n mod m
+    for k in range(1, h):
+        for j in range(m):
+            lift = n + j * modulus
+            if RDigitStream(MarkedGroupSpec(m, XiInt(lift))).digit(k + 1) == prefix[k]:
+                break
+        else:
+            raise NoUnitRealization(f"no unit realizes prefix {prefix} (unexpected)")
+        n, modulus = lift, modulus * m
+    return n, modulus
 
 
 # --- textual parameter grammar -------------------------------------------

@@ -63,13 +63,14 @@ def b_i_word(ctx: GroupCtx, i: int) -> GroupWord:
     if i < 1:
         raise ValueError("generator indices start at 1")
     m = ctx.m_abs
+    rs = ctx.table(i - 1)
     word = (
         GroupWord((ALetter(1),))
         * GroupWord((BaseLetter(EVec.basis(0, m)),))
         * GroupWord((ALetter(-1),))
     )
     for k in range(2, i + 1):
-        r = ctx.r(k - 1)
+        r = rs[k - 1]
         tail = GroupWord((BaseLetter(EVec.basis(0, -r)),)) if r else GroupWord(())
         word = GroupWord((ALetter(1),)) * word * tail * GroupWord((ALetter(-1),))
     return word

@@ -173,6 +173,16 @@ def test_budget_error_reports_index(capsys):
     assert "index 3" in err
 
 
+def test_budget_error_reports_first_missing_index(capsys):
+    # r_1 and r_2 exist, so r_3 is missing even though e5 is read first
+    code, _, err = run(
+        capsys, "wp", "--m", "2", "--xi", "rseq:1,0",
+        "--alphabet", "extended", "--word", "a e5 e4 a^-1",
+    )
+    assert code == 1
+    assert "first missing digit index 3" in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["wp", "--m", "2"])

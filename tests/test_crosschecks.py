@@ -5,6 +5,7 @@ meet-in-the-middle brute-force oracle on several parameter kinds."""
 
 import itertools
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from bslim import XiInt, XiRat
 from bslim.bsclassic import BSSpec, bs_is_trivial
 from bslim.group import are_conjugate, is_trivial, normal_form, parse_word
 from bslim.lattice import CAP_REACHED, EVec, GroupCtx, fixed_interval, q_poly
-from bslim.madic import MarkedGroupSpec, p_polys
+from bslim.madic import MarkedGroupSpec, p_polys, r_digits
 
 W = parse_word
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -161,3 +162,36 @@ def test_digit_stream_thread_safety():
         t.join()
     for out in results.values():
         assert out == expect
+
+
+def test_digit_table_growth_under_thread_switching():
+    # many threads grow one shared table and stream at once; a lost or
+    # doubled append would shift every later digit
+    expect = [1] + r_digits(MarkedGroupSpec(3, XiRat(5, 7)), 400)
+    ctx = GroupCtx.make(3, XiRat(5, 7))
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                k = rng.randint(1, 400)
+                if ctx.table(k)[k] != expect[k] or ctx.digits.digit(k) != expect[k]:
+                    errors.append(k)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert ctx.rs == expect[: len(ctx.rs)]
+    assert ctx.digits.digits(400) == expect[1:]

@@ -1,9 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from bslim import ParseError, ShapeMismatch, XiInt, XiSeqFinite, XiSeqPeriodic
+import bslim
+import bslim.group
+from bslim import (
+    ParseError,
+    ShapeMismatch,
+    WitnessCheckFailed,
+    XiInt,
+    XiSeqFinite,
+    XiSeqPeriodic,
+)
 from bslim.lattice import EVec, GroupCtx
 from bslim.group import (
     ALetter,
@@ -354,3 +366,33 @@ def test_works_with_periodic_digit_spec():
     for _ in range(60):
         w = random_word(rng, max_len=7)
         assert is_trivial(ctx, w) == is_trivial(ctx3, w)
+
+
+# --- witness verification -------------------------------------------------------
+
+def test_wrong_witness_is_rejected(ctx23, monkeypatch):
+    monkeypatch.setattr(bslim.group, "base_conjugacy_solve", lambda ctx, u, v: E0)
+    with pytest.raises(WitnessCheckFailed):
+        are_conjugate(ctx23, W("a"), W("a"))  # b a b^-1 != a
+
+
+def test_wrong_witness_is_rejected_under_optimize():
+    # the check must survive python -O, which strips assert statements
+    script = (
+        "assert False, 'assert statements are not stripped'\n"
+        "import bslim.group as g\n"
+        "from bslim import EVec, GroupCtx, WitnessCheckFailed, XiInt\n"
+        "g.base_conjugacy_solve = lambda ctx, u, v: EVec.basis(0)\n"
+        "try:\n"
+        "    g.are_conjugate(GroupCtx.make(2, XiInt(3)), g.parse_word('a'), g.parse_word('a'))\n"
+        "except WitnessCheckFailed:\n"
+        "    print('rejected')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bslim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"

@@ -235,6 +235,18 @@ def test_digit_budget_rule():
         subgroup_membership(ctx, EVec.basis(4), "EmXi")
 
 
+def test_digit_table_grows_in_index_order():
+    # the budget error names the first missing index, not the first one read
+    from bslim import RDigitBudgetExceeded
+    from bslim.lattice import _in_emxi
+
+    ctx = GroupCtx.make(2, XiInt(3), budget=3)
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        _in_emxi(ctx, {6: 1, 4: 1})
+    assert info.value.index == 4
+    assert ctx.rs == [1, 1, 1, 1]  # rs[0] = 1 is the weight of e_0
+
+
 def test_fixed_interval_counts_up_shifts(ctx23):
     # 4 e_0 allows exactly two up-shifts for m=2, xi=3:
     # 4e_0 -> 2e_1 -> e_1 + e_2 (value 2 -> not divisible... check by oracle)

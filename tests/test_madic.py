@@ -247,6 +247,66 @@ def test_xi_from_prefix_inverts_digits():
             assert found == n % modulus
 
 
+def test_xi_from_prefix_matches_brute_force():
+    # every unit prefix, against a search over all residues mod m^h
+    for m in (2, 3, 5):
+        for h in range(1, 6):
+            modulus = m**h
+            brute = {}
+            for n in range(modulus):
+                if math.gcd(n, m) == 1:
+                    brute[tuple(r_digits(spec(m, XiInt(n)), h))] = n
+            assert len(brute) == (m - 1) * m ** (h - 1)  # m prime: all unit prefixes
+            for prefix, n in brute.items():
+                assert xi_from_prefix(m, list(prefix)) == (n, modulus)
+                assert xi_from_prefix(-m, list(prefix)) == (n, modulus)
+
+
+def test_xi_from_prefix_round_trip_deep():
+    h = 40
+    for n in (-1, 3, 2**40 - 3, 123456789):
+        prefix = r_digits(spec(2, XiInt(n)), h)
+        found, modulus = xi_from_prefix(2, prefix)
+        assert modulus == 2**h and found == n % modulus
+        assert r_digits(spec(2, XiInt(found)), h) == prefix
+
+
+# --- the integer digit recurrence ------------------------------------------
+
+def fraction_recurrence(m: int, xi: Fraction, count: int):
+    """r_i and s_i from xi*s_{i-1} = m*s_i + r_i on fractions (m > 0)."""
+    rs, ss, s = [], [], Fraction(1)
+    for _ in range(count):
+        v = xi * s
+        r = v.numerator * pow(v.denominator, -1, m) % m if m > 1 else 0
+        s = (v - r) / m
+        rs.append(r)
+        ss.append(s)
+    return rs, ss
+
+
+@pytest.mark.parametrize(
+    "m,xi",
+    [
+        (2, XiInt(3)), (-2, XiInt(3)), (3, XiInt(-7)), (-5, XiInt(12)),
+        (7, XiInt(0)), (1, XiInt(5)), (-1, XiInt(-2)),
+        (3, XiRat(1, 2)), (-3, XiRat(1, 2)), (5, XiRat(-7, 3)),
+        (-7, XiRat(22, 9)), (2, XiRat(5, 3)), (6, XiRat(-1, 5)),
+    ],
+)
+def test_integer_recurrence_matches_fraction_recurrence(m, xi):
+    count = 300
+    sign = 1 if m > 0 else -1
+    value = Fraction(xi.n) if isinstance(xi, XiInt) else Fraction(xi.p, xi.q)
+    rs, ss = fraction_recurrence(abs(m), sign * value, count)
+    assert r_digits(spec(m, xi), count) == rs
+    assert s_values(spec(m, xi), count) == ss
+    # reading s before r, out of order, gives the same values
+    stream = RDigitStream(spec(m, xi))
+    assert stream.s_value(count) == ss[-1] and stream.s_value(0) == 1
+    assert stream.digits(count) == rs
+
+
 # --- congruence law and bijection (brute force, small) ---------------------
 
 @pytest.mark.parametrize("m", [2, 3, 4])
