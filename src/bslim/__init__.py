@@ -26,8 +26,8 @@ from .errors import (
     ZeroElement,
 )
 from .madic import (
+    IntPoly,
     MarkedGroupSpec,
-    PPoly,
     RDigitStream,
     XiInt,
     XiRat,
@@ -47,7 +47,6 @@ from .lattice import (
     CAP_REACHED,
     EVec,
     GroupCtx,
-    IntPoly,
     a_conjugate,
     fixed_interval,
     format_evec,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import ParseError, PreconditionViolated
 from .group import ALetter, BaseLetter, GroupWord
 from .lattice import EVec
+from .madic import _parse_decimal
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,9 @@ def parse_bs_word(text: str) -> GroupWord:
                 i += 1
             while i < n and text[i].isdigit():
                 i += 1
-            if i == start or not text[start:i].lstrip("+-"):
-                raise ParseError("bad exponent", start)
+            exp = _parse_decimal(text[start:i], start)
             if ch in "AB":
                 raise ParseError("exponent tokens use lowercase letters", start - 1)
-            exp = int(text[start:i])
         if gen == "a":
             letters.extend([ALetter(1 if exp > 0 else -1)] * abs(exp))
         elif exp:

@@ -24,7 +24,7 @@ from .group import (
     parse_word,
 )
 from .lattice import GroupCtx, parse_evec
-from .madic import MarkedGroupSpec, parse_xi, r_digits
+from .madic import MarkedGroupSpec, _parse_decimal, parse_xi, r_digits
 from .markedspace import (
     distance_bounds,
     isomorphic,
@@ -36,12 +36,20 @@ from .markedspace import (
 from .morphisms import EmbedD, J, PhiE, ThetaK, apply_automorphism, wreath_image
 
 
+def _int(text: str) -> int:
+    """argparse type for integer flags: an ASCII decimal, as in every grammar."""
+    try:
+        return _parse_decimal(text, 0)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+
+
 def _add_group_flags(p: argparse.ArgumentParser, xi2: bool = False) -> None:
-    p.add_argument("--m", type=int, required=True, help="nonzero modulus (signed)")
+    p.add_argument("--m", type=_int, required=True, help="nonzero modulus (signed)")
     p.add_argument("--xi", required=True, help="parameter (int:/rat:/rseq: grammar)")
     if xi2:
         p.add_argument("--xi2", required=True, help="second parameter")
-        p.add_argument("--m2", type=int, default=None, help="second modulus (defaults to --m)")
+        p.add_argument("--m2", type=_int, default=None, help="second modulus (defaults to --m)")
 
 
 def _add_word_flag(p: argparse.ArgumentParser, name: str = "--word") -> None:
@@ -76,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("rdigits", help="digit sequence r_1..r_count")
     _add_group_flags(p)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int, required=True)
 
     for name, help_text in (
         ("wp", "word problem"),
@@ -97,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("dist", help="shortest distinguishing word")
     _add_group_flags(p, xi2=True)
-    p.add_argument("--max-len", type=int, default=14)
+    p.add_argument("--max-len", type=_int, default=14)
     p.add_argument(
         "--force",
         action="store_true",
@@ -112,12 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("recover", help="recover (|m|, digits) from the word problem")
     _add_group_flags(p)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int, required=True)
 
     p = add_cmd("relator", help="relator words (bi, vk, w, wine)")
     p.add_argument("--kind", choices=("bi", "vk", "w", "wine"), required=True)
-    p.add_argument("--index", type=int, default=None, help="index for bi/vk")
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--index", type=_int, default=None, help="index for bi/vk")
+    p.add_argument("--m", type=_int, default=None)
     p.add_argument("--xi", default=None, help="needed for bi")
     p.add_argument("--digits", default=None, help="comma-separated digits for w/wine")
 
@@ -127,18 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_alphabet_flag(p)
     p.add_argument("--aut", choices=("J", "phiE", "thetaK", "embedD"), required=True)
     p.add_argument("--evec", default="", help="e for phiE (EVec grammar)")
-    p.add_argument("--coef", type=int, default=None, help="k for thetaK")
-    p.add_argument("--embed", type=int, default=None, help="d for embedD")
+    p.add_argument("--coef", type=_int, default=None, help="k for thetaK")
+    p.add_argument("--embed", type=_int, default=None, help="d for embedD")
 
     p = add_cmd("bswp", help="word problem in classical BS(p,q)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     _add_word_flag(p)
 
     p = add_cmd("nk", help="exponent-shrinking count N(k) in BS(m,n)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
 
     return top
 
@@ -233,7 +241,11 @@ def _run(args) -> None:
             ctx = GroupCtx(MarkedGroupSpec(args.m, parse_xi(args.xi)))
         digits = None
         if args.digits is not None:
-            digits = [int(t) for t in args.digits.split(",") if t != ""]
+            digits, pos = [], 0
+            for piece in args.digits.split(","):
+                if piece:
+                    digits.append(_parse_decimal(piece, pos))
+                pos += len(piece) + 1
         w = relator(args.kind, ctx=ctx, index=args.index, m=args.m, digits=digits)
         text = format_word(w, "compact")
         _emit(args, text, {"word": text})

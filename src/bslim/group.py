@@ -32,8 +32,10 @@ from .lattice import (
     _emxi_value,
     _in_e1,
     _in_emxi,
+    _parse_eterm,
     _up,
     a_conjugate,
+    format_evec,
     q_poly,
 )
 
@@ -147,20 +149,8 @@ def parse_word(text: str, mode: Literal["compact", "extended"] = "compact") -> G
             letters.append(A_POS)
         elif token == "a^-1":
             letters.append(A_NEG)
-        elif token.startswith("e"):
-            idx_text, sep, exp_text = token[1:].partition("^")
-            if not idx_text.isdigit():
-                raise ParseError(f"bad token {token!r}", offset)
-            if sep:
-                body = exp_text[1:] if exp_text[:1] in "+-" else exp_text
-                if not body.isdigit() or int(exp_text) == 0:
-                    raise ParseError(f"bad exponent in {token!r}", offset)
-                k = int(exp_text)
-            else:
-                k = 1
-            letters.append(BaseLetter(EVec.basis(int(idx_text), k)))
         else:
-            raise ParseError(f"bad token {token!r}", offset)
+            letters.append(BaseLetter(EVec.basis(*_parse_eterm(token, offset))))
         offset += len(token)
     return GroupWord(tuple(letters))
 
@@ -173,9 +163,8 @@ def format_word(w: GroupWord, mode: Literal["compact", "extended"] = "extended")
         for letter in w.letters:
             if isinstance(letter, ALetter):
                 tokens.append("a" if letter.exp == 1 else "a^-1")
-            else:
-                for i, c in letter.vec.entries:
-                    tokens.append(f"e{i}" if c == 1 else f"e{i}^{c}")
+            elif not letter.vec.is_zero:
+                tokens.append(format_evec(letter.vec))
         return " ".join(tokens)
     if mode != "compact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -267,33 +256,37 @@ def _merge_into(dst: dict[int, int], src: dict[int, int]) -> None:
 
 
 def _reduce_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int]) -> None:
-    """Eliminate pinches in place, leftmost first, until none remains."""
-    i = 0
-    while i < len(deltas) - 1:
-        d1 = deltas[i]
-        if d1 == deltas[i + 1]:
-            i += 1
-            continue
-        mid = segs[i + 1]
-        if d1 == 1:
-            fired = _up(ctx, mid)  # None unless mid is in E_{m,xi}
-        else:
-            fired = None if mid.get(0) else _down(ctx, mid)
-        if fired is None:
-            i += 1
-            continue
-        # merge into the larger of the two outer segments
-        left, right = segs[i], segs[i + 2]
-        if len(left) < len(right):
-            left, right = right, left
-            segs[i] = left
-        if fired:
-            _merge_into(left, fired)
-        if right:
-            _merge_into(left, right)
-        del segs[i + 1 : i + 3]
-        del deltas[i : i + 2]
-        i = max(i - 1, 0)
+    """Eliminate pinches in place, leftmost first, until none remains.
+
+    One left-to-right pass over a stack of segments and deltas.  The
+    stacked prefix is always reduced, so a pinch can only form around the
+    top segment, between the top stable letter and the next one read.
+    """
+    out_segs, out_deltas = [segs[0]], []
+    for d, right in zip(deltas, segs[1:]):
+        if out_deltas and out_deltas[-1] != d:
+            mid = out_segs[-1]
+            if d == -1:  # a mid a^-1: _up gives None unless mid is in E_{m,xi}
+                fired = _up(ctx, mid)
+            else:  # a^-1 mid a: mid must lie in E_1
+                fired = None if mid.get(0) else _down(ctx, mid)
+            if fired is not None:
+                out_deltas.pop()
+                out_segs.pop()
+                # merge into the larger of the two outer segments
+                left = out_segs[-1]
+                if len(left) < len(right):
+                    left, right = right, left
+                    out_segs[-1] = left
+                if fired:
+                    _merge_into(left, fired)
+                if right:
+                    _merge_into(left, right)
+                continue
+        out_deltas.append(d)
+        out_segs.append(right)
+    segs[:] = out_segs
+    deltas[:] = out_deltas
 
 
 def _alt_to_form(segs, deltas, cls=ReducedForm) -> ReducedForm:

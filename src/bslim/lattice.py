@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Optional, Union
 
 from .errors import ParseError, PinchDomainViolation, ZeroElement
-from .madic import MarkedGroupSpec, RDigitStream, XiSpec, parse_xi
+from .madic import (
+    IntPoly,
+    MarkedGroupSpec,
+    RDigitStream,
+    XiSpec,
+    _parse_decimal,
+    parse_xi,
+)
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,19 @@ class EVec:
         return format_evec(self)
 
 
+def _parse_eterm(token: str, offset: int) -> tuple[int, int]:
+    """One ``e<i>^<k>`` token (k omitted means 1) as (i, k); ``offset`` is
+    the token's position, reported by :class:`ParseError`."""
+    if not token.startswith("e"):
+        raise ParseError(f"bad token {token!r}", offset)
+    idx_text, sep, exp_text = token[1:].partition("^")
+    i = _parse_decimal(idx_text, offset + 1, signed=False)
+    k = _parse_decimal(exp_text, offset + 2 + len(idx_text)) if sep else 1
+    if k == 0:
+        raise ParseError(f"zero exponent in {token!r}", offset)
+    return i, k
+
+
 def parse_evec(text: str) -> EVec:
     """Parse whitespace-separated ``e<i>^<k>`` tokens (k omitted means 1);
     the empty string is the zero vector."""
@@ -102,23 +122,7 @@ def parse_evec(text: str) -> EVec:
     offset = 0
     for token in text.split():
         offset = text.index(token, offset)
-        if not token.startswith("e"):
-            raise ParseError(f"bad token {token!r}", offset)
-        body = token[1:]
-        idx_text, _, exp_text = body.partition("^")
-        if not idx_text.isdigit():
-            raise ParseError(f"bad basis index in {token!r}", offset)
-        k = 1
-        if exp_text or "^" in body:
-            if not exp_text or exp_text in "+-":
-                raise ParseError(f"bad exponent in {token!r}", offset)
-            sign_free = exp_text[1:] if exp_text[0] in "+-" else exp_text
-            if not sign_free.isdigit():
-                raise ParseError(f"bad exponent in {token!r}", offset)
-            k = int(exp_text)
-            if k == 0:
-                raise ParseError(f"zero exponent in {token!r}", offset)
-        i = int(idx_text)
+        i, k = _parse_eterm(token, offset)
         acc[i] = acc.get(i, 0) + k
         offset += len(token)
     return EVec.from_items(acc)
@@ -130,45 +134,6 @@ def format_evec(vec: EVec) -> str:
     for i, c in vec.entries:
         parts.append(f"e{i}" if c == 1 else f"e{i}^{c}")
     return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense integer polynomial, ascending coefficients, no leading zeros;
-    the zero polynomial is the empty tuple."""
-
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def x_valuation(self) -> int:
-        """Largest k with X^k dividing the polynomial (0 for zero)."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return 0
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(tuple(out))
 
 
 class GroupCtx:
@@ -343,26 +308,12 @@ def q_poly(ctx: GroupCtx, x: EVec) -> IntPoly:
     return IntPoly(tuple(out))
 
 
-class _CapReached:
-    """Marker returned when the up-shift count hits the cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CAP_REACHED"
-
-
-CAP_REACHED = _CapReached()
+CAP_REACHED = object()  # mu when the up-shift count hits the cap
 
 
 def fixed_interval(
     ctx: GroupCtx, x: EVec, cap: int = 64
-) -> tuple[Union[int, _CapReached], int]:
+) -> tuple[object, int]:
     """(mu, nu) for a nonzero base element: nu is the X-adic valuation of
     its polynomial image (available down-shifts), mu counts available
     up-shifts, reported as CAP_REACHED once it meets ``cap`` (mu can be

@@ -145,21 +145,42 @@ class MarkedGroupSpec:
 
 
 @dataclass(frozen=True)
-class PPoly:
-    """The polynomial P_h, stored densely with ascending coefficients.
+class IntPoly:
+    """Dense integer polynomial, ascending coefficients, no leading zeros;
+    the zero polynomial is the empty tuple."""
 
-    P_0 = m and P_h = X*P_{h-1} - r_h, so P_h has degree h and leading
-    coefficient m.
-    """
-
-    coeffs: tuple[int, ...]
+    coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        coeffs = tuple(self.coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
     @property
     def degree(self) -> int:
+        """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
+
+    def x_valuation(self) -> int:
+        """Largest k with X^k dividing the polynomial (0 for zero)."""
+        for k, c in enumerate(self.coeffs):
+            if c:
+                return k
+        return 0
+
+    def __add__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPoly(tuple(out))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -284,15 +305,16 @@ def gcd_with_m(spec: MarkedGroupSpec) -> int:
     return math.gcd(spec.m_abs, RDigitStream(spec).digit(1))
 
 
-def p_polys(spec: MarkedGroupSpec, h: int) -> list[PPoly]:
-    """[P_0, ..., P_h] with P_0 = m and P_k = X*P_{k-1} - r_k."""
+def p_polys(spec: MarkedGroupSpec, h: int) -> list[IntPoly]:
+    """[P_0, ..., P_h] with P_0 = m and P_k = X*P_{k-1} - r_k, so P_k has
+    degree k and leading coefficient m."""
     if h < 0:
         raise ValueError("h must be nonnegative")
     stream = RDigitStream(spec)
-    polys = [PPoly((spec.m_abs,))]
+    polys = [IntPoly((spec.m_abs,))]
     for k in range(1, h + 1):
         prev = polys[-1].coeffs
-        polys.append(PPoly((-stream.digit(k),) + prev))
+        polys.append(IntPoly((-stream.digit(k),) + prev))
     return polys
 
 
@@ -366,10 +388,10 @@ def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
 
 
 def _parse_decimal(text: str, offset: int, signed: bool = True) -> int:
-    if not text:
-        raise ParseError("empty number", offset)
-    body = text[1:] if signed and text[0] in "+-" else text
-    if not body.isdigit():
+    """An ASCII decimal, with an optional sign when ``signed``; the one
+    number check of every grammar in the package."""
+    body = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (body.isascii() and body.isdigit()):
         raise ParseError(f"bad number {text!r}", offset)
     return int(text)
 
@@ -380,9 +402,7 @@ def _parse_digit_list(text: str, offset: int) -> tuple[int, ...]:
     out = []
     pos = offset
     for piece in text.split(","):
-        if not piece.isdigit():
-            raise ParseError(f"bad digit {piece!r}", pos)
-        out.append(int(piece))
+        out.append(_parse_decimal(piece, pos, signed=False))
         pos += len(piece) + 1
     return tuple(out)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     GcdMismatch,
@@ -23,8 +23,8 @@ from .group import (
     ALetter,
     BaseLetter,
     GroupWord,
-    _reduce_alt,
     commutator,
+    format_word,
     is_trivial,
     parse_word,
 )
@@ -136,8 +136,6 @@ def word_to_compact(ctx: GroupCtx, w: GroupWord) -> str:
             if i == 0:
                 out.append(("b" if c > 0 else "B") * abs(c))
             else:
-                from .group import format_word
-
                 piece = b_i_word(ctx, i)
                 if c < 0:
                     piece = piece.inverse()
@@ -154,6 +152,7 @@ def word_to_compact(ctx: GroupCtx, w: GroupWord) -> str:
 # representatives (letter order a < A < b < B) are kept.
 
 _INV = (1, 0, 3, 2)  # inverse letter indices for (a, A, b, B)
+_LETTERS = parse_word("aAbB").letters
 
 
 def _wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
@@ -233,33 +232,12 @@ def _is_canonical(word: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _candidate_words(length: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(w for w in _wreath_trivial_words(length) if _is_canonical(w))
-
-
-_LETTERS = "aAbB"
-
-
-def _word_from_indices(indices: Iterable[int]) -> GroupWord:
-    return parse_word("".join(_LETTERS[t] for t in indices))
-
-
-def _trivial_indices(ctx: GroupCtx, indices: tuple[int, ...]) -> bool:
-    segs: list[dict[int, int]] = [{}]
-    deltas: list[int] = []
-    for t in indices:
-        if t < 2:
-            deltas.append(1 if t == 0 else -1)
-            segs.append({})
-        else:
-            seg = segs[-1]
-            c = seg.get(0, 0) + (1 if t == 2 else -1)
-            if c:
-                seg[0] = c
-            else:
-                seg.pop(0, None)
-    _reduce_alt(ctx, segs, deltas)
-    return not deltas and not segs[0]
+def _candidate_words(length: int) -> tuple[GroupWord, ...]:
+    return tuple(
+        GroupWord(tuple(_LETTERS[t] for t in w))
+        for w in _wreath_trivial_words(length)
+        if _is_canonical(w)
+    )
 
 
 def shortest_distinguishing(
@@ -274,9 +252,9 @@ def shortest_distinguishing(
         raise ValueError("max_len must be at least 1")
     ctx1, ctx2 = GroupCtx(g1), GroupCtx(g2)
     for length in range(2, max_len + 1):
-        for indices in _candidate_words(length):
-            if _trivial_indices(ctx1, indices) != _trivial_indices(ctx2, indices):
-                return length, _word_from_indices(indices)
+        for w in _candidate_words(length):
+            if is_trivial(ctx1, w) != is_trivial(ctx2, w):
+                return length, w
     return None
 
 
@@ -388,8 +366,6 @@ def isomorphic(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> bool:
     isomorphism).  Finite digit prefixes are rejected as undecidable."""
     if isinstance(g1.xi_norm, XiSeqFinite) or isinstance(g2.xi_norm, XiSeqFinite):
         raise UndecidableSpec("finite digit sequences admit no full comparison")
-    if g1.m_abs != g2.m_abs:
-        return False
     return _streams_equal_exact(g1, g2)
 
 

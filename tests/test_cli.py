@@ -156,6 +156,20 @@ def test_parse_error_exit_2(capsys):
     assert code == 2 and err.startswith("error: ParseError:")
     code, _, err = run(capsys, "wp", "--m", "2", "--xi", "bogus", "--word", "a")
     assert code == 2
+    # numbers are ASCII decimals; "²" and "١" pass str.isdigit but not the grammar
+    ext = ("--alphabet", "extended", "--word")
+    for argv in (
+        ("wp", "--m", "2", "--xi", "int:²", "--word", "a"),
+        ("wp", "--m", "2", "--xi", "int:١", "--word", "a"),
+        ("wp", "--m", "2", "--xi", "rseq:1,²", "--word", "a"),
+        ("wp", "--m", "2", "--xi", "int:3", *ext, "e²"),
+        ("wp", "--m", "2", "--xi", "int:3", *ext, "e1^²"),
+        ("aut", "--m", "2", "--xi", "int:3", "--word", "a", "--aut", "phiE", "--evec", "e²"),
+        ("bswp", "--p", "2", "--q", "3", "--word", "b^²"),
+        ("relator", "--kind", "w", "--m", "2", "--digits", "1,x"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ParseError:"), argv
 
 
 def test_domain_error_exit_1(capsys):
@@ -187,3 +201,9 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["wp", "--m", "2"])
     assert info.value.code == 2
+    # integer flags take ASCII decimals only, as the grammars do
+    for argv in (["rdigits", "--m", "٢", "--xi", "int:3", "--count", "2"],
+                 ["rdigits", "--m", "2", "--xi", "int:3", "--count", "1_0"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2

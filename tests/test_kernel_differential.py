@@ -4,6 +4,10 @@ The reference kernels below read ``ctx.digits.digit(i)`` once per
 coefficient, as the kernels did before the digit table; the library
 kernels index ``ctx.rs``.  Both must agree on every input, including
 which inputs run past the available digits.
+
+``ref_reduce`` is the index walk that the one-pass stack reducer
+replaced.  Both fire the leftmost pinch first, so their reduced forms are
+identical, not just equivalent.
 """
 
 import random
@@ -16,9 +20,11 @@ from bslim.group import (
     BaseLetter,
     GroupWord,
     _letters_to_alt,
+    britton_reduce,
     commutator,
     is_trivial,
     normal_form,
+    parse_word,
 )
 from bslim.lattice import (
     CAP_REACHED,
@@ -141,6 +147,12 @@ def ref_is_trivial(ctx, w):
     return not deltas and not segs[0]
 
 
+def ref_britton_reduce(ctx, w):
+    segs, deltas = _letters_to_alt(w.letters)
+    ref_reduce(ctx, segs, deltas)
+    return [sorted(s.items()) for s in segs], deltas
+
+
 def ref_normal_form(ctx, w):
     segs, deltas = _letters_to_alt(w.letters)
     ref_reduce(ctx, segs, deltas)
@@ -251,11 +263,32 @@ def test_lattice_kernels_agree(m, xi):
         agree(outcome(fixed_interval, ctx, x, cap), outcome(ref_fixed_interval, ctx, x, cap))
 
 
+def long_word(rng, ctx, top):
+    """2k-4k letters: a product of conjugates of nested relators [b_i, b]."""
+    w = GroupWord(())
+    while len(w.letters) < 2000:
+        g = parse_word("".join(rng.choices("aAbB", k=20)))
+        bi = ref_b_i_word(ctx, rng.randint(1, top))
+        w = w * g * commutator(bi, parse_word("b")) * g.inverse()
+    return w
+
+
 @pytest.mark.parametrize("m,xi", CASES)
 def test_reduction_agrees(m, xi):
     rng = random.Random(f"w{m}{xi}")
     ctx = GroupCtx.make(m, xi)
     ref_ctx = GroupCtx.make(m, xi)
+
+    def check(w):
+        got = outcome(is_trivial, ctx, w)
+        agree(got, outcome(ref_is_trivial, ref_ctx, w))
+        for new, ref in ((britton_reduce, ref_britton_reduce), (normal_form, ref_normal_form)):
+            form = outcome(new, ctx, w)
+            if form[0] == "ok":
+                form = "ok", ([sorted(s.entries) for s in form[1].segments], list(form[1].deltas))
+            agree(form, outcome(ref, ref_ctx, w))
+        return got
+
     trivial_seen = 0
     for n in range(200):
         w = random_word(rng, abs(m), 4)
@@ -267,11 +300,12 @@ def test_reduction_agrees(m, xi):
             if bi[0] == "ok":
                 b = GroupWord((BaseLetter(EVec.basis(0)),))
                 w = w * commutator(bi[1], b) * w.inverse()
-        got = outcome(is_trivial, ctx, w)
-        agree(got, outcome(ref_is_trivial, ref_ctx, w))
-        trivial_seen += got == ("ok", True)
-        nf = outcome(normal_form, ctx, w)
-        if nf[0] == "ok":
-            nf = "ok", ([sorted(s.entries) for s in nf[1].segments], list(nf[1].deltas))
-        agree(nf, outcome(ref_normal_form, ref_ctx, w))
+        trivial_seen += check(w) == ("ok", True)
     assert trivial_seen >= 20
+    # long words: the finite rseq parameters have b_i only up to i = 5
+    top = FINITE_LEN + 1 if xi.startswith("rseq:") and ";" not in xi else 30
+    assert check(long_word(rng, ref_ctx, top)) == ("ok", True)
+    for _ in range(2):
+        w = long_word(rng, ref_ctx, top) * random_word(rng, abs(m), 4)
+        assert 2000 <= len(w.letters) <= 4000
+        check(w)
