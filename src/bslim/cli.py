@@ -8,6 +8,7 @@ stable ``error: <Type>:`` prefix.  Stdin is never read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -24,7 +25,14 @@ from .group import (
     parse_word,
 )
 from .lattice import GroupCtx, parse_evec
-from .madic import MarkedGroupSpec, _parse_decimal, parse_xi, r_digits
+from .madic import (
+    MarkedGroupSpec,
+    XiSeqFinite,
+    _parse_decimal,
+    _parse_digit_list,
+    parse_xi,
+    r_digits,
+)
 from .markedspace import (
     distance_bounds,
     isomorphic,
@@ -44,113 +52,6 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
 
 
-def _add_group_flags(p: argparse.ArgumentParser, xi2: bool = False) -> None:
-    p.add_argument("--m", type=_int, required=True, help="nonzero modulus (signed)")
-    p.add_argument("--xi", required=True, help="parameter (int:/rat:/rseq: grammar)")
-    if xi2:
-        p.add_argument("--xi2", required=True, help="second parameter")
-        p.add_argument("--m2", type=_int, default=None, help="second modulus (defaults to --m)")
-
-
-def _add_word_flag(p: argparse.ArgumentParser, name: str = "--word") -> None:
-    p.add_argument(name, required=True, help="input word")
-
-
-def _add_alphabet_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--alphabet",
-        choices=("compact", "extended"),
-        default="compact",
-        help="word grammar for --word/--word2 (default compact)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="bsl",
-        description="exact computation in limits of Baumslag-Solitar groups",
-    )
-    top.add_argument("--json", action="store_true", help="JSON output")
-    shared = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps the subparser from clobbering a top-level --json
-    shared.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS, help="JSON output"
-    )
-    subparsers = top.add_subparsers(dest="command", required=True)
-
-    def add_cmd(name, help):
-        # every command accepts --json in either position
-        return subparsers.add_parser(name, help=help, parents=[shared])
-
-    p = add_cmd("rdigits", help="digit sequence r_1..r_count")
-    _add_group_flags(p)
-    p.add_argument("--count", type=_int, required=True)
-
-    for name, help_text in (
-        ("wp", "word problem"),
-        ("nf", "normal form"),
-        ("reduce", "Britton-reduced form"),
-        ("wreath", "image in Z wr Z"),
-    ):
-        p = add_cmd(name, help=help_text)
-        _add_group_flags(p)
-        _add_word_flag(p)
-        _add_alphabet_flag(p)
-
-    p = add_cmd("conj", help="conjugacy of two words")
-    _add_group_flags(p)
-    _add_word_flag(p)
-    _add_word_flag(p, "--word2")
-    _add_alphabet_flag(p)
-
-    p = add_cmd("dist", help="shortest distinguishing word")
-    _add_group_flags(p, xi2=True)
-    p.add_argument("--max-len", type=_int, default=14)
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="allow enumeration beyond length 14",
-    )
-
-    p = add_cmd("bounds", help="distance sandwich from digit prefixes")
-    _add_group_flags(p, xi2=True)
-
-    p = add_cmd("iso", help="isomorphism of two marked groups")
-    _add_group_flags(p, xi2=True)
-
-    p = add_cmd("recover", help="recover (|m|, digits) from the word problem")
-    _add_group_flags(p)
-    p.add_argument("--count", type=_int, required=True)
-
-    p = add_cmd("relator", help="relator words (bi, vk, w, wine)")
-    p.add_argument("--kind", choices=("bi", "vk", "w", "wine"), required=True)
-    p.add_argument("--index", type=_int, default=None, help="index for bi/vk")
-    p.add_argument("--m", type=_int, default=None)
-    p.add_argument("--xi", default=None, help="needed for bi")
-    p.add_argument("--digits", default=None, help="comma-separated digits for w/wine")
-
-    p = add_cmd("aut", help="apply an automorphism/endomorphism")
-    _add_group_flags(p)
-    _add_word_flag(p)
-    _add_alphabet_flag(p)
-    p.add_argument("--aut", choices=("J", "phiE", "thetaK", "embedD"), required=True)
-    p.add_argument("--evec", default="", help="e for phiE (EVec grammar)")
-    p.add_argument("--coef", type=_int, default=None, help="k for thetaK")
-    p.add_argument("--embed", type=_int, default=None, help="d for embedD")
-
-    p = add_cmd("bswp", help="word problem in classical BS(p,q)")
-    p.add_argument("--p", type=_int, required=True)
-    p.add_argument("--q", type=_int, required=True)
-    _add_word_flag(p)
-
-    p = add_cmd("nk", help="exponent-shrinking count N(k) in BS(m,n)")
-    p.add_argument("--m", type=_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-
-    return top
-
-
 def _spec(args, second: bool = False) -> MarkedGroupSpec:
     if second:
         m = args.m2 if args.m2 is not None else args.m
@@ -166,133 +67,202 @@ def _word(args, attr: str = "word") -> GroupWord:
     return parse_word(getattr(args, attr), args.alphabet)
 
 
-def _emit(args, plain: str, data: dict) -> None:
-    print(json.dumps(data) if args.json else plain)
+# --- command handlers: each returns (plain text, JSON data) ---------------------
+# They name library functions in their bodies, so a wrapper bound here sees each call.
 
 
-def _run(args) -> None:
-    cmd = args.command
-    if cmd == "rdigits":
-        digits = r_digits(_spec(args), args.count)
-        _emit(args, " ".join(map(str, digits)), {"digits": digits})
-    elif cmd == "wp":
-        trivial = is_trivial(_ctx(args), _word(args))
-        _emit(args, "trivial" if trivial else "nontrivial", {"trivial": trivial})
-    elif cmd in ("nf", "reduce"):
-        ctx = _ctx(args)
-        w = _word(args)
-        form = normal_form(ctx, w) if cmd == "nf" else britton_reduce(ctx, w)
-        text = format_word(form.to_word(), "extended")
-        _emit(
-            args,
-            text,
-            {"word": text, "t_length": form.t_length, "sigma": form.sigma},
-        )
-    elif cmd == "wreath":
-        elem = wreath_image(_ctx(args), _word(args))
-        data = elem.to_json()
-        plain = (
-            f"shift={elem.shift} offset={elem.poly.offset} "
-            f"coeffs={','.join(map(str, elem.poly.coeffs)) or '0'}"
-        )
-        _emit(args, plain, data)
-    elif cmd == "conj":
-        ctx = _ctx(args)
-        witness = are_conjugate(ctx, _word(args), _word(args, "word2"))
-        if witness is None:
-            _emit(args, "not conjugate", {"conjugate": False, "witness": None})
-        else:
-            text = format_word(witness, "extended")
-            _emit(args, f"conjugate via {text}", {"conjugate": True, "witness": text})
-    elif cmd == "dist":
-        if args.max_len > 14 and not args.force:
-            raise BslError(
-                "enumeration beyond length 14 needs --force (cost grows like 3^n)"
-            )
-        found = shortest_distinguishing(_spec(args), _spec(args, second=True), args.max_len)
-        if found is None:
-            _emit(args, f"none up to length {args.max_len}", {"nu": None, "word": None})
-        else:
-            length, w = found
-            text = format_word(w, "extended")
-            _emit(args, f"len={length} word={text}", {"nu": length, "word": text})
-    elif cmd == "bounds":
-        b = distance_bounds(_spec(args), _spec(args, second=True))
-        _emit(
-            args,
-            f"h={b.h} lower=e^-{b.lower_exp} upper=e^-{b.upper_exp}",
-            {"h": b.h, "lower_exp": b.lower_exp, "upper_exp": b.upper_exp},
-        )
-    elif cmd == "iso":
-        flag = isomorphic(_spec(args), _spec(args, second=True))
-        _emit(args, "isomorphic" if flag else "not isomorphic", {"isomorphic": flag})
-    elif cmd == "recover":
-        m_abs, digits = recover_parameters(word_problem_oracle(_spec(args)), args.count)
-        _emit(
-            args,
-            f"m={m_abs} digits={' '.join(map(str, digits))}",
-            {"m": m_abs, "digits": digits},
-        )
-    elif cmd == "relator":
-        ctx = None
-        if args.kind == "bi":
-            if args.m is None or args.xi is None:
-                raise BslError("bi needs --m and --xi")
-            ctx = GroupCtx(MarkedGroupSpec(args.m, parse_xi(args.xi)))
-        digits = None
-        if args.digits is not None:
-            digits, pos = [], 0
-            for piece in args.digits.split(","):
-                if piece:
-                    digits.append(_parse_decimal(piece, pos))
-                pos += len(piece) + 1
-        w = relator(args.kind, ctx=ctx, index=args.index, m=args.m, digits=digits)
-        text = format_word(w, "compact")
-        _emit(args, text, {"word": text})
-    elif cmd == "aut":
-        ctx = _ctx(args)
-        if args.aut == "J":
-            spec = J()
-        elif args.aut == "phiE":
-            spec = PhiE(parse_evec(args.evec))
-        elif args.aut == "thetaK":
-            if args.coef is None:
-                raise BslError("thetaK needs --coef")
-            spec = ThetaK(args.coef)
-        else:
-            if args.embed is None:
-                raise BslError("embedD needs --embed")
-            spec = EmbedD(args.embed)
-        image = apply_automorphism(ctx, spec, _word(args))
-        text = format_word(image, "extended")
-        _emit(args, text, {"word": text})
-    elif cmd == "bswp":
-        trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))
-        _emit(args, "trivial" if trivial else "nontrivial", {"trivial": trivial})
-    elif cmd == "nk":
-        count, alpha = bs_n_of_k(args.m, args.n, args.k)
-        _emit(args, f"N={count} alpha={alpha}", {"N": count, "alpha": alpha})
-    else:  # pragma: no cover - argparse enforces the choices
-        raise BslError(f"unknown command {cmd}")
+def _rdigits(args):
+    digits = r_digits(_spec(args), args.count)
+    return " ".join(map(str, digits)), {"digits": digits}
+
+
+def _wp(args):
+    trivial = is_trivial(_ctx(args), _word(args))
+    return "trivial" if trivial else "nontrivial", {"trivial": trivial}
+
+
+def _form(args):
+    reduce = normal_form if args.command == "nf" else britton_reduce
+    form = reduce(_ctx(args), _word(args))
+    text = format_word(form.to_word(), "extended")
+    return text, {"word": text, "t_length": form.t_length, "sigma": form.sigma}
+
+
+def _wreath(args):
+    elem = wreath_image(_ctx(args), _word(args))
+    coeffs = ",".join(map(str, elem.poly.coeffs)) or "0"
+    return f"shift={elem.shift} offset={elem.poly.offset} coeffs={coeffs}", elem.to_json()
+
+
+def _conj(args):
+    witness = are_conjugate(_ctx(args), _word(args), _word(args, "word2"))
+    if witness is None:
+        return "not conjugate", {"conjugate": False, "witness": None}
+    text = format_word(witness, "extended")
+    return f"conjugate via {text}", {"conjugate": True, "witness": text}
+
+
+def _dist(args):
+    if args.max_len > 14 and not args.force:
+        raise BslError("enumeration beyond length 14 needs --force (cost grows like 3^n)")
+    found = shortest_distinguishing(_spec(args), _spec(args, second=True), args.max_len)
+    if found is None:
+        return f"none up to length {args.max_len}", {"nu": None, "word": None}
+    length, w = found
+    text = format_word(w, "extended")
+    return f"len={length} word={text}", {"nu": length, "word": text}
+
+
+def _bounds(args):
+    b = distance_bounds(_spec(args), _spec(args, second=True))
+    data = {"h": b.h, "lower_exp": b.lower_exp, "upper_exp": b.upper_exp}
+    return f"h={b.h} lower=e^-{b.lower_exp} upper=e^-{b.upper_exp}", data
+
+
+def _iso(args):
+    flag = isomorphic(_spec(args), _spec(args, second=True))
+    return "isomorphic" if flag else "not isomorphic", {"isomorphic": flag}
+
+
+def _recover(args):
+    m_abs, digits = recover_parameters(word_problem_oracle(_spec(args)), args.count)
+    return f"m={m_abs} digits={' '.join(map(str, digits))}", {"m": m_abs, "digits": digits}
+
+
+def _relator(args):
+    ctx = None
+    if args.kind == "bi":
+        if args.m is None or args.xi is None:
+            raise BslError("bi needs --m and --xi")
+        ctx = GroupCtx(MarkedGroupSpec(args.m, parse_xi(args.xi)))
+    digits = None if args.digits is None else _parse_digit_list(args.digits, 0)
+    if digits is not None and args.m is not None:
+        MarkedGroupSpec(args.m, XiSeqFinite(digits))  # digits in [0, |m|), as for rseq:
+    w = relator(args.kind, ctx=ctx, index=args.index, m=args.m, digits=digits)
+    text = format_word(w, "compact")
+    return text, {"word": text}
+
+
+def _aut(args):
+    ctx = _ctx(args)
+    if args.aut == "J":
+        spec = J()
+    elif args.aut == "phiE":
+        spec = PhiE(parse_evec(args.evec))
+    elif args.aut == "thetaK":
+        if args.coef is None:
+            raise BslError("thetaK needs --coef")
+        spec = ThetaK(args.coef)
+    else:
+        if args.embed is None:
+            raise BslError("embedD needs --embed")
+        spec = EmbedD(args.embed)
+    text = format_word(apply_automorphism(ctx, spec, _word(args)), "extended")
+    return text, {"word": text}
+
+
+def _bswp(args):
+    trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))
+    return "trivial" if trivial else "nontrivial", {"trivial": trivial}
+
+
+def _nk(args):
+    count, alpha = bs_n_of_k(args.m, args.n, args.k)
+    return f"N={count} alpha={alpha}", {"N": count, "alpha": alpha}
+
+
+# --- the command table: name -> (help, handler, flags in order) ----------------
+
+_GROUP = {
+    "--m": dict(type=_int, required=True, help="nonzero modulus (signed)"),
+    "--xi": dict(required=True, help="parameter (int:/rat:/rseq: grammar)"),
+}
+_PAIR = {
+    **_GROUP,
+    "--xi2": dict(required=True, help="second parameter"),
+    "--m2": dict(type=_int, default=None, help="second modulus (defaults to --m)"),
+}
+_INPUT = dict(required=True, help="input word")
+_ALPHABET = dict(choices=("compact", "extended"), default="compact",
+                 help="word grammar for --word/--word2 (default compact)")
+_WORD = {**_GROUP, "--word": _INPUT, "--alphabet": _ALPHABET}
+_REQUIRED_INT = dict(type=_int, required=True)
+_COUNT = {**_GROUP, "--count": _REQUIRED_INT}
+_COMMANDS = {
+    "rdigits": ("digit sequence r_1..r_count", _rdigits, _COUNT),
+    "wp": ("word problem", _wp, _WORD),
+    "nf": ("normal form", _form, _WORD),
+    "reduce": ("Britton-reduced form", _form, _WORD),
+    "wreath": ("image in Z wr Z", _wreath, _WORD),
+    "conj": ("conjugacy of two words", _conj, {
+        **_GROUP, "--word": _INPUT, "--word2": _INPUT, "--alphabet": _ALPHABET,
+    }),
+    "dist": ("shortest distinguishing word", _dist, {
+        **_PAIR,
+        "--max-len": dict(type=_int, default=14),
+        "--force": dict(action="store_true", help="allow enumeration beyond length 14"),
+    }),
+    "bounds": ("distance sandwich from digit prefixes", _bounds, _PAIR),
+    "iso": ("isomorphism of two marked groups", _iso, _PAIR),
+    "recover": ("recover (|m|, digits) from the word problem", _recover, _COUNT),
+    "relator": ("relator words (bi, vk, w, wine)", _relator, {
+        "--kind": dict(choices=("bi", "vk", "w", "wine"), required=True),
+        "--index": dict(type=_int, default=None, help="index for bi/vk"),
+        "--m": dict(type=_int, default=None),
+        "--xi": dict(default=None, help="needed for bi"),
+        "--digits": dict(default=None, help="comma-separated digits for w/wine"),
+    }),
+    "aut": ("apply an automorphism/endomorphism", _aut, {
+        **_WORD,
+        "--aut": dict(choices=("J", "phiE", "thetaK", "embedD"), required=True),
+        "--evec": dict(default="", help="e for phiE (EVec grammar)"),
+        "--coef": dict(type=_int, default=None, help="k for thetaK"),
+        "--embed": dict(type=_int, default=None, help="d for embedD"),
+    }),
+    "bswp": ("word problem in classical BS(p,q)", _bswp, {
+        "--p": _REQUIRED_INT, "--q": _REQUIRED_INT, "--word": _INPUT,
+    }),
+    "nk": ("exponent-shrinking count N(k) in BS(m,n)", _nk, {
+        "--m": _REQUIRED_INT, "--n": _REQUIRED_INT, "--k": _REQUIRED_INT,
+    }),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``bsl`` parser, built from ``_COMMANDS`` on first use and shared."""
+    top = argparse.ArgumentParser(
+        prog="bsl", description="exact computation in limits of Baumslag-Solitar groups"
+    )
+    top.add_argument("--json", action="store_true", help="JSON output")
+    shared = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS keeps the subparser from clobbering a top-level --json
+    shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="JSON output")
+    subparsers = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        # every command accepts --json in either position
+        p = subparsers.add_parser(name, help=help_text, parents=[shared])
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+    return top
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _run(args)
+        plain, data = _COMMANDS[args.command][1](args)
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return 2
     except RDigitBudgetExceeded as exc:
-        print(
-            f"error: RDigitBudgetExceeded: first missing digit index {exc.index}",
-            file=sys.stderr,
-        )
+        print(f"error: RDigitBudgetExceeded: first missing digit index {exc.index}",
+              file=sys.stderr)
         return 1
     except (BslError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(data) if args.json else plain)
     return 0
 
 

@@ -19,8 +19,9 @@ Any operation touching support index k reads at most k digits.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Optional, Union
+from typing import Literal, Optional, Union
 
 from .errors import ParseError, PinchDomainViolation, ZeroElement
 from .madic import (

@@ -387,6 +387,8 @@ def recover_parameters(
     trivial; each digit is the unique t whose probe word dies.  Raises
     OracleInconsistent when no candidate (or more than one) qualifies.
     """
+    if n < 0:
+        raise ValueError("count must be nonnegative")
     m_abs = None
     for k in range(1, max_m + 1):
         if oracle(v_k_word(k)):

@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from bslim.cli import main
+from bslim.cli import build_parser, main
 from bslim.group import parse_word
 
 
@@ -167,6 +169,9 @@ def test_parse_error_exit_2(capsys):
         ("aut", "--m", "2", "--xi", "int:3", "--word", "a", "--aut", "phiE", "--evec", "e²"),
         ("bswp", "--p", "2", "--q", "3", "--word", "b^²"),
         ("relator", "--kind", "w", "--m", "2", "--digits", "1,x"),
+        # --digits takes the rseq: list grammar: no empty pieces, no signs
+        ("relator", "--kind", "w", "--m", "2", "--digits", "1,,1,"),
+        ("relator", "--kind", "w", "--m", "2", "--digits=-1,5"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error: ParseError:"), argv
@@ -177,6 +182,12 @@ def test_domain_error_exit_1(capsys):
         capsys, "iso", "--m", "2", "--xi", "rseq:1,0", "--xi2", "int:3"
     )
     assert code == 1 and err.startswith("error: UndecidableSpec:")
+    code, _, err = run(capsys, "relator", "--kind", "wine", "--m", "2", "--digits", "5")
+    assert code == 1 and err == "error: ValueError: digits [5] outside range [0, 2)\n"
+    code, _, err = run(capsys, "relator", "--kind", "w", "--digits", "1")
+    assert code == 1 and err.startswith("error: ValueError:")
+    code, out, err = run(capsys, "recover", "--m", "2", "--xi", "int:3", "--count", "-1")
+    assert code == 1 and out == "" and "count must be nonnegative" in err
 
 
 def test_budget_error_reports_index(capsys):
@@ -207,3 +218,41 @@ def test_usage_error_exit_2(capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    g = ("--m", "2", "--xi", "int:3")
+    code, out, _ = run(capsys, "--json", "wp", *g, "--word", "b")
+    assert code == 0 and json.loads(out) == {"trivial": False}
+    code, out, _ = run(capsys, "wp", *g, "--word", "b")
+    assert code == 0 and out == "nontrivial"
+    pair = ("bounds", "--m", "2", "--xi", "int:1", "--xi2", "int:3")
+    code, out, _ = run(capsys, *pair, "--m2", "-2")
+    assert code == 0 and out == "h=2 lower=e^-28 upper=e^-5"
+    code, out, _ = run(capsys, *pair)
+    assert code == 0 and out == "h=1 lower=e^-22 upper=e^-3"
+    with pytest.raises(SystemExit) as info:
+        main(["wp", "--m", "2"])
+    assert info.value.code == 2
+    code, out, _ = run(capsys, "wp", *g, "--word", "babbABaBBA")
+    assert code == 0 and out == "trivial"
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("bsl ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = _readme_commands()
+    assert commands
+    for line in commands:
+        command, _, expected = line.partition(" # ")
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, (line, err)
+        if expected:
+            assert out == expected.strip(), line

@@ -264,6 +264,12 @@ def test_recover_parameters_nonunit_specs():
         )
 
 
+def test_recover_rejects_negative_count():
+    # as r_digits does
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        recover_parameters(word_problem_oracle(spec(2, XiInt(3))), -1)
+
+
 def test_recover_inconsistent_oracle():
     v2 = v_k_word(2)
 
