@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionViolated
-from .group import ALetter, BaseLetter, GroupWord
+from .group import ALetter, BaseLetter, GroupWord, _b_exponent
 from .lattice import EVec
 from .madic import _parse_decimal
 
@@ -75,10 +75,7 @@ def _word_to_blocks(w: GroupWord) -> tuple[list[int], list[int]]:
                 a_exps.append(letter.exp)
                 b_segs.append(0)
         else:
-            for i, c in letter.vec.entries:
-                if i != 0:
-                    raise ValueError("BS(p,q) words use only a and b")
-                b_segs[-1] += c
+            b_segs[-1] += _b_exponent(letter.vec)
     return b_segs, a_exps
 
 

@@ -21,7 +21,7 @@ linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Callable, Literal, Optional, Union
 
 from .errors import ParseError, ShapeMismatch, WitnessCheckFailed
 from .intsolve import solve_integer_system
@@ -106,18 +106,31 @@ def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
     return u * v * u.inverse() * v.inverse()
 
 
-def compact_length(w: GroupWord) -> int:
-    """Free-group length over {a, b}; payloads must be multiples of e_0."""
-    total = 0
+def _b_exponent(vec: EVec) -> int:
+    """The k of a payload k e_0: the one read of a base letter over {a, b}."""
+    if vec.max_index() > 0:
+        raise ValueError("{a, b}-words need payloads in Z e_0")
+    return vec.coeff(0)
+
+
+def _substitute(
+    w: GroupWord, a_image: GroupWord, base_image: Callable[[EVec], GroupWord]
+) -> GroupWord:
+    """The image of ``w`` under the homomorphism a -> ``a_image`` (so a^-1 ->
+    its inverse) that sends each base letter x to the word ``base_image(x)``."""
+    images = {1: a_image.letters, -1: a_image.inverse().letters}
+    letters: list[Letter] = []
     for letter in w.letters:
         if isinstance(letter, ALetter):
-            total += 1
+            letters.extend(images[letter.exp])
         else:
-            for i, c in letter.vec.entries:
-                if i != 0:
-                    raise ValueError("word uses basis elements beyond e_0")
-                total += abs(c)
-    return total
+            letters.extend(base_image(letter.vec).letters)
+    return GroupWord(tuple(letters))
+
+
+def compact_length(w: GroupWord) -> int:
+    """Free-group length over {a, b}; payloads must be multiples of e_0."""
+    return len(format_word(w, "compact"))
 
 
 _COMPACT = {
@@ -173,10 +186,8 @@ def format_word(w: GroupWord, mode: Literal["compact", "extended"] = "extended")
         if isinstance(letter, ALetter):
             chars.append("a" if letter.exp == 1 else "A")
         else:
-            for i, c in letter.vec.entries:
-                if i != 0:
-                    raise ValueError("compact output needs payloads in Z e_0")
-                chars.append(("b" if c > 0 else "B") * abs(c))
+            c = _b_exponent(letter.vec)
+            chars.append(("b" if c > 0 else "B") * abs(c))
     return "".join(chars)
 
 
@@ -384,10 +395,7 @@ def _rotation(core: ReducedForm, j: int) -> tuple[ReducedForm, GroupWord]:
     segs = list(core.segments)
     deltas = list(core.deltas)
     l = len(deltas)
-    letters: list[Letter] = []
-    for t in range(j):
-        letters.extend(word_from_evec(segs[t]).letters)
-        letters.append(ALetter(deltas[t]))
+    prefix = ReducedForm(core.segments[:j] + (EVec.zero(),), core.deltas[:j])
     new_segs = (
         [segs[j]]
         + segs[j + 1 : l]
@@ -396,7 +404,7 @@ def _rotation(core: ReducedForm, j: int) -> tuple[ReducedForm, GroupWord]:
         + [EVec.zero()]
     )
     new_deltas = deltas[j:] + deltas[:j]
-    return ReducedForm(tuple(new_segs), tuple(new_deltas)), GroupWord(tuple(letters))
+    return ReducedForm(tuple(new_segs), tuple(new_deltas)), prefix.to_word()
 
 
 def _expr_add(dst: dict[int, int], src: dict[int, int], k: int = 1) -> None:
@@ -544,8 +552,7 @@ def are_conjugate(
 
 
 def sigma_and_tlength(ctx: GroupCtx, w: GroupWord) -> tuple[int, int]:
-    """(exponent sum of a-letters, t-length of the reduced form)."""
-    sigma = sum(
-        letter.exp for letter in w.letters if isinstance(letter, ALetter)
-    )
-    return sigma, britton_reduce(ctx, w).t_length
+    """(exponent sum of a-letters, t-length of the reduced form); pinches
+    remove a and a^-1 in pairs, so the reduced form keeps the exponent sum."""
+    form = britton_reduce(ctx, w)
+    return form.sigma, form.t_length

@@ -59,7 +59,9 @@ class EVec:
 
     @staticmethod
     def basis(i: int, c: int = 1) -> "EVec":
-        return EVec.from_items([(i, c)])
+        if i < 0:
+            raise ValueError("basis indices are nonnegative")
+        return EVec(((i, c),) if c else ())
 
     @staticmethod
     def zero() -> "EVec":
@@ -83,10 +85,7 @@ class EVec:
         return self.entries[-1][0] if self.entries else -1
 
     def __add__(self, other: "EVec") -> "EVec":
-        acc = dict(self.entries)
-        for i, c in other.entries:
-            acc[i] = acc.get(i, 0) + c
-        return EVec(tuple(sorted((i, c) for i, c in acc.items() if c)))
+        return EVec.from_items(self.entries + other.entries)
 
     def __neg__(self) -> "EVec":
         return EVec(tuple((i, -c) for i, c in self.entries))
@@ -119,14 +118,13 @@ def _parse_eterm(token: str, offset: int) -> tuple[int, int]:
 def parse_evec(text: str) -> EVec:
     """Parse whitespace-separated ``e<i>^<k>`` tokens (k omitted means 1);
     the empty string is the zero vector."""
-    acc: dict[int, int] = {}
+    pairs = []
     offset = 0
     for token in text.split():
         offset = text.index(token, offset)
-        i, k = _parse_eterm(token, offset)
-        acc[i] = acc.get(i, 0) + k
+        pairs.append(_parse_eterm(token, offset))
         offset += len(token)
-    return EVec.from_items(acc)
+    return EVec.from_items(pairs)
 
 
 def format_evec(vec: EVec) -> str:

@@ -23,6 +23,7 @@ from .group import (
     ALetter,
     BaseLetter,
     GroupWord,
+    _substitute,
     commutator,
     format_word,
     is_trivial,
@@ -127,20 +128,15 @@ def relator(kind: str, *, ctx: GroupCtx | None = None, index: int | None = None,
 def word_to_compact(ctx: GroupCtx, w: GroupWord) -> str:
     """Re-express a word over {a, b} by expanding each e_i payload through
     the commuting-generator words."""
-    out: list[str] = []
-    for letter in w.letters:
-        if isinstance(letter, ALetter):
-            out.append("a" if letter.exp == 1 else "A")
-            continue
-        for i, c in letter.vec.entries:
-            if i == 0:
-                out.append(("b" if c > 0 else "B") * abs(c))
-            else:
-                piece = b_i_word(ctx, i)
-                if c < 0:
-                    piece = piece.inverse()
-                out.append(format_word(piece, "compact") * abs(c))
-    return "".join(out)
+
+    def expand(x: EVec) -> GroupWord:
+        letters: list = []
+        for i, c in x.entries:
+            b_i = b_i_word(ctx, i) if i else parse_word("b")
+            letters.extend((b_i if c > 0 else b_i.inverse()).letters * abs(c))
+        return GroupWord(tuple(letters))
+
+    return format_word(_substitute(w, parse_word("a"), expand), "compact")
 
 
 # --- enumeration of candidate distinguishing words -----------------------------

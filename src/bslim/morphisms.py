@@ -14,7 +14,16 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InvalidAutSpec
-from .group import ALetter, BaseLetter, GroupWord, is_trivial
+from .group import (
+    ALetter,
+    BaseLetter,
+    GroupWord,
+    _b_exponent,
+    _substitute,
+    commutator,
+    is_trivial,
+    word_from_evec,
+)
 from .lattice import EVec, GroupCtx, IntPoly, q_poly
 from .madic import MarkedGroupSpec
 from .markedspace import b_i_word
@@ -152,47 +161,28 @@ AutSpec = Union[J, PhiE, ThetaK, EmbedD]
 
 def apply_automorphism(ctx: GroupCtx, spec: AutSpec, w: GroupWord) -> GroupWord:
     """Letterwise image of the word under the chosen (endo)morphism."""
-    out: list = []
+    a = GroupWord((ALetter(1),))
     if isinstance(spec, J):
-        for letter in w.letters:
-            out.append(letter if isinstance(letter, ALetter) else BaseLetter(-letter.vec))
-    elif isinstance(spec, PhiE):
-        for letter in w.letters:
-            if isinstance(letter, ALetter):
-                if letter.exp == 1:
-                    out.append(letter)
-                    if not spec.e.is_zero:
-                        out.append(BaseLetter(spec.e))
-                else:
-                    if not spec.e.is_zero:
-                        out.append(BaseLetter(-spec.e))
-                    out.append(letter)
-            else:
-                out.append(letter)
-    elif isinstance(spec, ThetaK):
+        return _substitute(w, a, lambda x: GroupWord((BaseLetter(-x),)))
+    if isinstance(spec, PhiE):
+        e = GroupWord(() if spec.e.is_zero else (BaseLetter(spec.e),))
+        return _substitute(w, a * e, lambda x: GroupWord((BaseLetter(x),)))
+    if isinstance(spec, ThetaK):
         if spec.k == 0 or math.gcd(spec.k, ctx.m_abs) != 1:
             raise InvalidAutSpec(f"k = {spec.k} must be nonzero and coprime to m")
-        for letter in w.letters:
-            if isinstance(letter, ALetter):
-                out.append(letter)
-            elif not letter.vec.is_zero:
-                out.append(BaseLetter(spec.k * letter.vec))
-    elif isinstance(spec, EmbedD):
+        return _substitute(
+            w, a, lambda x: GroupWord(() if x.is_zero else (BaseLetter(spec.k * x),))
+        )
+    if isinstance(spec, EmbedD):
         if spec.d < 1:
             raise InvalidAutSpec("d must be a positive integer")
-        for letter in w.letters:
-            if isinstance(letter, ALetter):
-                out.append(letter)
-                continue
-            for i, c in letter.vec.entries:
-                if i != 0:
-                    raise InvalidAutSpec(
-                        "b -> b^d acts on {a, b}-words only"
-                    )
-                out.append(BaseLetter(EVec.basis(0, spec.d * c)))
-    else:
-        raise InvalidAutSpec(f"unknown automorphism {spec!r}")
-    return GroupWord(tuple(out))
+        try:  # b^c -> b^(dc), and no letter for c = 0
+            return _substitute(
+                w, a, lambda x: word_from_evec(EVec.basis(0, spec.d * _b_exponent(x)))
+            )
+        except ValueError:
+            raise InvalidAutSpec("b -> b^d acts on {a, b}-words only") from None
+    raise InvalidAutSpec(f"unknown automorphism {spec!r}")
 
 
 # --- homomorphism checking ------------------------------------------------------
@@ -206,24 +196,6 @@ class HomCheckResult:
     ok: bool
     depth: int
     first_failing: Optional[int] = None
-
-
-def _substitute(
-    w: GroupWord, image_of_a: GroupWord, image_of_b: GroupWord
-) -> GroupWord:
-    inv_a = image_of_a.inverse()
-    letters: list = []
-    for letter in w.letters:
-        if isinstance(letter, ALetter):
-            letters.extend((image_of_a if letter.exp == 1 else inv_a).letters)
-            continue
-        for i, c in letter.vec.entries:
-            if i != 0:
-                raise ValueError("substitution needs an {a, b}-word")
-            piece = image_of_b if c > 0 else image_of_b.inverse()
-            for _ in range(abs(c)):
-                letters.extend(piece.letters)
-    return GroupWord(tuple(letters))
 
 
 def hom_check(
@@ -240,12 +212,15 @@ def hom_check(
     src_ctx = GroupCtx(src)
     dst_ctx = GroupCtx(dst)
     b_word = GroupWord((BaseLetter(EVec.basis(0)),))
+    b_inverse = image_of_b.inverse()
+
+    def b_power(x: EVec) -> GroupWord:
+        c = _b_exponent(x)
+        return GroupWord((image_of_b if c > 0 else b_inverse).letters * abs(c))
+
     for i in range(1, depth + 1):
-        rel = (
-            b_word * b_i_word(src_ctx, i) * b_word.inverse()
-            * b_i_word(src_ctx, i).inverse()
-        )
-        image = _substitute(rel, image_of_a, image_of_b)
+        rel = commutator(b_word, b_i_word(src_ctx, i))
+        image = _substitute(rel, image_of_a, b_power)
         if not is_trivial(dst_ctx, image):
             return HomCheckResult(ok=False, depth=depth, first_failing=i)
     return HomCheckResult(ok=True, depth=depth)

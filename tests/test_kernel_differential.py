@@ -8,20 +8,35 @@ which inputs run past the available digits.
 ``ref_reduce`` is the index walk that the one-pass stack reducer
 replaced.  Both fire the leftmost pinch first, so their reduced forms are
 identical, not just equivalent.
+
+The ``ref_*`` word maps at the end are the letter walks that
+``group._substitute`` replaced; their outputs must match letter for letter.
 """
 
+import math
 import random
 
 import pytest
 
-from bslim import PinchDomainViolation, RDigitBudgetExceeded, ZeroElement
+from bslim import (
+    BslError,
+    InvalidAutSpec,
+    PinchDomainViolation,
+    RDigitBudgetExceeded,
+    ZeroElement,
+    morphisms,
+)
 from bslim.group import (
     ALetter,
     BaseLetter,
     GroupWord,
+    _b_exponent,
     _letters_to_alt,
+    _substitute,
     britton_reduce,
     commutator,
+    compact_length,
+    format_word,
     is_trivial,
     normal_form,
     parse_word,
@@ -36,7 +51,9 @@ from bslim.lattice import (
     fixed_interval,
     q_poly,
 )
-from bslim.markedspace import b_i_word
+from bslim.madic import MarkedGroupSpec, parse_xi
+from bslim.markedspace import b_i_word, word_to_compact
+from bslim.morphisms import EmbedD, J, PhiE, ThetaK, apply_automorphism, hom_check
 
 # --- reference kernels ----------------------------------------------------------
 
@@ -309,3 +326,224 @@ def test_reduction_agrees(m, xi):
         w = long_word(rng, ref_ctx, top) * random_word(rng, abs(m), 4)
         assert 2000 <= len(w.letters) <= 4000
         check(w)
+
+
+# --- letterwise maps --------------------------------------------------------------
+#
+# Each word map used to walk the letters itself: the four branches of
+# apply_automorphism, the {a, b} substitution behind hom_check,
+# word_to_compact, compact_length and compact format_word.  Those walks are
+# kept here as the reference for the one letter walk, group._substitute, and
+# the one {a, b} read, group._b_exponent.  Letters must agree exactly, not
+# just as group elements, and errors must agree in type.
+
+
+def ref_apply_automorphism(ctx, spec, w):
+    out = []
+    if isinstance(spec, J):
+        for letter in w.letters:
+            out.append(letter if isinstance(letter, ALetter) else BaseLetter(-letter.vec))
+    elif isinstance(spec, PhiE):
+        for letter in w.letters:
+            if isinstance(letter, ALetter):
+                if letter.exp == 1:
+                    out.append(letter)
+                    if not spec.e.is_zero:
+                        out.append(BaseLetter(spec.e))
+                else:
+                    if not spec.e.is_zero:
+                        out.append(BaseLetter(-spec.e))
+                    out.append(letter)
+            else:
+                out.append(letter)
+    elif isinstance(spec, ThetaK):
+        if spec.k == 0 or math.gcd(spec.k, ctx.m_abs) != 1:
+            raise InvalidAutSpec("k")
+        for letter in w.letters:
+            if isinstance(letter, ALetter):
+                out.append(letter)
+            elif not letter.vec.is_zero:
+                out.append(BaseLetter(spec.k * letter.vec))
+    elif isinstance(spec, EmbedD):
+        if spec.d < 1:
+            raise InvalidAutSpec("d")
+        for letter in w.letters:
+            if isinstance(letter, ALetter):
+                out.append(letter)
+                continue
+            for i, c in letter.vec.entries:
+                if i != 0:
+                    raise InvalidAutSpec("b -> b^d acts on {a, b}-words only")
+                out.append(BaseLetter(EVec.basis(0, spec.d * c)))
+    else:
+        raise InvalidAutSpec("spec")
+    return GroupWord(tuple(out))
+
+
+def ref_substitute(w, image_of_a, image_of_b):
+    inv_a = image_of_a.inverse()
+    letters = []
+    for letter in w.letters:
+        if isinstance(letter, ALetter):
+            letters.extend((image_of_a if letter.exp == 1 else inv_a).letters)
+            continue
+        for i, c in letter.vec.entries:
+            if i != 0:
+                raise ValueError("substitution needs an {a, b}-word")
+            piece = image_of_b if c > 0 else image_of_b.inverse()
+            for _ in range(abs(c)):
+                letters.extend(piece.letters)
+    return GroupWord(tuple(letters))
+
+
+def ref_format_compact(w):
+    chars = []
+    for letter in w.letters:
+        if isinstance(letter, ALetter):
+            chars.append("a" if letter.exp == 1 else "A")
+        else:
+            for i, c in letter.vec.entries:
+                if i != 0:
+                    raise ValueError("compact output needs payloads in Z e_0")
+                chars.append(("b" if c > 0 else "B") * abs(c))
+    return "".join(chars)
+
+
+def ref_compact_length(w):
+    total = 0
+    for letter in w.letters:
+        if isinstance(letter, ALetter):
+            total += 1
+        else:
+            for i, c in letter.vec.entries:
+                if i != 0:
+                    raise ValueError("word uses basis elements beyond e_0")
+                total += abs(c)
+    return total
+
+
+def ref_word_to_compact(ctx, w):
+    out = []
+    for letter in w.letters:
+        if isinstance(letter, ALetter):
+            out.append("a" if letter.exp == 1 else "A")
+            continue
+        for i, c in letter.vec.entries:
+            if i == 0:
+                out.append(("b" if c > 0 else "B") * abs(c))
+            else:
+                piece = ref_b_i_word(ctx, i)
+                if c < 0:
+                    piece = piece.inverse()
+                out.append(ref_format_compact(piece) * abs(c))
+    return "".join(out)
+
+
+def letter_outcome(fn, *args):
+    """The letters (or other value) returned, or the type of the error."""
+    try:
+        value = fn(*args)
+    except (BslError, ValueError) as exc:
+        return type(exc)
+    return value.letters if isinstance(value, GroupWord) else value
+
+
+def mixed_word(rng, ab_only=False):
+    """a^+-1, b^k (k = 0 included), zero payloads and, unless ``ab_only``,
+    payloads over e_0..e_3 with one or more indices."""
+    letters = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.4:
+            letters.append(ALetter(rng.choice((1, -1))))
+        elif kind < 0.65 or ab_only:
+            letters.append(BaseLetter(EVec.basis(0, rng.randint(-3, 3))))
+        elif kind < 0.75:
+            letters.append(BaseLetter(EVec.zero()))
+        else:
+            letters.append(BaseLetter(EVec.from_items(random_seg(rng, 3))))
+    return GroupWord(tuple(letters))
+
+
+LETTERWISE_CASES = [(2, "int:7"), (3, "rat:3/7"), (5, "rseq:2,1;0,1,2"), (-3, "int:-4")]
+
+
+@pytest.mark.parametrize("m,xi", LETTERWISE_CASES)
+def test_letterwise_maps_agree(m, xi):
+    rng = random.Random(f"s{m}{xi}")
+    ctx = GroupCtx.make(m, xi)
+    specs = [
+        J(),
+        PhiE(EVec.zero()),
+        PhiE(EVec.basis(0, -2)),
+        PhiE(EVec.from_items({0: 1, 2: -3, 3: 1})),
+        ThetaK(1),
+        ThetaK(-1),
+        ThetaK(2),  # invalid for even m
+        ThetaK(7),
+        ThetaK(abs(m)),  # invalid
+        EmbedD(0),  # invalid
+        EmbedD(1),
+        EmbedD(3),
+    ]
+    kinds = set()
+    for _ in range(250):
+        w = mixed_word(rng, ab_only=rng.random() < 0.4)
+        for spec in specs:
+            got = letter_outcome(apply_automorphism, ctx, spec, w)
+            assert got == letter_outcome(ref_apply_automorphism, ctx, spec, w)
+            kinds.add(got if isinstance(got, type) else "ok")
+        for new, ref in (
+            (lambda: format_word(w, "compact"), lambda: ref_format_compact(w)),
+            (lambda: compact_length(w), lambda: ref_compact_length(w)),
+            (lambda: word_to_compact(ctx, w), lambda: ref_word_to_compact(ctx, w)),
+        ):
+            got = letter_outcome(new)
+            assert got == letter_outcome(ref)
+            kinds.add(got if isinstance(got, type) else "ok")
+    assert kinds == {"ok", InvalidAutSpec, ValueError}
+
+
+@pytest.mark.parametrize("m,xi", LETTERWISE_CASES)
+def test_hom_check_substitution_agrees(m, xi, monkeypatch):
+    """The images hom_check tests, letter by letter, and its verdict."""
+    rng = random.Random(f"h{m}{xi}")
+    src = GroupCtx.make(m, xi)
+    seen = []
+
+    def recording_is_trivial(ctx, w):
+        seen.append(w.letters)
+        return is_trivial(ctx, w)
+
+    monkeypatch.setattr(morphisms, "is_trivial", recording_is_trivial)
+    b = GroupWord((BaseLetter(EVec.basis(0)),))
+    dst = MarkedGroupSpec(m, parse_xi("int:7"))
+    verdicts = set()
+    for n in range(40):
+        image_of_a = mixed_word(rng, ab_only=n % 2 == 0)
+        image_of_b = mixed_word(rng, ab_only=n % 4 == 0)
+        if n % 5 == 0:  # the identity map passes
+            image_of_a, image_of_b = parse_word("a"), b
+        seen.clear()
+        result = hom_check(src.spec, dst, image_of_a, image_of_b, 4)
+        ref_images = [
+            ref_substitute(commutator(b, ref_b_i_word(src, i)), image_of_a, image_of_b)
+            for i in range(1, len(seen) + 1)
+        ]
+        assert seen == [r.letters for r in ref_images]
+        fails = [not is_trivial(GroupCtx(dst), r) for r in ref_images]
+        assert result.ok == (len(seen) == 4 and not any(fails))
+        assert result.first_failing == (len(seen) if fails[-1] else None)
+        verdicts.add(result.ok)
+        # words with payloads beyond e_0, straight through the substitution
+        w = mixed_word(rng)
+        c_image = {1: image_of_b.letters, -1: image_of_b.inverse().letters}
+
+        def b_power(x):
+            c = _b_exponent(x)
+            return GroupWord(c_image[1 if c > 0 else -1] * abs(c))
+
+        assert letter_outcome(_substitute, w, image_of_a, b_power) == letter_outcome(
+            ref_substitute, w, image_of_a, image_of_b
+        )
+    assert verdicts == {True, False}

@@ -41,6 +41,9 @@ def test_evec_algebra():
     assert (0 * v).is_zero
     assert v.coeff(0) == 2 and v.coeff(7) == 0
     assert v.max_index() == 3 and EVec.zero().max_index() == -1
+    assert EVec.basis(3, 0) == EVec() and EVec.basis(2, -4).to_dict() == {2: -4}
+    with pytest.raises(ValueError):
+        EVec.basis(-1)
 
 
 def test_evec_structural_equality():
