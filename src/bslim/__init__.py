@@ -27,6 +27,7 @@ from .errors import (
 )
 from .madic import (
     IntPoly,
+    LaurentPoly,
     MarkedGroupSpec,
     RDigitStream,
     XiInt,
@@ -91,7 +92,6 @@ from .morphisms import (
     EmbedD,
     HomCheckResult,
     J,
-    LaurentPoly,
     PhiE,
     ThetaK,
     WreathElem,

@@ -13,15 +13,20 @@ lies in {j e_0 : 0 <= j < |m|}, after a^-1 in Z e_0, which makes them
 unique per group element.
 
 Conjugacy follows Collins' lemma: cyclically reduce, match stable-letter
-shapes up to cyclic permutation, and solve for a base-group conjugator by
-propagating it through the stable letters, which yields a finite integer
-linear system.
+shapes up to cyclic permutation, and solve for a base-group conjugator e
+with e v e^-1 = u.  If the exponent sum sigma is nonzero, the quotient onto
+Z wr Z, where q(e) conjugates (P_v, sigma) to (P_v + (1 - X^sigma) q(e),
+sigma), leaves one candidate: 1 - X^sigma is no zero divisor and q is
+injective, so exact division of P_u - P_v and back-substitution find it,
+and the word problem decides it.  If sigma = 0, e is propagated through
+the stable letters into a finite integer linear system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Literal, Optional, Union
 
 from .errors import ParseError, ShapeMismatch, WitnessCheckFailed
 from .intsolve import solve_integer_system
@@ -38,6 +43,7 @@ from .lattice import (
     format_evec,
     q_poly,
 )
+from .madic import LaurentPoly
 
 # --- letters and words ------------------------------------------------------
 
@@ -418,22 +424,68 @@ def _expr_add(dst: dict[int, int], src: dict[int, int], k: int = 1) -> None:
             del dst[var]
 
 
+def _lamp_fold(ctx: GroupCtx, segs: Iterable[EVec], deltas) -> LaurentPoly:
+    """The lamp polynomial P of segs[0] a^{deltas[0]} segs[1] ... in Z wr Z:
+    P = sum_k X^{s_k} q(segs[k]), with s_k the k-th partial sum of deltas."""
+    shifts = accumulate(deltas, initial=0)
+    parts = [(s, q_poly(ctx, seg).coeffs) for s, seg in zip(shifts, segs)]
+    lo = min((s for s, p in parts if p), default=0)
+    lamps = [0] * max((s + len(p) - lo for s, p in parts if p), default=0)
+    for s, p in parts:
+        for k, c in enumerate(p, s - lo):
+            lamps[k] += c
+    return LaurentPoly(lo, lamps)
+
+
+def _wreath_candidate(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional[EVec]:
+    """For sigma != 0, the one e in E with (1 - X^sigma) q(e) = P_u - P_v,
+    the lamp equation that e v (-e) = u implies in Z wr Z; None if none."""
+    sigma = u.sigma
+    diff = _lamp_fold(ctx, u.segments, u.deltas) + -_lamp_fold(ctx, v.segments, v.deltas)
+    if sigma < 0:  # 1 - X^sigma = -X^sigma (1 - X^|sigma|)
+        diff, sigma = (-diff).shifted(-sigma), -sigma
+    quot = [0] * diff.offset + list(diff.coeffs)
+    top = len(quot) - sigma  # the quotient's degree is below top
+    for k in range(sigma, len(quot)):  # Q_k = D_k + Q_{k - sigma}
+        quot[k] += quot[k - sigma]
+    if diff.offset < 0 or any(quot[max(top, 0) :]):  # X^-k in q(e), or a remainder
+        return None
+    # invert q top degree down, in place: q(e_i) = m X^i - sum_{0<j<i} r_j X^{i-j}
+    rs = ctx.table(max(top - 2, 0))
+    for i in range(top - 1, 0, -1):
+        c, rem = divmod(quot[i], ctx.m_abs)
+        if rem:
+            return None
+        quot[i] = c
+        for j in range(1, i):
+            quot[i - j] += c * rs[j]
+    return EVec.from_items(enumerate(quot[: max(top, 0)]))
+
+
 def base_conjugacy_solve(
     ctx: GroupCtx, u: ReducedForm, v: ReducedForm
 ) -> Optional[EVec]:
     """An e in E with e v (-e) = u, or None.
 
-    The unknown is propagated left to right through the stable letters:
+    When sigma != 0, exact division in Z wr Z leaves one candidate (see the
+    module docstring) and the word problem decides it.  When sigma = 0, the
+    unknown is propagated left to right through the stable letters:
     d_1 = e + y_0 - x_0 must pass a^{d_1} (a pass through a needs E_1 and
     applies the downward isomorphism; through a^-1 needs E_{m,xi} and
     applies the upward one), then d_{i+1} = pass(d_i) + y_i - x_i, and the
     loop closes with pass(d_l) + (y_l - e) - x_l = 0.  Memberships become
     one linear equation (E_1) or one congruence with an auxiliary integer
-    (E_{m,xi}); the system is solved exactly over the integers.  The
-    unknown's support is capped at (max support index) + t-length + 1.
+    (E_{m,xi}); the system is solved exactly over the integers, with the
+    unknown's support capped at (max support index) + t-length + 1.
     """
     if u.t_length == 0 or u.t_length != v.t_length or u.deltas != v.deltas:
         raise ShapeMismatch("cores need equal positive t-length and deltas")
+    if u.sigma:
+        e = _wreath_candidate(ctx, u, v)
+        if e is None:
+            return None
+        check = word_from_evec(e) * v.to_word() * word_from_evec(-e) * u.to_word().inverse()
+        return e if is_trivial(ctx, check) else None
     l = u.t_length
     m = ctx.m_abs
     xs = [s.to_dict() for s in u.segments]

@@ -204,6 +204,56 @@ class IntPoly:
         return text[1:] if text.startswith("+") else text
 
 
+@dataclass(frozen=True)
+class LaurentPoly:
+    """Integer Laurent polynomial: coeffs[k] is the coefficient of
+    X^(offset + k); normalized so the first and last coefficients are
+    nonzero, with the zero polynomial stored as empty coeffs."""
+
+    offset: int = 0
+    coeffs: tuple[int, ...] = ()
+
+    def __post_init__(self):  # one pass: the fold and a - b can cancel long runs
+        coeffs = tuple(self.coeffs)
+        nonzero = [k for k, c in enumerate(coeffs) if c]
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
+        object.__setattr__(self, "coeffs", coeffs[lo:hi])
+        object.__setattr__(self, "offset", self.offset + lo if nonzero else 0)
+
+    @staticmethod
+    def from_int_poly(p: IntPoly) -> "LaurentPoly":
+        return LaurentPoly(0, p.coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def shifted(self, s: int) -> "LaurentPoly":
+        if self.is_zero:
+            return self
+        return LaurentPoly(self.offset + s, self.coeffs)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
+        out = [0] * (hi - lo)
+        for k, c in enumerate(self.coeffs):
+            out[self.offset - lo + k] += c
+        for k, c in enumerate(other.coeffs):
+            out[other.offset - lo + k] += c
+        return LaurentPoly(lo, tuple(out))
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly(self.offset, tuple(-c for c in self.coeffs))
+
+    def to_json(self) -> dict:
+        return {"offset": self.offset, "coeffs": list(self.coeffs)}
+
+
 def _xi_fraction(spec: MarkedGroupSpec) -> Fraction:
     xi = spec.xi_norm
     if isinstance(xi, XiInt):

@@ -19,70 +19,16 @@ from .group import (
     BaseLetter,
     GroupWord,
     _b_exponent,
+    _lamp_fold,
+    _letters_to_alt,
     _substitute,
     commutator,
     is_trivial,
     word_from_evec,
 )
-from .lattice import EVec, GroupCtx, IntPoly, q_poly
-from .madic import MarkedGroupSpec
+from .lattice import EVec, GroupCtx
+from .madic import LaurentPoly, MarkedGroupSpec
 from .markedspace import b_i_word
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Integer Laurent polynomial: coeffs[k] is the coefficient of
-    X^(offset + k); normalized so the first and last coefficients are
-    nonzero, with the zero polynomial stored as empty coeffs."""
-
-    offset: int = 0
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        offset = self.offset
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-            offset += 1
-        if not coeffs:
-            offset = 0
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "offset", offset)
-
-    @staticmethod
-    def from_int_poly(p: IntPoly) -> "LaurentPoly":
-        return LaurentPoly(0, p.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def shifted(self, s: int) -> "LaurentPoly":
-        if self.is_zero:
-            return self
-        return LaurentPoly(self.offset + s, self.coeffs)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for k, c in enumerate(self.coeffs):
-            out[self.offset - lo + k] += c
-        for k, c in enumerate(other.coeffs):
-            out[other.offset - lo + k] += c
-        return LaurentPoly(lo, tuple(out))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.offset, tuple(-c for c in self.coeffs))
-
-    def to_json(self) -> dict:
-        return {"offset": self.offset, "coeffs": list(self.coeffs)}
 
 
 @dataclass(frozen=True)
@@ -108,21 +54,12 @@ class WreathElem:
         return {"poly": self.poly.to_json(), "shift": self.shift}
 
 
-WREATH_A = WreathElem(LaurentPoly(), 1)
-
-
 def wreath_image(ctx: GroupCtx, w: GroupWord) -> WreathElem:
     """Fold the word through a -> (0, 1), e_0 -> (1, 0) and
     e_i -> (X P_{i-1}(X), 0); a homomorphism by construction, whose shift
     coordinate equals the exponent sum of a."""
-    acc = WreathElem()
-    for letter in w.letters:
-        if isinstance(letter, ALetter):
-            acc = acc * (WREATH_A if letter.exp == 1 else WREATH_A.inverse())
-        else:
-            poly = LaurentPoly.from_int_poly(q_poly(ctx, letter.vec))
-            acc = acc * WreathElem(poly, 0)
-    return acc
+    segs, deltas = _letters_to_alt(w.letters)
+    return WreathElem(_lamp_fold(ctx, map(EVec.from_items, segs), deltas), sum(deltas))
 
 
 # --- automorphisms and endomorphisms -----------------------------------------

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -316,6 +317,31 @@ def test_conjugate_symmetry(ctx23):
 def test_not_conjugate_distinct_tlength(ctx23):
     assert are_conjugate(ctx23, W("a"), W("aa")) is None
     assert are_conjugate(ctx23, W("b"), W("ab")) is None
+
+
+@pytest.mark.parametrize("tlength", [24, 28, 32])
+def test_stress_class_answers_under_cap(tlength):
+    """m = 3, xi = 1/2, all-a^-1 syllables A b^{1..2}: the shapes whose
+    dense integer systems ran from seconds to beyond minutes.  Each pair
+    must answer within 2 s of process time; over 50 ms is reported."""
+    ctx = GroupCtx.make(3, "rat:1/2")
+    rng = random.Random(tlength)
+    for _ in range(2):
+        w = "".join("A" + "b" * rng.randint(1, 2) for _ in range(tlength))
+        g = random_word(rng)
+        v = g * W(w) * g.inverse()
+        for target, positive in ((W(w), True), (W(w + "b"), False)):
+            start = time.process_time()
+            found = are_conjugate(ctx, v, target)
+            spent = time.process_time() - start
+            if positive:
+                assert found is not None
+                assert_witness(ctx, v, target, found)
+            else:
+                assert found is None
+            assert spent < 2.0
+            if spent > 0.05:
+                print(f"t-length {tlength}, positive={positive}: {spent * 1e3:.0f} ms")
 
 
 # --- sigma and t-length -------------------------------------------------------------

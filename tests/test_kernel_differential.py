@@ -9,8 +9,14 @@ which inputs run past the available digits.
 replaced.  Both fire the leftmost pinch first, so their reduced forms are
 identical, not just equivalent.
 
-The ``ref_*`` word maps at the end are the letter walks that
-``group._substitute`` replaced; their outputs must match letter for letter.
+The ``ref_*`` word maps are the letter walks that ``group._substitute``
+replaced; their outputs must match letter for letter.
+
+``ref_base_conjugacy_solve`` is the dense integer solve that
+``base_conjugacy_solve`` ran for every exponent sum sigma; for sigma != 0
+an exact division in Z wr Z replaced it, and the conjugator is then
+unique, so both must return the same e.  ``ref_wreath_image`` is the
+letter-by-letter product in Z wr Z that the lamp-polynomial fold replaced.
 """
 
 import math
@@ -30,17 +36,25 @@ from bslim.group import (
     ALetter,
     BaseLetter,
     GroupWord,
+    ReducedForm,
     _b_exponent,
+    _expr_add,
     _letters_to_alt,
+    _rotation,
     _substitute,
+    _wreath_candidate,
+    base_conjugacy_solve,
     britton_reduce,
     commutator,
     compact_length,
+    cyclic_reduce,
     format_word,
     is_trivial,
     normal_form,
     parse_word,
+    word_from_evec,
 )
+from bslim.intsolve import solve_integer_system
 from bslim.lattice import (
     CAP_REACHED,
     EVec,
@@ -53,7 +67,17 @@ from bslim.lattice import (
 )
 from bslim.madic import MarkedGroupSpec, parse_xi
 from bslim.markedspace import b_i_word, word_to_compact
-from bslim.morphisms import EmbedD, J, PhiE, ThetaK, apply_automorphism, hom_check
+from bslim.morphisms import (
+    EmbedD,
+    J,
+    LaurentPoly,
+    PhiE,
+    ThetaK,
+    WreathElem,
+    apply_automorphism,
+    hom_check,
+    wreath_image,
+)
 
 # --- reference kernels ----------------------------------------------------------
 
@@ -547,3 +571,183 @@ def test_hom_check_substitution_agrees(m, xi, monkeypatch):
             ref_substitute, w, image_of_a, image_of_b
         )
     assert verdicts == {True, False}
+
+
+# --- conjugacy base solver --------------------------------------------------------
+
+
+def ref_base_conjugacy_solve(ctx, u, v):
+    """The dense solve: propagate e through the stable letters, one linear
+    equation per E_1 membership, one congruence per E_{m,xi} membership,
+    support capped at (max support index) + t-length + 1."""
+    l = u.t_length
+    m = ctx.m_abs
+    xs = [s.to_dict() for s in u.segments]
+    ys = [s.to_dict() for s in v.segments]
+    maxidx = max(u.max_support_index(), v.max_support_index(), 0)
+    n_e = maxidx + l + 2
+    nvars = n_e
+    equations = []
+    d = {j: {j: 1} for j in range(n_e)}
+    for idx, c in ys[0].items():
+        _expr_add(d.setdefault(idx, {}), {-1: c})
+    for idx, c in xs[0].items():
+        _expr_add(d.setdefault(idx, {}), {-1: -c})
+    for i in range(1, l + 1):
+        if u.deltas[i - 1] == 1:
+            if d.get(0):
+                equations.append(d[0])
+            e0, nd = {}, {}
+            for j, expr in d.items():
+                if j == 1:
+                    _expr_add(e0, expr, m)
+                elif j >= 2:
+                    _expr_add(e0, expr, -ctx.digits.digit(j - 1))
+                    nd[j - 1] = expr
+            if e0:
+                nd[0] = e0
+            d = nd
+        else:
+            cong = {}
+            for j, expr in d.items():
+                _expr_add(cong, expr, ctx.digits.digit(j) if j else 1)
+            t_var = nvars
+            nvars += 1
+            _expr_add(cong, {t_var: -m})
+            equations.append(cong)
+            nd = {1: {t_var: 1}}
+            for j, expr in d.items():
+                if j >= 1:
+                    nd[j + 1] = expr
+            d = nd
+        if i < l:
+            for idx, c in ys[i].items():
+                _expr_add(d.setdefault(idx, {}), {-1: c})
+            for idx, c in xs[i].items():
+                _expr_add(d.setdefault(idx, {}), {-1: -c})
+    top = max([n_e - 1, *d.keys(), *xs[l].keys(), *ys[l].keys()])
+    for j in range(top + 1):
+        expr = dict(d.get(j, {}))
+        _expr_add(expr, {-1: ys[l].get(j, 0) - xs[l].get(j, 0)})
+        if j < n_e:
+            _expr_add(expr, {j: -1})
+        if expr:
+            equations.append(expr)
+    rows = [[eq.get(var, 0) for var in range(nvars)] for eq in equations]
+    rhs = [-eq.get(-1, 0) for eq in equations]
+    sol = solve_integer_system(rows, rhs)
+    if sol is None:
+        return None
+    return EVec.from_items({j: sol[j] for j in range(n_e)})
+
+
+def syllable_word(rng, m, deltas):
+    """One syllable a^d x per d in ``deltas``, x a power of b or, now and
+    then, a payload over e_0..e_2."""
+    letters = []
+    for d in deltas:
+        letters.append(ALetter(d))
+        if rng.random() < 0.2:
+            letters.append(BaseLetter(EVec.from_items(random_seg(rng, 2))))
+        else:
+            letters.append(BaseLetter(EVec.basis(0, rng.choice((1, -1, 2, m)))))
+    return GroupWord(tuple(letters))
+
+
+def rotation_pairs(ctx, rng, m, count):
+    """The (u, v) pairs are_conjugate hands the solver: the cores of
+    g w g^-1 (times b half the time) and of w, over every rotation of the
+    second with matching shape."""
+    b = GroupWord((BaseLetter(EVec.basis(0)),))
+    for n in range(count):
+        if n % 3:  # sigma of either sign, mixed or constant signs
+            signs = rng.choice(((1,), (-1,), (1, 1, -1), (-1, -1, 1)))
+            deltas = [rng.choice(signs) for _ in range(rng.randint(1, 6))]
+        else:  # sigma = 0
+            deltas = [1, -1] * rng.randint(1, 3)
+            rng.shuffle(deltas)
+        w = syllable_word(rng, m, deltas)
+        g = random_word(rng, m, 2)
+        v = g * w * g.inverse()
+        if rng.random() < 0.5:
+            v = v * b
+        cv, cw = cyclic_reduce(ctx, v)[0], cyclic_reduce(ctx, w)[0]
+        if cv.t_length != cw.t_length or not cv.t_length:
+            continue
+        for j in range(cw.t_length):
+            rot = _rotation(cw, j)[0]
+            if rot.deltas == cv.deltas:
+                yield cv, rot
+
+
+def perturbed_pairs(ctx, rng, m, count):
+    """Britton-reduced forms u, v of equal shape with sigma != 0: v random,
+    u = v plus random segments, its e_0 part set so the lamp polynomials
+    agree at X = 1.  The division then often goes through, and the
+    back-substitution and the word-problem check have to decide."""
+    for _ in range(count):
+        deltas = [rng.choice((1, -1)) for _ in range(rng.randint(1, 5))]
+        v = britton_reduce(ctx, syllable_word(rng, m, deltas))
+        if not v.sigma:
+            continue
+        segs = [seg + EVec.from_items(random_seg(rng, 2)) for seg in v.segments]
+        u = ReducedForm(tuple(segs), v.deltas)
+        gap = sum(wreath_image(ctx, u.to_word()).poly.coeffs) - sum(
+            wreath_image(ctx, v.to_word()).poly.coeffs
+        )
+        u = ReducedForm((segs[0] - EVec.basis(0, gap),) + u.segments[1:], u.deltas)
+        if britton_reduce(ctx, u.to_word()).deltas == u.deltas:
+            yield u, v
+
+
+SOLVE_CASES = [(m, xi) for m in MODULI for xi in ("int:7", "rat:-5/11", params(m)[-1])]
+
+
+@pytest.mark.parametrize("m,xi", SOLVE_CASES)
+def test_base_conjugacy_solve_agrees(m, xi):
+    """sigma != 0: the same e (or None) as the dense solve, and a division
+    candidate only when the lamp equation holds; sigma = 0: the same
+    verdict."""
+    rng = random.Random(f"c{m}{xi}")
+    ctx = GroupCtx.make(m, xi)
+    seen, candidates = set(), set()
+    pairs = list(rotation_pairs(ctx, rng, m, 80)) + list(perturbed_pairs(ctx, rng, m, 100))
+    for u, v in pairs:
+        e = base_conjugacy_solve(ctx, u, v)
+        ref = ref_base_conjugacy_solve(ctx, u, v)
+        if u.sigma:
+            assert e == ref
+            cand = _wreath_candidate(ctx, u, v)
+            if ref is not None:
+                assert cand == ref
+            if cand is not None:
+                conj = word_from_evec(cand) * v.to_word() * word_from_evec(-cand)
+                assert wreath_image(ctx, conj) == wreath_image(ctx, u.to_word())
+            candidates.add((cand is not None, ref is not None))
+        else:
+            assert (e is None) == (ref is None)
+        seen.add(((u.sigma > 0) - (u.sigma < 0), ref is not None))
+    assert seen == {(sign, solvable) for sign in (1, 0, -1) for solvable in (True, False)}
+    # no candidate, a candidate the word problem rejects, a conjugator
+    assert candidates == {(False, False), (True, False), (True, True)}
+
+
+def ref_wreath_image(ctx, w):
+    """The letter-by-letter product in Z wr Z."""
+    steps = {1: WreathElem(LaurentPoly(), 1), -1: WreathElem(LaurentPoly(), -1)}
+    acc = WreathElem()
+    for letter in w.letters:
+        if isinstance(letter, ALetter):
+            acc = acc * steps[letter.exp]
+        else:
+            acc = acc * WreathElem(LaurentPoly.from_int_poly(q_poly(ctx, letter.vec)), 0)
+    return acc
+
+
+@pytest.mark.parametrize("m,xi", LETTERWISE_CASES)
+def test_wreath_image_agrees(m, xi):
+    rng = random.Random(f"z{m}{xi}")
+    ctx = GroupCtx.make(m, xi)
+    for _ in range(300):
+        w = mixed_word(rng)
+        assert wreath_image(ctx, w) == ref_wreath_image(ctx, w)
