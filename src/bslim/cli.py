@@ -104,7 +104,7 @@ def _conj(args):
 
 def _dist(args):
     if args.max_len > 14 and not args.force:
-        raise BslError("enumeration beyond length 14 needs --force (cost grows like 3^n)")
+        raise BslError("enumeration beyond length 14 needs --force (usage guard)")
     found = shortest_distinguishing(_spec(args), _spec(args, second=True), args.max_len)
     if found is None:
         return f"none up to length {args.max_len}", {"nu": None, "word": None}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     GcdMismatch,
@@ -151,73 +151,63 @@ _INV = (1, 0, 3, 2)  # inverse letter indices for (a, A, b, B)
 _LETTERS = parse_word("aAbB").letters
 
 
+def _reduced_words(word: tuple[int, ...], length: int) -> Iterator[tuple[int, ...]]:
+    """Freely reduced extensions of ``word`` to ``length`` letters, in
+    lexicographic order."""
+    if len(word) == length:
+        yield word
+        return
+    for letter in range(4):
+        if not word or letter != _INV[word[-1]]:
+            yield from _reduced_words(word + (letter,), length)
+
+
+def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(_INV[t] for t in reversed(word))
+
+
+def _wreath_key(word: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The wreath image (shift, nonzero lamps in position order): a and A
+    move the shift, b and B add to the lamp at the current shift."""
+    shift = 0
+    lamps: dict[int, int] = {}
+    for t in word:
+        sign = -1 if t & 1 else 1
+        if t < 2:
+            shift += sign
+        else:
+            lamps[shift] = lamps.get(shift, 0) + sign
+    return shift, tuple(sorted((p, c) for p, c in lamps.items() if c))
+
+
 def _wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
     """Freely and cyclically reduced words of this exact length starting
-    with 'a' whose wreath image is trivial, via depth-first search with an
-    incremental lamp-configuration state."""
-    if length < 2:
+    with 'a' whose wreath image is trivial, in lexicographic order.
+
+    Meet in the middle: w = u v dies exactly when the tail v has the image
+    of the head u^-1, so the heads are indexed by that image and each tail
+    looks up its partners.  Both exponent sums of such a word are 0, so
+    its length is even."""
+    if length < 2 or length % 2:
         return []
-    out: list[tuple[int, ...]] = []
-    word = [0] * length
-    lamps: dict[int, int] = {}
-    shift = 0
-
-    def push(letter: int) -> int:
-        nonlocal shift
-        if letter == 0:
-            shift += 1
-        elif letter == 1:
-            shift -= 1
-        else:
-            c = lamps.get(shift, 0) + (1 if letter == 2 else -1)
-            if c:
-                lamps[shift] = c
-            else:
-                del lamps[shift]
-        return letter
-
-    def pop(letter: int) -> None:
-        nonlocal shift
-        if letter == 0:
-            shift -= 1
-        elif letter == 1:
-            shift += 1
-        else:
-            c = lamps.get(shift, 0) - (1 if letter == 2 else -1)
-            if c:
-                lamps[shift] = c
-            else:
-                lamps.pop(shift, None)
-
-    def rec(pos: int) -> None:
-        if pos == length:
-            if not lamps and shift == 0 and word[-1] != 1:
-                out.append(tuple(word))
-            return
-        prev_inv = _INV[word[pos - 1]]
-        remaining = length - pos
-        # prune: every a must eventually return and lamps must clear
-        if abs(shift) > remaining or len(lamps) > remaining:
-            return
-        for letter in range(4):
-            if letter == prev_inv:
-                continue
-            word[pos] = letter
-            push(letter)
-            rec(pos + 1)
-            pop(letter)
-
-    word[0] = 0
-    push(0)
-    rec(1)
-    pop(0)
-    return out
+    half = length // 2
+    heads: dict[tuple, list[tuple[int, ...]]] = {}
+    for u in _reduced_words((0,), half):
+        heads.setdefault(_wreath_key(_inverse(u)), []).append(u)
+    # no tail ends in A (cyclic reduction) or cancels into its head
+    return sorted(
+        u + v
+        for v in _reduced_words((), half)
+        if v[-1] != 1
+        for u in heads.get(_wreath_key(v), ())
+        if v[0] != _INV[u[-1]]
+    )
 
 
 def _is_canonical(word: tuple[int, ...]) -> bool:
     """Minimal among all rotations of the word and of its inverse."""
     n = len(word)
-    inv = tuple(_INV[t] for t in reversed(word))
+    inv = _inverse(word)
     for k in range(n):
         if word[k:] + word[:k] < word and k:
             return False

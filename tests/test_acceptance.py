@@ -33,6 +33,7 @@ from bslim.lattice import GroupCtx
 from bslim.madic import p_polys
 from bslim.markedspace import (
     b_i_word,
+    distance_bounds,
     shortest_distinguishing,
     v_k_word,
     win_e_word,
@@ -166,6 +167,24 @@ def test_criterion_4_metric_sandwich(xi2, h, bound):
         assert 2 * h + 1 <= length <= bound
         assert is_trivial(ctx1, word) != is_trivial(ctx2, word)
     report(4, f"metric sandwich (h={h})", t0)
+
+
+def test_criterion_4_exact_distance_h1():
+    """The exact distance of the h = 1 pair, inside its sandwich [3, 22]."""
+    t0 = time.time()
+    g1 = MarkedGroupSpec(2, XiInt(1))
+    g2 = MarkedGroupSpec(2, XiInt(3))
+    word = W("aaabbAbAAbaaaBBABAAB")
+    assert shortest_distinguishing(g1, g2, 20) == (20, word)
+    assert not is_trivial(GroupCtx(g1), word)
+    assert is_trivial(GroupCtx(g2), word)
+    # n = xi + 2^11 shares 11 digits with xi, which covers words of length 20
+    assert not bs_is_trivial(BSSpec(2, 1 + 2**11), word)
+    assert bs_is_trivial(BSSpec(2, 3 + 2**11), word)
+    bounds = distance_bounds(g1, g2)
+    assert (bounds.upper_exp, bounds.lower_exp) == (3, 22)
+    assert bounds.upper_exp <= 20 <= bounds.lower_exp
+    report(4, "exact distance nu = 20 (h=1)", t0)
 
 
 def test_criterion_5_relator_suite():

@@ -17,6 +17,10 @@ replaced; their outputs must match letter for letter.
 an exact division in Z wr Z replaced it, and the conjugator is then
 unique, so both must return the same e.  ``ref_wreath_image`` is the
 letter-by-letter product in Z wr Z that the lamp-polynomial fold replaced.
+
+``ref_wreath_trivial_words`` is the depth-first search with incremental
+lamp state that the meet-in-the-middle join replaced; both must list the
+same words in the same (lexicographic) order.
 """
 
 import math
@@ -66,7 +70,7 @@ from bslim.lattice import (
     q_poly,
 )
 from bslim.madic import MarkedGroupSpec, parse_xi
-from bslim.markedspace import b_i_word, word_to_compact
+from bslim.markedspace import _wreath_trivial_words, b_i_word, word_to_compact
 from bslim.morphisms import (
     EmbedD,
     J,
@@ -751,3 +755,74 @@ def test_wreath_image_agrees(m, xi):
     for _ in range(300):
         w = mixed_word(rng)
         assert wreath_image(ctx, w) == ref_wreath_image(ctx, w)
+
+
+_INV = (1, 0, 3, 2)  # inverse letter indices for (a, A, b, B)
+
+
+def ref_wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
+    """Freely and cyclically reduced words of this exact length starting
+    with 'a' whose wreath image is trivial, via depth-first search with an
+    incremental lamp-configuration state."""
+    if length < 2:
+        return []
+    out: list[tuple[int, ...]] = []
+    word = [0] * length
+    lamps: dict[int, int] = {}
+    shift = 0
+
+    def push(letter: int) -> int:
+        nonlocal shift
+        if letter == 0:
+            shift += 1
+        elif letter == 1:
+            shift -= 1
+        else:
+            c = lamps.get(shift, 0) + (1 if letter == 2 else -1)
+            if c:
+                lamps[shift] = c
+            else:
+                del lamps[shift]
+        return letter
+
+    def pop(letter: int) -> None:
+        nonlocal shift
+        if letter == 0:
+            shift -= 1
+        elif letter == 1:
+            shift += 1
+        else:
+            c = lamps.get(shift, 0) - (1 if letter == 2 else -1)
+            if c:
+                lamps[shift] = c
+            else:
+                lamps.pop(shift, None)
+
+    def rec(pos: int) -> None:
+        if pos == length:
+            if not lamps and shift == 0 and word[-1] != 1:
+                out.append(tuple(word))
+            return
+        prev_inv = _INV[word[pos - 1]]
+        remaining = length - pos
+        # prune: every a must eventually return and lamps must clear
+        if abs(shift) > remaining or len(lamps) > remaining:
+            return
+        for letter in range(4):
+            if letter == prev_inv:
+                continue
+            word[pos] = letter
+            push(letter)
+            rec(pos + 1)
+            pop(letter)
+
+    word[0] = 0
+    push(0)
+    rec(1)
+    pop(0)
+    return out
+
+
+@pytest.mark.parametrize("length", range(17))
+def test_wreath_trivial_words_agree(length):
+    assert _wreath_trivial_words(length) == ref_wreath_trivial_words(length)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from bslim import (
@@ -21,6 +23,7 @@ from bslim.lattice import GroupCtx
 from bslim.madic import MarkedGroupSpec, r_digits
 from bslim.markedspace import (
     DistanceBounds,
+    _wreath_trivial_words,
     b_i_word,
     distance_bounds,
     isomorphic,
@@ -137,6 +140,20 @@ def test_shortest_distinguishing_same_m_far_apart():
     if found is not None:
         length, word = found
         assert is_trivial(GroupCtx(g1), word) != is_trivial(GroupCtx(g2), word)
+
+
+def test_wreath_trivial_words_under_cap():
+    """Length 18 by the meet-in-the-middle join: 3^9 words per half, not
+    the 3^18 of a depth-first search.  It must finish within 2 s of process
+    time; over 0.5 s is reported."""
+    start = time.process_time()
+    words = _wreath_trivial_words(18)
+    spent = time.process_time() - start
+    assert len(words) == 5848
+    assert words == sorted(words)
+    assert spent < 2.0
+    if spent > 0.5:
+        print(f"length 18: {spent * 1e3:.0f} ms")
 
 
 # --- distance bounds ------------------------------------------------------------
