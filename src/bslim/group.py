@@ -18,8 +18,14 @@ with e v e^-1 = u.  If the exponent sum sigma is nonzero, the quotient onto
 Z wr Z, where q(e) conjugates (P_v, sigma) to (P_v + (1 - X^sigma) q(e),
 sigma), leaves one candidate: 1 - X^sigma is no zero divisor and q is
 injective, so exact division of P_u - P_v and back-substitution find it,
-and the word problem decides it.  If sigma = 0, e is propagated through
-the stable letters into a finite integer linear system.
+and the word problem decides it.  Rotations are screened before that: the
+rotation of a core w by its prefix g_j (shift s_j) has lamp polynomial
+X^-s_j (P_w + (X^sigma - 1) P_g), so mod X^sigma - 1 its residues are those
+of P_w shifted cyclically by s_j, and each core is folded into its |sigma|
+residues once.  X^sigma - 1 is monic, so the division leaves no remainder
+only if the residues of u and of the rotation agree: the screen rejects
+just the rotations the division would.  If sigma = 0, e is propagated
+through the stable letters into a finite integer linear system.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ from .lattice import (
     GroupCtx,
     _down,
     _emxi_value,
-    _in_e1,
-    _in_emxi,
     _parse_eterm,
     _up,
     a_conjugate,
@@ -306,11 +310,14 @@ def _reduce_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int]) ->
     deltas[:] = out_deltas
 
 
+def _evec(seg: dict[int, int]) -> EVec:
+    """A segment as an EVec; the reducers keep every key nonnegative and
+    every value nonzero, so sorting its items is the canonical form."""
+    return EVec(tuple(sorted(seg.items())))
+
+
 def _alt_to_form(segs, deltas, cls=ReducedForm) -> ReducedForm:
-    return cls(
-        segments=tuple(EVec.from_items(seg) for seg in segs),
-        deltas=tuple(deltas),
-    )
+    return cls(segments=tuple(map(_evec, segs)), deltas=tuple(deltas))
 
 
 def britton_reduce(ctx: GroupCtx, w: GroupWord) -> ReducedForm:
@@ -362,34 +369,38 @@ def normal_form(ctx: GroupCtx, w: GroupWord) -> NormalForm:
 def cyclic_reduce(ctx: GroupCtx, w: GroupWord) -> tuple[ReducedForm, GroupWord]:
     """A cyclically reduced core u and a conjugator g with g^-1 w g = u.
 
-    For positive t-length the trailing segment is absorbed into the
-    leading one and wraparound pinches are rotated away until none is
-    left; each rotation drops the t-length by two, so this terminates.
+    One pass closing the reduced form from both ends: for positive
+    t-length the trailing segment is absorbed into the leading one, and a
+    wraparound pinch a^{d_last} lead a^{d_first} fires with one ``_up`` or
+    ``_down``, dropping the outermost stable letter at each end and landing
+    in the innermost segment at the right.  The form between stays reduced,
+    so no other pinch can appear; the pass stops at the first end pair that
+    does not pinch.
     """
     segs, deltas = _letters_to_alt(w.letters)
     _reduce_alt(ctx, segs, deltas)
     conj: list[Letter] = []
-    while deltas:
-        if segs[-1]:
-            tail = dict(segs[-1])
-            conj.extend(word_from_evec(-EVec.from_items(tail)).letters)
-            _merge_into(segs[0], tail)
-            segs[-1] = {}
-        lead = segs[0]
-        d_last, d_first = deltas[-1], deltas[0]
-        if d_last == 1 and d_first == -1 and _in_emxi(ctx, lead):
-            pass  # wraparound pinch, rotate below
-        elif d_last == -1 and d_first == 1 and _in_e1(lead):
-            pass
+    lo, hi = 0, len(deltas)  # the core is segs[lo] a^deltas[lo] ... segs[hi]
+    while lo < hi:
+        lead, tail = segs[lo], segs[hi]
+        if tail:
+            conj.extend(word_from_evec(-_evec(tail)).letters)
+            _merge_into(lead, tail)
+            segs[hi] = {}
+        d_last, d_first = deltas[hi - 1], deltas[lo]
+        if d_last == 1 and d_first == -1:  # _up gives None unless lead is in E_{m,xi}
+            fired = _up(ctx, lead)
+        elif d_last == -1 and d_first == 1:  # lead must lie in E_1
+            fired = None if lead.get(0) else _down(ctx, lead)
         else:
             break
-        conj.extend(word_from_evec(EVec.from_items(lead)).letters)
+        if fired is None:
+            break
+        conj.extend(word_from_evec(_evec(lead)).letters)
         conj.append(ALetter(d_first))
-        segs = segs[1:-1] + [dict(segs[-1])] + [{}]
-        _merge_into(segs[-2], lead)
-        deltas = deltas[1:] + [d_first]
-        _reduce_alt(ctx, segs, deltas)
-    return _alt_to_form(segs, deltas), GroupWord(tuple(conj))
+        lo, hi = lo + 1, hi - 1
+        _merge_into(segs[hi], fired)
+    return _alt_to_form(segs[lo : hi + 1], deltas[lo:hi]), GroupWord(tuple(conj))
 
 
 def _rotation(core: ReducedForm, j: int) -> tuple[ReducedForm, GroupWord]:
@@ -435,6 +446,17 @@ def _lamp_fold(ctx: GroupCtx, segs: Iterable[EVec], deltas) -> LaurentPoly:
         for k, c in enumerate(p, s - lo):
             lamps[k] += c
     return LaurentPoly(lo, lamps)
+
+
+def _residues(ctx: GroupCtx, core: ReducedForm) -> list[int]:
+    """For sigma != 0, the lamp polynomial of the core mod X^sigma - 1: its
+    coefficient sums over the exponents in each class mod |sigma|."""
+    n = abs(core.sigma)
+    lamps = _lamp_fold(ctx, core.segments, core.deltas)
+    out = [0] * n
+    for k, c in enumerate(lamps.coeffs, lamps.offset):
+        out[k % n] += c
+    return out
 
 
 def _wreath_candidate(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional[EVec]:
@@ -586,11 +608,19 @@ def are_conjugate(
             mid = a_power_word(n)
         witness = p * mid * q.inverse()
     else:
+        sigma = cv.sigma
+        if sigma != cw.sigma:  # sigma is a conjugacy invariant
+            return None
+        if sigma:  # the rotation by g_j has residues X^-s_j res_w
+            n = abs(sigma)
+            res_v, res_w = _residues(ctx, cv), _residues(ctx, cw)
         witness = None
-        for j in range(cv.t_length):
-            rot, gj = _rotation(cw, j)
-            if rot.deltas != cv.deltas:
+        for j, s in enumerate(accumulate(cw.deltas[:-1], initial=0)):
+            if cw.deltas[j:] + cw.deltas[:j] != cv.deltas:
                 continue
+            if sigma and res_w[s % n :] + res_w[: s % n] != res_v:
+                continue
+            rot, gj = _rotation(cw, j)
             e = base_conjugacy_solve(ctx, cv, rot)
             if e is None:
                 continue

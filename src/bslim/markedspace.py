@@ -151,33 +151,43 @@ _INV = (1, 0, 3, 2)  # inverse letter indices for (a, A, b, B)
 _LETTERS = parse_word("aAbB").letters
 
 
-def _reduced_words(word: tuple[int, ...], length: int) -> Iterator[tuple[int, ...]]:
-    """Freely reduced extensions of ``word`` to ``length`` letters, in
-    lexicographic order."""
-    if len(word) == length:
-        yield word
-        return
-    for letter in range(4):
-        if not word or letter != _INV[word[-1]]:
-            yield from _reduced_words(word + (letter,), length)
+def _reduced_words(length: int, last: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Freely reduced words of ``length`` letters whose last letter is in
+    ``last``, in lexicographic order, each with its wreath image as a key
+    (shift, lamps): a and A move the shift, b and B add to the lamp at the
+    current shift.
 
-
-def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_INV[t] for t in reversed(word))
-
-
-def _wreath_key(word: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The wreath image (shift, nonzero lamps in position order): a and A
-    move the shift, b and B add to the lamp at the current shift."""
-    shift = 0
-    lamps: dict[int, int] = {}
-    for t in word:
+    One depth-first walk with an explicit stack: the image after k letters
+    is kept per depth, so each letter is folded once, into the image its
+    prefix shares, and each word is yielded once.  Lamps are a dense tuple
+    over the positions -length..length, so keys of one length compare
+    exactly."""
+    word = [0] * length
+    shifts = [length] * (length + 1)  # positions offset by length
+    lamps = [(0,) * (2 * length + 1)] * (length + 1)
+    # successors of each letter, pushed in reverse so they pop in order
+    inner = [[u for u in (3, 2, 1, 0) if u != _INV[t]] for t in range(4)]
+    final = [[u for u in nxt if u in last] for nxt in inner]
+    stack = [(0, t) for t in (3, 2, 1, 0) if length > 1 or t in last]
+    while stack:
+        k, t = stack.pop()
+        word[k] = t
+        shift, lamp = shifts[k], lamps[k]
         sign = -1 if t & 1 else 1
         if t < 2:
             shift += sign
         else:
-            lamps[shift] = lamps.get(shift, 0) + sign
-    return shift, tuple(sorted((p, c) for p, c in lamps.items() if c))
+            lamp = lamp[:shift] + (lamp[shift] + sign,) + lamp[shift + 1 :]
+        k += 1
+        if k == length:
+            yield tuple(word), (shift, lamp)
+            continue
+        shifts[k], lamps[k] = shift, lamp
+        stack.extend((k, u) for u in (inner if k + 1 < length else final)[t])
+
+
+def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(_INV[t] for t in reversed(word))
 
 
 def _wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
@@ -185,21 +195,20 @@ def _wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
     with 'a' whose wreath image is trivial, in lexicographic order.
 
     Meet in the middle: w = u v dies exactly when the tail v has the image
-    of the head u^-1, so the heads are indexed by that image and each tail
-    looks up its partners.  Both exponent sums of such a word are 0, so
-    its length is even."""
+    of the head's inverse x = u^-1, so the heads are indexed by the image
+    of x (every reduced x ending in A) and each tail looks up its partners.
+    Both exponent sums of such a word are 0, so its length is even."""
     if length < 2 or length % 2:
         return []
     half = length // 2
     heads: dict[tuple, list[tuple[int, ...]]] = {}
-    for u in _reduced_words((0,), half):
-        heads.setdefault(_wreath_key(_inverse(u)), []).append(u)
+    for x, key in _reduced_words(half, (1,)):
+        heads.setdefault(key, []).append(_inverse(x))
     # no tail ends in A (cyclic reduction) or cancels into its head
     return sorted(
         u + v
-        for v in _reduced_words((), half)
-        if v[-1] != 1
-        for u in heads.get(_wreath_key(v), ())
+        for v, key in _reduced_words(half, (0, 2, 3))
+        for u in heads.get(key, ())
         if v[0] != _INV[u[-1]]
     )
 

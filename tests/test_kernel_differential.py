@@ -18,6 +18,12 @@ an exact division in Z wr Z replaced it, and the conjugator is then
 unique, so both must return the same e.  ``ref_wreath_image`` is the
 letter-by-letter product in Z wr Z that the lamp-polynomial fold replaced.
 
+``ref_cyclic_reduce`` rotated one wraparound pinch at a time and let the
+reducer fire it; ``ref_are_conjugate`` handed every rotation of matching
+shape to the solver, where ``are_conjugate`` first screens rotations by
+their lamp polynomials mod X^sigma - 1.  Cores, conjugators and witnesses
+must match letter for letter.
+
 ``ref_wreath_trivial_words`` is the depth-first search with incremental
 lamp state that the meet-in-the-middle join replaced; both must list the
 same words in the same (lexicographic) order.
@@ -33,20 +39,27 @@ from bslim import (
     InvalidAutSpec,
     PinchDomainViolation,
     RDigitBudgetExceeded,
+    WitnessCheckFailed,
     ZeroElement,
+    group,
     morphisms,
 )
 from bslim.group import (
     ALetter,
     BaseLetter,
     GroupWord,
+    NormalForm,
     ReducedForm,
     _b_exponent,
     _expr_add,
     _letters_to_alt,
+    _merge_into,
+    _reduce_alt,
     _rotation,
     _substitute,
     _wreath_candidate,
+    a_power_word,
+    are_conjugate,
     base_conjugacy_solve,
     britton_reduce,
     commutator,
@@ -65,7 +78,10 @@ from bslim.lattice import (
     GroupCtx,
     _down,
     _emxi_value,
+    _in_e1,
+    _in_emxi,
     _up,
+    a_conjugate,
     fixed_interval,
     q_poly,
 )
@@ -216,6 +232,39 @@ def ref_normal_form(ctx, w):
     return [sorted(s.items()) for s in segs], deltas
 
 
+def ref_alt_to_form(segs, deltas):
+    return ReducedForm(tuple(EVec.from_items(seg) for seg in segs), tuple(deltas))
+
+
+def ref_cyclic_reduce(ctx, w):
+    """Absorb the tail, then rotate one wraparound pinch to the right end
+    and let _reduce_alt fire it, until none is left."""
+    segs, deltas = _letters_to_alt(w.letters)
+    _reduce_alt(ctx, segs, deltas)
+    conj = []
+    while deltas:
+        if segs[-1]:
+            tail = dict(segs[-1])
+            conj.extend(word_from_evec(-EVec.from_items(tail)).letters)
+            _merge_into(segs[0], tail)
+            segs[-1] = {}
+        lead = segs[0]
+        d_last, d_first = deltas[-1], deltas[0]
+        if d_last == 1 and d_first == -1 and _in_emxi(ctx, lead):
+            pass  # wraparound pinch, rotate below
+        elif d_last == -1 and d_first == 1 and _in_e1(lead):
+            pass
+        else:
+            break
+        conj.extend(word_from_evec(EVec.from_items(lead)).letters)
+        conj.append(ALetter(d_first))
+        segs = segs[1:-1] + [dict(segs[-1])] + [{}]
+        _merge_into(segs[-2], lead)
+        deltas = deltas[1:] + [d_first]
+        _reduce_alt(ctx, segs, deltas)
+    return ref_alt_to_form(segs, deltas), GroupWord(tuple(conj))
+
+
 def ref_b_i_word(ctx, i):
     m = ctx.spec.m_abs
     word = GroupWord((ALetter(1), BaseLetter(EVec.basis(0, m)), ALetter(-1)))
@@ -319,10 +368,22 @@ def long_word(rng, ctx, top):
 
 
 @pytest.mark.parametrize("m,xi", CASES)
-def test_reduction_agrees(m, xi):
+def test_reduction_agrees(m, xi, monkeypatch):
+    """Also: every segment dict that _reduce_alt, _normalize_alt and
+    cyclic_reduce hand to _alt_to_form has nonnegative keys and no zero
+    values, so the EVecs it builds from sorted items are canonical."""
     rng = random.Random(f"w{m}{xi}")
     ctx = GroupCtx.make(m, xi)
     ref_ctx = GroupCtx.make(m, xi)
+    alt_to_form, forms_built = group._alt_to_form, []
+
+    def checked_alt_to_form(segs, deltas, cls=ReducedForm):
+        for seg in segs:
+            assert all(i >= 0 and c for i, c in seg.items()), seg
+        forms_built.append(cls)
+        return alt_to_form(segs, deltas, cls)
+
+    monkeypatch.setattr(group, "_alt_to_form", checked_alt_to_form)
 
     def check(w):
         got = outcome(is_trivial, ctx, w)
@@ -332,6 +393,7 @@ def test_reduction_agrees(m, xi):
             if form[0] == "ok":
                 form = "ok", ([sorted(s.entries) for s in form[1].segments], list(form[1].deltas))
             agree(form, outcome(ref, ref_ctx, w))
+        agree(outcome(cyclic_reduce, ctx, w), outcome(ref_cyclic_reduce, ref_ctx, w))
         return got
 
     trivial_seen = 0
@@ -354,6 +416,7 @@ def test_reduction_agrees(m, xi):
         w = long_word(rng, ref_ctx, top) * random_word(rng, abs(m), 4)
         assert 2000 <= len(w.letters) <= 4000
         check(w)
+    assert {ReducedForm, NormalForm} <= set(forms_built)
 
 
 # --- letterwise maps --------------------------------------------------------------
@@ -658,11 +721,13 @@ def syllable_word(rng, m, deltas):
     return GroupWord(tuple(letters))
 
 
-def rotation_pairs(ctx, rng, m, count):
-    """The (u, v) pairs are_conjugate hands the solver: the cores of
-    g w g^-1 (times b half the time) and of w, over every rotation of the
-    second with matching shape."""
-    b = GroupWord((BaseLetter(EVec.basis(0)),))
+B_WORD = GroupWord((BaseLetter(EVec.basis(0)),))
+
+
+def conjugate_pairs(rng, m, count):
+    """(v, w) with v = g w g^-1, times b half the time: w has one syllable
+    per stable letter, and its exponent sum sigma is of either sign (mixed
+    or constant signs) or zero."""
     for n in range(count):
         if n % 3:  # sigma of either sign, mixed or constant signs
             signs = rng.choice(((1,), (-1,), (1, 1, -1), (-1, -1, 1)))
@@ -674,7 +739,15 @@ def rotation_pairs(ctx, rng, m, count):
         g = random_word(rng, m, 2)
         v = g * w * g.inverse()
         if rng.random() < 0.5:
-            v = v * b
+            v = v * B_WORD
+        yield v, w
+
+
+def rotation_pairs(ctx, rng, m, count):
+    """The (u, v) pairs are_conjugate would hand the solver without its
+    residue screen: the cores of g w g^-1 (times b half the time) and of
+    w, over every rotation of the second with matching shape."""
+    for v, w in conjugate_pairs(rng, m, count):
         cv, cw = cyclic_reduce(ctx, v)[0], cyclic_reduce(ctx, w)[0]
         if cv.t_length != cw.t_length or not cv.t_length:
             continue
@@ -734,6 +807,106 @@ def test_base_conjugacy_solve_agrees(m, xi):
     assert seen == {(sign, solvable) for sign in (1, 0, -1) for solvable in (True, False)}
     # no candidate, a candidate the word problem rejects, a conjugator
     assert candidates == {(False, False), (True, False), (True, True)}
+
+
+def ref_are_conjugate(ctx, v, w):
+    """Every rotation of w's core with the shape of v's core goes to the
+    solver, over the cores of ref_cyclic_reduce."""
+    cv, p = ref_cyclic_reduce(ctx, v)
+    cw, q = ref_cyclic_reduce(ctx, w)
+    if cv.t_length != cw.t_length:
+        return None
+    if cv.t_length == 0:
+        x, y = cv.segments[0], cw.segments[0]
+        if x.is_zero != y.is_zero:
+            return None
+        if x.is_zero:
+            mid = GroupWord(())
+        else:
+            n = q_poly(ctx, x).degree - q_poly(ctx, y).degree
+            if a_conjugate(ctx, y, n) != x:
+                return None
+            mid = a_power_word(n)
+        witness = p * mid * q.inverse()
+    else:
+        witness = None
+        for j in range(cv.t_length):
+            rot, gj = _rotation(cw, j)
+            if rot.deltas != cv.deltas:
+                continue
+            e = base_conjugacy_solve(ctx, cv, rot)
+            if e is None:
+                continue
+            witness = p * word_from_evec(e) * gj.inverse() * q.inverse()
+            break
+        if witness is None:
+            return None
+    if not is_trivial(ctx, witness * w * witness.inverse() * v.inverse()):
+        raise WitnessCheckFailed("the conjugacy witness does not conjugate w to v")
+    return witness
+
+
+def base_pairs(rng, m, count):
+    """(v, w) with w a base element and v = g w g^-1, times b half the
+    time: both cores have t-length 0."""
+    for _ in range(count):
+        w = GroupWord((BaseLetter(EVec.from_items(random_seg(rng, 3))),))
+        g = random_word(rng, m, 2)
+        v = g * w * g.inverse()
+        yield (v * B_WORD if rng.random() < 0.5 else v), w
+
+
+def unrelated_pairs(rng, m, count):
+    """Two independent syllable words: t-length and sigma may differ."""
+    for _ in range(count):
+        v, w = (
+            syllable_word(rng, m, [rng.choice((1, -1)) for _ in range(rng.randint(1, 5))])
+            for _ in range(2)
+        )
+        yield v, w
+
+
+@pytest.mark.parametrize("m,xi", SOLVE_CASES)
+def test_are_conjugate_agrees(m, xi, monkeypatch):
+    """The same cores, conjugators and witnesses as the unscreened rotation
+    loop; and every rotation of matching shape that the residue screen
+    keeps from the solver (sigma != 0) has no division candidate."""
+    rng = random.Random(f"k{m}{xi}")
+    ctx = GroupCtx.make(m, xi)
+    rotation, tried = group._rotation, []
+
+    def recording_rotation(core, j):
+        tried.append(j)
+        return rotation(core, j)
+
+    monkeypatch.setattr(group, "_rotation", recording_rotation)
+    pairs = [
+        *conjugate_pairs(rng, m, 60),
+        *base_pairs(rng, m, 20),
+        *unrelated_pairs(rng, m, 20),
+    ]
+    seen, screened = set(), 0
+    for v, w in pairs:
+        (cv, p), (cw, q) = cyclic_reduce(ctx, v), cyclic_reduce(ctx, w)
+        assert ((cv, p.letters), (cw, q.letters)) == tuple(
+            (core, conj.letters) for core, conj in (ref_cyclic_reduce(ctx, x) for x in (v, w))
+        )
+        tried.clear()
+        got = are_conjugate(ctx, v, w)
+        ref = ref_are_conjugate(ctx, v, w)
+        assert (got and got.letters) == (ref and ref.letters)
+        kind = (cv.sigma > 0) - (cv.sigma < 0) if cv.t_length else "t0"
+        seen.add((kind, got is not None))
+        if not cv.sigma or (cv.t_length, cv.sigma) != (cw.t_length, cw.sigma):
+            continue
+        stop = tried[-1] if got is not None else cw.t_length
+        for j in range(stop):
+            rot = rotation(cw, j)[0]
+            if rot.deltas == cv.deltas and j not in tried:
+                screened += 1
+                assert _wreath_candidate(ctx, cv, rot) is None
+    assert seen == {(kind, found) for kind in (1, 0, -1, "t0") for found in (True, False)}
+    assert screened
 
 
 def ref_wreath_image(ctx, w):
