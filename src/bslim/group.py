@@ -24,8 +24,11 @@ X^-s_j (P_w + (X^sigma - 1) P_g), so mod X^sigma - 1 its residues are those
 of P_w shifted cyclically by s_j, and each core is folded into its |sigma|
 residues once.  X^sigma - 1 is monic, so the division leaves no remainder
 only if the residues of u and of the rotation agree: the screen rejects
-just the rotations the division would.  If sigma = 0, e is propagated
-through the stable letters into a finite integer linear system.
+just the rotations the division would.  If sigma = 0, X^sigma - 1 = 0, so
+the screen compares the lamp polynomials themselves, X^-s_j P_w against
+P_v, and e is propagated through the stable letters, one column per
+unknown mapped by the lattice kernels, into a finite integer linear
+system.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .lattice import (
     _down,
     _emxi_value,
     _parse_eterm,
+    _q_inverse,
     _up,
     a_conjugate,
     format_evec,
@@ -287,10 +291,8 @@ def _reduce_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int]) ->
     for d, right in zip(deltas, segs[1:]):
         if out_deltas and out_deltas[-1] != d:
             mid = out_segs[-1]
-            if d == -1:  # a mid a^-1: _up gives None unless mid is in E_{m,xi}
-                fired = _up(ctx, mid)
-            else:  # a^-1 mid a: mid must lie in E_1
-                fired = None if mid.get(0) else _down(ctx, mid)
+            # a mid a^-1 needs mid in E_{m,xi}, a^-1 mid a needs E_1: else None
+            fired = _up(ctx, mid) if d == -1 else _down(ctx, mid)
             if fired is not None:
                 out_deltas.pop()
                 out_segs.pop()
@@ -387,13 +389,10 @@ def cyclic_reduce(ctx: GroupCtx, w: GroupWord) -> tuple[ReducedForm, GroupWord]:
             conj.extend(word_from_evec(-_evec(tail)).letters)
             _merge_into(lead, tail)
             segs[hi] = {}
-        d_last, d_first = deltas[hi - 1], deltas[lo]
-        if d_last == 1 and d_first == -1:  # _up gives None unless lead is in E_{m,xi}
-            fired = _up(ctx, lead)
-        elif d_last == -1 and d_first == 1:  # lead must lie in E_1
-            fired = None if lead.get(0) else _down(ctx, lead)
-        else:
+        d_first = deltas[lo]
+        if deltas[hi - 1] == d_first:
             break
+        fired = _up(ctx, lead) if d_first == -1 else _down(ctx, lead)
         if fired is None:
             break
         conj.extend(word_from_evec(_evec(lead)).letters)
@@ -424,17 +423,6 @@ def _rotation(core: ReducedForm, j: int) -> tuple[ReducedForm, GroupWord]:
     return ReducedForm(tuple(new_segs), tuple(new_deltas)), prefix.to_word()
 
 
-def _expr_add(dst: dict[int, int], src: dict[int, int], k: int = 1) -> None:
-    if not k:
-        return
-    for var, c in src.items():
-        new = dst.get(var, 0) + k * c
-        if new:
-            dst[var] = new
-        elif var in dst:
-            del dst[var]
-
-
 def _lamp_fold(ctx: GroupCtx, segs: Iterable[EVec], deltas) -> LaurentPoly:
     """The lamp polynomial P of segs[0] a^{deltas[0]} segs[1] ... in Z wr Z:
     P = sum_k X^{s_k} q(segs[k]), with s_k the k-th partial sum of deltas."""
@@ -448,15 +436,22 @@ def _lamp_fold(ctx: GroupCtx, segs: Iterable[EVec], deltas) -> LaurentPoly:
     return LaurentPoly(lo, lamps)
 
 
-def _residues(ctx: GroupCtx, core: ReducedForm) -> list[int]:
-    """For sigma != 0, the lamp polynomial of the core mod X^sigma - 1: its
-    coefficient sums over the exponents in each class mod |sigma|."""
-    n = abs(core.sigma)
-    lamps = _lamp_fold(ctx, core.segments, core.deltas)
-    out = [0] * n
-    for k, c in enumerate(lamps.coeffs, lamps.offset):
-        out[k % n] += c
-    return out
+def _residues(lamps: LaurentPoly, n: int) -> list[int]:
+    """A lamp polynomial mod X^n - 1 (n > 0): its coefficient sums over the
+    exponents in each class mod n."""
+    return [sum(lamps.coeffs[(k - lamps.offset) % n :: n]) for k in range(n)]
+
+
+def _rotation_screen(ctx: GroupCtx, cv: ReducedForm, cw: ReducedForm) -> Callable[[int], bool]:
+    """Whether the rotation of cw by shift s passes the lamp equation
+    against cv: X^-s P_w = P_v mod X^sigma - 1, compared in residues for
+    sigma != 0 and exactly for sigma = 0, where X^sigma - 1 = 0."""
+    lamp_v, lamp_w = (_lamp_fold(ctx, c.segments, c.deltas) for c in (cv, cw))
+    n = abs(cv.sigma)
+    if not n:
+        return lambda s: lamp_w.shifted(-s) == lamp_v
+    res_v, res_w = _residues(lamp_v, n), _residues(lamp_w, n)
+    return lambda s: res_w[s % n :] + res_w[: s % n] == res_v
 
 
 def _wreath_candidate(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional[EVec]:
@@ -472,16 +467,7 @@ def _wreath_candidate(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional
         quot[k] += quot[k - sigma]
     if diff.offset < 0 or any(quot[max(top, 0) :]):  # X^-k in q(e), or a remainder
         return None
-    # invert q top degree down, in place: q(e_i) = m X^i - sum_{0<j<i} r_j X^{i-j}
-    rs = ctx.table(max(top - 2, 0))
-    for i in range(top - 1, 0, -1):
-        c, rem = divmod(quot[i], ctx.m_abs)
-        if rem:
-            return None
-        quot[i] = c
-        for j in range(1, i):
-            quot[i - j] += c * rs[j]
-    return EVec.from_items(enumerate(quot[: max(top, 0)]))
+    return _q_inverse(ctx, quot[: max(top, 0)])
 
 
 def base_conjugacy_solve(
@@ -490,15 +476,14 @@ def base_conjugacy_solve(
     """An e in E with e v (-e) = u, or None.
 
     When sigma != 0, exact division in Z wr Z leaves one candidate (see the
-    module docstring) and the word problem decides it.  When sigma = 0, the
-    unknown is propagated left to right through the stable letters:
-    d_1 = e + y_0 - x_0 must pass a^{d_1} (a pass through a needs E_1 and
-    applies the downward isomorphism; through a^-1 needs E_{m,xi} and
-    applies the upward one), then d_{i+1} = pass(d_i) + y_i - x_i, and the
-    loop closes with pass(d_l) + (y_l - e) - x_l = 0.  Memberships become
-    one linear equation (E_1) or one congruence with an auxiliary integer
-    (E_{m,xi}); the system is solved exactly over the integers, with the
-    unknown's support capped at (max support index) + t-length + 1.
+    module docstring) and the word problem decides it.  When sigma = 0,
+    d = e + y_0 - x_0 is carried left to right, a constant plus one column
+    per unknown: through a, d in E_1 is one equation on the e_0 entries,
+    then ``_down`` maps each; through a^-1, d in E_{m,xi} is one congruence
+    value(d) = m t with a fresh integer t at e_1, the rest shifted up; then
+    y_i - x_i is added.  The loop closes with d - e = 0, and the system is
+    solved exactly over the integers, with the unknown's support capped at
+    (max support index) + t-length + 1.
     """
     if u.t_length == 0 or u.t_length != v.t_length or u.deltas != v.deltas:
         raise ShapeMismatch("cores need equal positive t-length and deltas")
@@ -509,72 +494,26 @@ def base_conjugacy_solve(
         check = word_from_evec(e) * v.to_word() * word_from_evec(-e) * u.to_word().inverse()
         return e if is_trivial(ctx, check) else None
     l = u.t_length
-    m = ctx.m_abs
-    xs = [s.to_dict() for s in u.segments]
-    ys = [s.to_dict() for s in v.segments]
-    maxidx = max(u.max_support_index(), v.max_support_index(), 0)
-    n_e = maxidx + l + 2  # unknowns c_0 .. c_{N} with N = maxidx + l + 1
-    nvars = n_e
-    equations: list[dict[int, int]] = []
-
-    # affine coordinates: coordinate index -> {var: coeff, -1: constant}
-    d: dict[int, dict[int, int]] = {j: {j: 1} for j in range(n_e)}
-    for idx, c in ys[0].items():
-        _expr_add(d.setdefault(idx, {}), {-1: c})
-    for idx, c in xs[0].items():
-        _expr_add(d.setdefault(idx, {}), {-1: -c})
-
-    for i in range(1, l + 1):
-        delta = u.deltas[i - 1]
+    n_e = max(u.max_support_index(), v.max_support_index(), 0) + l + 2
+    # d's constant, then one column per unknown: c_0 .. c_{n_e - 1}, the
+    # coordinates of e, and one t per a^-1; a row [k, a_0, ...] reads k + sum a_i z_i = 0
+    cols: list[dict[int, int]] = [{}] + [{j: 1} for j in range(n_e)]
+    rows: list[list[int]] = []
+    for i, delta in enumerate(u.deltas):
+        _merge_into(cols[0], (v.segments[i] - u.segments[i]).to_dict())
         if delta == 1:
-            # pass through a: membership in E_1, then e_1 -> m e_0 etc.
-            if d.get(0):
-                equations.append(d[0])
-            rs = ctx.table(max(d) - 1)
-            e0: dict[int, int] = {}
-            nd: dict[int, dict[int, int]] = {}
-            for j, expr in d.items():
-                if j == 1:
-                    _expr_add(e0, expr, m)
-                elif j >= 2:
-                    _expr_add(e0, expr, -rs[j - 1])
-                    nd[j - 1] = expr
-            if e0:
-                nd[0] = e0
-            d = nd
+            rows.append([col.pop(0, 0) for col in cols])
+            cols = [_down(ctx, col) for col in cols]
         else:
-            # pass through a^-1: congruence value = m * t with fresh t
-            rs = ctx.table(max(d))
-            cong: dict[int, int] = {}
-            for j, expr in d.items():
-                _expr_add(cong, expr, rs[j])
-            t_var = nvars
-            nvars += 1
-            _expr_add(cong, {t_var: -m})
-            equations.append(cong)
-            nd = {1: {t_var: 1}}
-            for j, expr in d.items():
-                if j >= 1:
-                    nd[j + 1] = expr
-            d = nd
-        if i < l:
-            for idx, c in ys[i].items():
-                _expr_add(d.setdefault(idx, {}), {-1: c})
-            for idx, c in xs[i].items():
-                _expr_add(d.setdefault(idx, {}), {-1: -c})
-
-    top = max([n_e - 1, *d.keys(), *xs[l].keys(), *ys[l].keys()])
-    for j in range(top + 1):
-        expr = dict(d.get(j, {}))
-        _expr_add(expr, {-1: ys[l].get(j, 0) - xs[l].get(j, 0)})
-        if j < n_e:
-            _expr_add(expr, {j: -1})
-        if expr:
-            equations.append(expr)
-
-    rows = [[eq.get(var, 0) for var in range(nvars)] for eq in equations]
-    rhs = [-eq.get(-1, 0) for eq in equations]
-    sol = solve_integer_system(rows, rhs)
+            rows.append([_emxi_value(ctx, col) for col in cols] + [-ctx.m_abs])
+            cols = [{j + 1: c for j, c in col.items() if j} for col in cols] + [{1: 1}]
+    _merge_into(cols[0], (v.segments[l] - u.segments[l]).to_dict())
+    for j in range(n_e):  # the loop closes with d - e = 0
+        _merge_into(cols[j + 1], {j: -1})
+    # each pass moves a coordinate by at most one
+    rows += ([col.get(j, 0) for col in cols] for j in range(n_e + l))
+    rows = [row + [0] * (len(cols) - len(row)) for row in rows if any(row)]
+    sol = solve_integer_system([row[1:] for row in rows], [-row[0] for row in rows])
     if sol is None:
         return None
     return EVec.from_items({j: sol[j] for j in range(n_e)})
@@ -589,7 +528,8 @@ def are_conjugate(
     Base-group elements are conjugate only through a power of a whose
     exponent is forced by polynomial degrees.  Positive t-length reduces
     to the base solver over the cyclic permutations with matching
-    stable-letter shape.
+    stable-letter shape that pass the lamp screen; the cores are folded
+    only once some permutation has the shape.
     """
     cv, p = cyclic_reduce(ctx, v)
     cw, q = cyclic_reduce(ctx, w)
@@ -608,17 +548,15 @@ def are_conjugate(
             mid = a_power_word(n)
         witness = p * mid * q.inverse()
     else:
-        sigma = cv.sigma
-        if sigma != cw.sigma:  # sigma is a conjugacy invariant
+        if cv.sigma != cw.sigma:  # sigma is a conjugacy invariant
             return None
-        if sigma:  # the rotation by g_j has residues X^-s_j res_w
-            n = abs(sigma)
-            res_v, res_w = _residues(ctx, cv), _residues(ctx, cw)
-        witness = None
+        witness, screen = None, None
         for j, s in enumerate(accumulate(cw.deltas[:-1], initial=0)):
             if cw.deltas[j:] + cw.deltas[:j] != cv.deltas:
                 continue
-            if sigma and res_w[s % n :] + res_w[: s % n] != res_v:
+            if screen is None:  # fold once, when the first rotation has the shape
+                screen = _rotation_screen(ctx, cv, cw)
+            if not screen(s):
                 continue
             rot, gj = _rotation(cw, j)
             e = base_conjugacy_solve(ctx, cv, rot)

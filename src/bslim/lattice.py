@@ -10,8 +10,9 @@ onto E_1 = Z e_1 + Z e_2 + ... via a(m e_0)a^-1 = e_1 and
 a(e_i - r_i e_0)a^-1 = e_{i+1}.  This module implements membership in the
 two subgroups, the conjugation isomorphism in both directions, iterated
 conjugation by powers of a, the injective polynomial image q (e_0 -> 1,
-e_i -> X*P_{i-1}(X)), and the fixed-interval data (mu, nu) of a base
-element acting on the Bass-Serre tree.
+e_i -> X*P_{i-1}(X)) and its inverse on the image, and the fixed-interval
+data (mu, nu) of a base element acting on the Bass-Serre tree.  The
+conjugation isomorphism is written out only here.
 
 Any operation touching support index k reads at most k digits.
 """
@@ -196,10 +197,6 @@ def _in_emxi(ctx: GroupCtx, seg: Mapping[int, int]) -> bool:
     return _emxi_value(ctx, seg) % ctx.m_abs == 0
 
 
-def _in_e1(seg: Mapping[int, int]) -> bool:
-    return seg.get(0, 0) == 0
-
-
 def _up(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
     """a x a^-1 for x in E_{m,xi}, or None when x is not in E_{m,xi}: the
     membership test and the shift share one pass, and the e_0 part folds
@@ -218,10 +215,11 @@ def _up(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
     return out
 
 
-def _down(ctx: GroupCtx, seg: Mapping[int, int]) -> dict[int, int]:
-    """a^-1 x a for x in E_1: e_1 -> m e_0, e_{i+1} -> e_i - r_i e_0."""
-    if seg.get(0, 0):
-        raise PinchDomainViolation("element is not in E_1")
+def _down(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
+    """a^-1 x a for x in E_1 (e_1 -> m e_0, e_{i+1} -> e_i - r_i e_0), or
+    None when x is not in E_1, as :func:`_up` answers off E_{m,xi}."""
+    if seg.get(0):
+        return None
     rs = ctx.table(max(seg) - 1 if seg else 0)
     c0 = 0
     out: dict[int, int] = {}
@@ -240,6 +238,7 @@ def _down(ctx: GroupCtx, seg: Mapping[int, int]) -> dict[int, int]:
 
 SubgroupName = Literal["E1", "EmXi"]
 PhiDirection = Literal["down", "up"]
+_PHI = {"down": (_down, "E_1"), "up": (_up, "E_{m,xi}")}
 
 
 def subgroup_membership(ctx: GroupCtx, x: EVec, which: SubgroupName) -> bool:
@@ -256,16 +255,13 @@ def phi_apply(ctx: GroupCtx, x: EVec, direction: PhiDirection) -> EVec:
     """The conjugation isomorphism: ``down`` sends E_1 to E_{m,xi}
     (realizing a^-1 x a), ``up`` sends E_{m,xi} to E_1 (realizing a x a^-1).
     """
-    if direction == "down":
-        if x.coeff(0) != 0:
-            raise PinchDomainViolation("down direction needs an element of E_1")
-        return EVec.from_items(_down(ctx, x.to_dict()))
-    if direction == "up":
-        out = _up(ctx, x.to_dict())
-        if out is None:
-            raise PinchDomainViolation("up direction needs an element of E_{m,xi}")
-        return EVec.from_items(out)
-    raise ValueError(f"unknown direction {direction!r}")
+    if direction not in ("down", "up"):
+        raise ValueError(f"unknown direction {direction!r}")
+    step, domain = _PHI[direction]
+    out = step(ctx, x.to_dict())
+    if out is None:
+        raise PinchDomainViolation(f"{direction} direction needs an element of {domain}")
+    return EVec.from_items(out)
 
 
 def a_conjugate(ctx: GroupCtx, x: EVec, n: int) -> Optional[EVec]:
@@ -274,15 +270,11 @@ def a_conjugate(ctx: GroupCtx, x: EVec, n: int) -> Optional[EVec]:
     Positive shifts need E_{m,xi} at each step, negative shifts need E_1.
     """
     seg = x.to_dict()
+    step = _up if n > 0 else _down
     for _ in range(abs(n)):
-        if n > 0:
-            seg = _up(ctx, seg)
-            if seg is None:
-                return None
-        else:
-            if not _in_e1(seg):
-                return None
-            seg = _down(ctx, seg)
+        seg = step(ctx, seg)
+        if seg is None:
+            return None
     return EVec.from_items(seg)
 
 
@@ -305,6 +297,22 @@ def q_poly(ctx: GroupCtx, x: EVec) -> IntPoly:
         for j in range(1, i):
             out[i - j] -= c * rs[j]
     return IntPoly(tuple(out))
+
+
+def _q_inverse(ctx: GroupCtx, coeffs: Iterable[int]) -> Optional[EVec]:
+    """The x with q(x) = sum_k coeffs[k] X^k, or None when that polynomial
+    is not in the image of :func:`q_poly`: the triangular system solved
+    top degree down, one division by m per coefficient."""
+    out = list(coeffs)
+    rs = ctx.table(max(len(out) - 2, 0))
+    for i in range(len(out) - 1, 0, -1):
+        c, rem = divmod(out[i], ctx.m_abs)
+        if rem:
+            return None
+        out[i] = c
+        for j in range(1, i):  # q(e_i) = m X^i - sum_{0<j<i} r_j X^{i-j}
+            out[i - j] += c * rs[j]
+    return EVec.from_items(enumerate(out))
 
 
 CAP_REACHED = object()  # mu when the up-shift count hits the cap

@@ -13,16 +13,20 @@ The ``ref_*`` word maps are the letter walks that ``group._substitute``
 replaced; their outputs must match letter for letter.
 
 ``ref_base_conjugacy_solve`` is the dense integer solve that
-``base_conjugacy_solve`` ran for every exponent sum sigma; for sigma != 0
-an exact division in Z wr Z replaced it, and the conjugator is then
-unique, so both must return the same e.  ``ref_wreath_image`` is the
-letter-by-letter product in Z wr Z that the lamp-polynomial fold replaced.
+``base_conjugacy_solve`` ran for every exponent sum sigma, building its
+system over affine expressions (``_expr_add``) with the isomorphism
+written out by hand.  For sigma != 0 an exact division in Z wr Z replaced
+it, and the conjugator is then unique; for sigma = 0 the library builds
+the same rows, in the same order, one column per unknown through the
+lattice kernels.  Both must return the same e.  ``ref_wreath_image`` is
+the letter-by-letter product in Z wr Z that the lamp-polynomial fold
+replaced.
 
 ``ref_cyclic_reduce`` rotated one wraparound pinch at a time and let the
 reducer fire it; ``ref_are_conjugate`` handed every rotation of matching
 shape to the solver, where ``are_conjugate`` first screens rotations by
-their lamp polynomials mod X^sigma - 1.  Cores, conjugators and witnesses
-must match letter for letter.
+their lamp polynomials mod X^sigma - 1 (exactly, for sigma = 0).  Cores,
+conjugators and witnesses must match letter for letter.
 
 ``ref_wreath_trivial_words`` is the depth-first search with incremental
 lamp state that the meet-in-the-middle join replaced; both must list the
@@ -51,7 +55,6 @@ from bslim.group import (
     NormalForm,
     ReducedForm,
     _b_exponent,
-    _expr_add,
     _letters_to_alt,
     _merge_into,
     _reduce_alt,
@@ -78,8 +81,8 @@ from bslim.lattice import (
     GroupCtx,
     _down,
     _emxi_value,
-    _in_e1,
     _in_emxi,
+    _q_inverse,
     _up,
     a_conjugate,
     fixed_interval,
@@ -252,7 +255,7 @@ def ref_cyclic_reduce(ctx, w):
         d_last, d_first = deltas[-1], deltas[0]
         if d_last == 1 and d_first == -1 and _in_emxi(ctx, lead):
             pass  # wraparound pinch, rotate below
-        elif d_last == -1 and d_first == 1 and _in_e1(lead):
+        elif d_last == -1 and d_first == 1 and not lead.get(0, 0):
             pass
         else:
             break
@@ -349,10 +352,17 @@ def test_lattice_kernels_agree(m, xi):
         if new_up == ("ok", None):
             new_up = ("PinchDomainViolation", None)
         agree(new_up, outcome(ref_up, ctx, seg))
-        agree(outcome(_down, ctx, seg), outcome(ref_down, ctx, seg))
+        new_down = outcome(_down, ctx, seg)
+        if new_down == ("ok", None):
+            new_down = ("PinchDomainViolation", None)
+        agree(new_down, outcome(ref_down, ctx, seg))
         x = EVec.from_items(seg)
         new_q = outcome(lambda: q_poly(ctx, x).coeffs)
         agree(new_q, outcome(ref_q_poly, ctx, x))
+        if new_q[0] == "ok" and new_q[1]:  # q inverts on its image, and only there
+            assert _q_inverse(ctx, new_q[1]) == x
+            off_image = outcome(_q_inverse, ctx, new_q[1] + (1,))  # q(x) + X^(deg+1)
+            assert off_image in (("ok", None), ("budget", FINITE_LEN + 1))
         cap = rng.randint(1, 12)
         agree(outcome(fixed_interval, ctx, x, cap), outcome(ref_fixed_interval, ctx, x, cap))
 
@@ -643,6 +653,17 @@ def test_hom_check_substitution_agrees(m, xi, monkeypatch):
 # --- conjugacy base solver --------------------------------------------------------
 
 
+def _expr_add(dst: dict[int, int], src: dict[int, int], k: int = 1) -> None:
+    if not k:
+        return
+    for var, c in src.items():
+        new = dst.get(var, 0) + k * c
+        if new:
+            dst[var] = new
+        elif var in dst:
+            del dst[var]
+
+
 def ref_base_conjugacy_solve(ctx, u, v):
     """The dense solve: propagate e through the stable letters, one linear
     equation per E_1 membership, one congruence per E_{m,xi} membership,
@@ -782,9 +803,8 @@ SOLVE_CASES = [(m, xi) for m in MODULI for xi in ("int:7", "rat:-5/11", params(m
 
 @pytest.mark.parametrize("m,xi", SOLVE_CASES)
 def test_base_conjugacy_solve_agrees(m, xi):
-    """sigma != 0: the same e (or None) as the dense solve, and a division
-    candidate only when the lamp equation holds; sigma = 0: the same
-    verdict."""
+    """The same e (or None) as the dense solve; for sigma != 0, a division
+    candidate only when the lamp equation holds."""
     rng = random.Random(f"c{m}{xi}")
     ctx = GroupCtx.make(m, xi)
     seen, candidates = set(), set()
@@ -792,8 +812,8 @@ def test_base_conjugacy_solve_agrees(m, xi):
     for u, v in pairs:
         e = base_conjugacy_solve(ctx, u, v)
         ref = ref_base_conjugacy_solve(ctx, u, v)
+        assert e == ref
         if u.sigma:
-            assert e == ref
             cand = _wreath_candidate(ctx, u, v)
             if ref is not None:
                 assert cand == ref
@@ -801,8 +821,6 @@ def test_base_conjugacy_solve_agrees(m, xi):
                 conj = word_from_evec(cand) * v.to_word() * word_from_evec(-cand)
                 assert wreath_image(ctx, conj) == wreath_image(ctx, u.to_word())
             candidates.add((cand is not None, ref is not None))
-        else:
-            assert (e is None) == (ref is None)
         seen.add(((u.sigma > 0) - (u.sigma < 0), ref is not None))
     assert seen == {(sign, solvable) for sign in (1, 0, -1) for solvable in (True, False)}
     # no candidate, a candidate the word problem rejects, a conjugator
@@ -869,8 +887,9 @@ def unrelated_pairs(rng, m, count):
 @pytest.mark.parametrize("m,xi", SOLVE_CASES)
 def test_are_conjugate_agrees(m, xi, monkeypatch):
     """The same cores, conjugators and witnesses as the unscreened rotation
-    loop; and every rotation of matching shape that the residue screen
-    keeps from the solver (sigma != 0) has no division candidate."""
+    loop; and every rotation of matching shape that the lamp screen keeps
+    from the solver has no division candidate (sigma != 0) or no solution
+    of the dense solve (sigma = 0)."""
     rng = random.Random(f"k{m}{xi}")
     ctx = GroupCtx.make(m, xi)
     rotation, tried = group._rotation, []
@@ -885,7 +904,7 @@ def test_are_conjugate_agrees(m, xi, monkeypatch):
         *base_pairs(rng, m, 20),
         *unrelated_pairs(rng, m, 20),
     ]
-    seen, screened = set(), 0
+    seen, screened = set(), {0: 0, 1: 0}
     for v, w in pairs:
         (cv, p), (cw, q) = cyclic_reduce(ctx, v), cyclic_reduce(ctx, w)
         assert ((cv, p.letters), (cw, q.letters)) == tuple(
@@ -897,16 +916,19 @@ def test_are_conjugate_agrees(m, xi, monkeypatch):
         assert (got and got.letters) == (ref and ref.letters)
         kind = (cv.sigma > 0) - (cv.sigma < 0) if cv.t_length else "t0"
         seen.add((kind, got is not None))
-        if not cv.sigma or (cv.t_length, cv.sigma) != (cw.t_length, cw.sigma):
+        if not cv.t_length or (cv.t_length, cv.sigma) != (cw.t_length, cw.sigma):
             continue
         stop = tried[-1] if got is not None else cw.t_length
         for j in range(stop):
             rot = rotation(cw, j)[0]
             if rot.deltas == cv.deltas and j not in tried:
-                screened += 1
-                assert _wreath_candidate(ctx, cv, rot) is None
+                screened[bool(cv.sigma)] += 1
+                if cv.sigma:
+                    assert _wreath_candidate(ctx, cv, rot) is None
+                else:
+                    assert ref_base_conjugacy_solve(ctx, cv, rot) is None
     assert seen == {(kind, found) for kind in (1, 0, -1, "t0") for found in (True, False)}
-    assert screened
+    assert all(screened.values())
 
 
 def ref_wreath_image(ctx, w):
