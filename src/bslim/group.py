@@ -239,15 +239,11 @@ class ReducedForm:
         return GroupWord(tuple(letters))
 
 
-NORMAL_FORM_POLICY = "after a: j*e0 with 0<=j<|m|; after a^-1: j*e0 with j in Z"
-
-
 @dataclass(frozen=True)
 class NormalForm(ReducedForm):
     """The unique reduced form whose segments after each stable letter lie
-    in the fixed coset-representative sets."""
-
-    policy: str = NORMAL_FORM_POLICY
+    in the fixed coset-representative sets: after a, j*e0 with
+    0 <= j < |m|; after a^-1, j*e0 with j in Z."""
 
 
 # --- the reduction engine (dict-based hot path) -------------------------------
@@ -406,21 +402,9 @@ def _rotation(core: ReducedForm, j: int) -> tuple[ReducedForm, GroupWord]:
     """The j-th cyclic permutation of a cyclically reduced core (trailing
     segment zero), with the conjugator g_j such that g_j^-1 core g_j equals
     the rotation."""
-    if j == 0:
-        return core, GroupWord(())
-    segs = list(core.segments)
-    deltas = list(core.deltas)
-    l = len(deltas)
-    prefix = ReducedForm(core.segments[:j] + (EVec.zero(),), core.deltas[:j])
-    new_segs = (
-        [segs[j]]
-        + segs[j + 1 : l]
-        + [segs[l] + segs[0]]
-        + segs[1:j]
-        + [EVec.zero()]
-    )
-    new_deltas = deltas[j:] + deltas[:j]
-    return ReducedForm(tuple(new_segs), tuple(new_deltas)), prefix.to_word()
+    segs, deltas, zero = core.segments[:-1], core.deltas, (EVec.zero(),)
+    prefix = ReducedForm(segs[:j] + zero, deltas[:j])
+    return ReducedForm(segs[j:] + segs[:j] + zero, deltas[j:] + deltas[:j]), prefix.to_word()
 
 
 def _lamp_fold(ctx: GroupCtx, segs: Iterable[EVec], deltas) -> LaurentPoly:

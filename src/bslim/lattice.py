@@ -19,7 +19,6 @@ Any operation touching support index k reads at most k digits.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
@@ -137,24 +136,21 @@ def format_evec(vec: EVec) -> str:
 
 
 class GroupCtx:
-    """A marked group with its shared digit stream and digit table.
+    """A marked group with its shared digit stream.
 
-    ``m_abs`` is |m| and ``rs`` is the digit table: ``rs[0] = 1`` (the
-    weight of e_0) and ``rs[i] = r_i``, so the E_{m,xi} value
-    beta_0 + sum_i beta_i r_i is one dot product with ``rs``.  Kernels
-    call :meth:`table` with the largest index they need, once per call,
-    and then index ``rs`` directly.  The table only grows, in index order
-    and under a lock, by reading ``digits.digit``; so a budget or a finite
-    digit sequence raises :class:`RDigitBudgetExceeded` at the first
-    missing index.  Read-only otherwise, and safe to share between threads.
+    ``m_abs`` is |m| and ``rs`` is the stream's digit table, the same list:
+    ``rs[0] = 1`` (the weight of e_0) and ``rs[i] = r_i``, so the E_{m,xi}
+    value beta_0 + sum_i beta_i r_i is one dot product with ``rs``.
+    Kernels call :meth:`table` with the largest index they need, once per
+    call, and then index ``rs`` directly.  Read-only otherwise, and safe to
+    share between threads.
     """
 
-    def __init__(self, spec: MarkedGroupSpec, digits: Optional[RDigitStream] = None):
+    def __init__(self, spec: MarkedGroupSpec, budget: Optional[int] = None):
         self.spec = spec
-        self.digits = digits if digits is not None else RDigitStream(spec)
+        self.digits = RDigitStream(spec, budget)
         self.m_abs = spec.m_abs
-        self.rs = [1]
-        self._lock = threading.Lock()
+        self.rs = self.digits.rs
 
     @classmethod
     def make(
@@ -162,18 +158,13 @@ class GroupCtx:
     ) -> "GroupCtx":
         if isinstance(xi, str):
             xi = parse_xi(xi)
-        spec = MarkedGroupSpec(m, xi)
-        return cls(spec, RDigitStream(spec, budget=budget))
+        return cls(MarkedGroupSpec(m, xi), budget)
 
     def table(self, k: int) -> list[int]:
         """The digit table, grown to hold at least rs[0..k]."""
-        rs = self.rs
-        if k >= len(rs):
-            with self._lock:
-                digit = self.digits.digit
-                while len(rs) <= k:
-                    rs.append(digit(len(rs)))
-        return rs
+        if k >= len(self.rs):
+            self.digits.digit(k)
+        return self.rs
 
     def r(self, i: int) -> int:
         return self.digits.digit(i)

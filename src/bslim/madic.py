@@ -266,47 +266,43 @@ def _xi_fraction(spec: MarkedGroupSpec) -> Fraction:
 class RDigitStream:
     """Memoized, on-demand access to the digits r_1, r_2, ... of a spec.
 
-    Recomputation from scratch yields identical digits.  A stream may be
-    shared between threads: memoized reads take no lock, and growth runs
-    under a lock that appends t_i before r_i, so a reader that sees r_i
-    also sees t_i.  An optional ``budget`` caps the highest digit index
-    that may be read.
+    ``rs`` is the one digit table of the parameter: ``rs[0] = 1`` (the
+    weight of e_0, which the lattice kernels read) and ``rs[i] = r_i``.
+    It grows one index at a time, in index order and under a lock, so a
+    budget or the end of a finite digit sequence raises
+    :class:`RDigitBudgetExceeded` at the first missing index.  Reads of
+    stored digits take no lock, and an exact parameter appends t_i before
+    r_i, so a reader that sees r_i also sees t_i; a stream may be shared
+    between threads.  Recomputation from scratch yields identical digits.
     """
 
     def __init__(self, spec: MarkedGroupSpec, budget: int | None = None):
         self.spec = spec
         self.budget = budget
+        self.rs = [1]
         self._lock = threading.Lock()
-        self._r: list[int] = []
-        if isinstance(spec.xi_norm, EXACT_KINDS):
-            xi = _xi_fraction(spec)
-            self._p, self._q = xi.numerator, xi.denominator
+        xi = spec.xi_norm
+        if isinstance(xi, EXACT_KINDS):
+            frac = _xi_fraction(spec)
+            self._p, self._q = frac.numerator, frac.denominator
             self._t: list[int] | None = [1]  # t_0 = s_0 = 1
-        else:
+        else:  # a finite sequence is a preperiod with no period
             self._t = None
+            finite = isinstance(xi, XiSeqFinite)
+            self._pre, self._per = (xi.digits, ()) if finite else (xi.preperiod, xi.period)
 
     def digit(self, i: int) -> int:
         """Return r_i (1-based)."""
         if i < 1:
             raise ValueError("digit indices start at 1")
-        if self.budget is not None and i > self.budget:
-            raise RDigitBudgetExceeded(i, f"digit r_{i} exceeds budget {self.budget}")
-        xi = self.spec.xi_norm
-        if isinstance(xi, XiSeqFinite):
-            if i > len(xi.digits):
-                raise RDigitBudgetExceeded(i)
-            return xi.digits[i - 1]
-        if isinstance(xi, XiSeqPeriodic):
-            if i <= len(xi.preperiod):
-                return xi.preperiod[i - 1]
-            k = (i - len(xi.preperiod) - 1) % len(xi.period)
-            return xi.period[k]
-        if len(self._r) < i:
-            self._extend(i)
-        return self._r[i - 1]
+        if i >= len(self.rs):
+            self._grow(i)
+        return self.rs[i]
 
     def digits(self, count: int) -> list[int]:
-        return [self.digit(i) for i in range(1, count + 1)]
+        if count > 0:
+            self.digit(count)
+        return self.rs[1 : count + 1]
 
     def s_value(self, i: int) -> Fraction:
         """Return s_i (0-based; s_0 = 1) as an exact rational."""
@@ -316,19 +312,33 @@ class RDigitStream:
             )
         if i < 0:
             raise ValueError("s indices start at 0")
-        if len(self._r) < i:
-            self._extend(i)
+        if i >= len(self._t):
+            self._grow(i)
         return Fraction(self._t[i], self._q**i)
 
-    def _extend(self, i: int) -> None:
-        m, p, q = self.spec.m_abs, self._p, self._q
+    def _grow(self, i: int) -> None:
+        rs = self.rs
+        step = self._sequence_step if self._t is None else self._exact_step
         with self._lock:
-            while len(self._r) < i:
-                k = len(self._r) + 1
-                t = self._t[-1]
-                r = p * t * pow(q, -k, m) % m
-                self._t.append((p * t - r * q**k) // m)
-                self._r.append(r)
+            while len(rs) <= i:
+                k = len(rs)
+                if self.budget is not None and k > self.budget:
+                    raise RDigitBudgetExceeded(k, f"digit r_{k} exceeds budget {self.budget}")
+                rs.append(step(k))
+
+    def _exact_step(self, k: int) -> int:
+        m, p, q, t = self.spec.m_abs, self._p, self._q, self._t[-1]
+        r = p * t * pow(q, -k, m) % m
+        self._t.append((p * t - r * q**k) // m)
+        return r
+
+    def _sequence_step(self, k: int) -> int:
+        pre, per = self._pre, self._per
+        if k <= len(pre):
+            return pre[k - 1]
+        if not per:
+            raise RDigitBudgetExceeded(k)
+        return per[(k - len(pre) - 1) % len(per)]
 
 
 def r_digits(spec: MarkedGroupSpec, count: int) -> list[int]:

@@ -16,6 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import (
     GcdMismatch,
     OracleInconsistent,
+    RDigitBudgetExceeded,
     SameGroup,
     UndecidableSpec,
 )
@@ -60,21 +61,10 @@ class DistanceBounds:
 
 def b_i_word(ctx: GroupCtx, i: int) -> GroupWord:
     """The i-th commuting generator as a compact word: b_1 = a b^m a^-1 and
-    b_i = a b_{i-1} b^(-r_{i-1}) a^-1."""
+    b_i = a b_{i-1} b^(-r_{i-1}) a^-1, which unfolds to w(|m|; r_1..r_{i-1})."""
     if i < 1:
         raise ValueError("generator indices start at 1")
-    m = ctx.m_abs
-    rs = ctx.table(i - 1)
-    word = (
-        GroupWord((ALetter(1),))
-        * GroupWord((BaseLetter(EVec.basis(0, m)),))
-        * GroupWord((ALetter(-1),))
-    )
-    for k in range(2, i + 1):
-        r = rs[k - 1]
-        tail = GroupWord((BaseLetter(EVec.basis(0, -r)),)) if r else GroupWord(())
-        word = GroupWord((ALetter(1),)) * word * tail * GroupWord((ALetter(-1),))
-    return word
+    return w_word(ctx.m_abs, ctx.digits.digits(i - 1))
 
 
 def v_k_word(k: int) -> GroupWord:
@@ -313,26 +303,19 @@ def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
 def _first_digit_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int:
     """1-based index of the first differing digit; raises SameGroup when
     the scan cannot find one."""
+    finite = isinstance(a.xi_norm, XiSeqFinite) or isinstance(b.xi_norm, XiSeqFinite)
+    if not finite and _streams_equal_exact(a, b):
+        raise SameGroup("the digit streams agree at every index")
     sa, sb = RDigitStream(a), RDigitStream(b)
-    finite_horizon = None
-    for spec in (a, b):
-        if isinstance(spec.xi_norm, XiSeqFinite):
-            n = len(spec.xi_norm.digits)
-            finite_horizon = n if finite_horizon is None else min(finite_horizon, n)
-    if finite_horizon is None:
-        if _streams_equal_exact(a, b):
-            raise SameGroup("the digit streams agree at every index")
-        i = 1
-        while True:
-            if sa.digit(i) != sb.digit(i):
-                return i
+    i = 1
+    try:
+        while sa.digit(i) == sb.digit(i):
             i += 1
-    for i in range(1, finite_horizon + 1):
-        if sa.digit(i) != sb.digit(i):
-            return i
-    raise SameGroup(
-        f"no differing digit within the available {finite_horizon} digits"
-    )
+    except RDigitBudgetExceeded as exc:
+        raise SameGroup(
+            f"no differing digit within the available {exc.index - 1} digits"
+        ) from None
+    return i
 
 
 def distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBounds:

@@ -195,3 +195,36 @@ def test_digit_table_growth_under_thread_switching():
     assert not errors
     assert ctx.rs == expect[: len(ctx.rs)]
     assert ctx.digits.digits(400) == expect[1:]
+
+
+def test_fresh_tables_grow_once_under_a_barrier_start():
+    # six threads released at once all grow the same fresh table; without
+    # the stream's lock two of them store the same index and shift the rest
+    spec = MarkedGroupSpec(3, XiRat(5, 7))
+    expect = [1] + r_digits(spec, 300)
+    errors = []
+
+    def worker(ctx, barrier):
+        try:
+            barrier.wait(timeout=60)
+            if ctx.table(300)[:301] != expect:
+                errors.append("read")
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            ctx, barrier = GroupCtx(spec), threading.Barrier(6)
+            threads = [threading.Thread(target=worker, args=(ctx, barrier)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            if ctx.rs != expect:
+                errors.append("table")
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors

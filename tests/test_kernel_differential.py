@@ -931,6 +931,24 @@ def test_are_conjugate_agrees(m, xi, monkeypatch):
     assert all(screened.values())
 
 
+@pytest.mark.parametrize("m,xi", SOLVE_CASES)
+def test_rotation_is_the_conjugated_core(m, xi):
+    """For every j, g_j^-1 core g_j and the j-th rotation of a cyclically
+    reduced core are the same element, with the deltas rotated by j."""
+    rng = random.Random(f"r{m}{xi}")
+    ctx = GroupCtx.make(m, xi)
+    cases = 0
+    for v, w in conjugate_pairs(rng, m, 60):
+        for core in (cyclic_reduce(ctx, x)[0] for x in (v, w)):
+            for j in range(core.t_length):
+                rot, gj = _rotation(core, j)
+                assert rot.deltas == core.deltas[j:] + core.deltas[:j]
+                conj = gj.inverse() * core.to_word() * gj
+                assert normal_form(ctx, conj) == normal_form(ctx, rot.to_word())
+                cases += 1
+    assert cases >= 100
+
+
 def ref_wreath_image(ctx, w):
     """The letter-by-letter product in Z wr Z."""
     steps = {1: WreathElem(LaurentPoly(), 1), -1: WreathElem(LaurentPoly(), -1)}

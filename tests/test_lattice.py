@@ -250,6 +250,14 @@ def test_digit_table_grows_in_index_order():
     assert ctx.rs == [1, 1, 1, 1]  # rs[0] = 1 is the weight of e_0
 
 
+def test_context_shares_the_stream_table():
+    ctx = GroupCtx.make(3, "rseq:2,1;0,1,2")
+    assert ctx.rs is ctx.digits.rs
+    assert ctx.table(7) is ctx.rs
+    assert ctx.rs == [1, 2, 1, 0, 1, 2, 0, 1]
+    assert ctx.digits.digits(7) == ctx.rs[1:]
+
+
 def test_fixed_interval_counts_up_shifts(ctx23):
     # 4 e_0 allows exactly two up-shifts for m=2, xi=3:
     # 4e_0 -> 2e_1 -> e_1 + e_2 (value 2 -> not divisible... check by oracle)

@@ -112,6 +112,19 @@ def test_stream_budget_and_determinism():
     assert RDigitStream(spec(2, XiInt(3))).digits(3) == st.digits(3)
 
 
+def test_direct_reads_name_the_first_missing_index():
+    # the one table grows in index order, so a read past the budget or the
+    # end of a finite sequence names the first index it could not store
+    st = RDigitStream(spec(2, XiInt(3)), budget=3)
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        st.digit(6)
+    assert info.value.index == 4
+    assert st.rs == [1, 1, 1, 1]  # rs[0] = 1 is the weight of e_0
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        RDigitStream(spec(2, XiSeqFinite((1, 0)))).digit(5)
+    assert info.value.index == 3
+
+
 def test_rat_denominator_must_be_unit():
     with pytest.raises(NonInvertibleDenominator):
         spec(2, XiRat(1, 2))
