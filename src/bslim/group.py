@@ -24,21 +24,21 @@ X^-s_j (P_w + (X^sigma - 1) P_g), so mod X^sigma - 1 its residues are those
 of P_w shifted cyclically by s_j, and each core is folded into its |sigma|
 residues once.  X^sigma - 1 is monic, so the division leaves no remainder
 only if the residues of u and of the rotation agree: the screen rejects
-just the rotations the division would.  If sigma = 0, X^sigma - 1 = 0, so
-the screen compares the lamp polynomials themselves, X^-s_j P_w against
-P_v, and e is propagated through the stable letters, one column per
-unknown mapped by the lattice kernels, into a finite integer linear
-system.
+just the rotations the division would.  If sigma = 0, X^sigma - 1 = 0:
+the screen compares X^-s_j P_w with P_v themselves, and e drops out of
+the lamp equation, so any e on which the pinch chain of e v e^-1 u^-1
+is defined is a conjugator once the screen passes; a lift from the peak
+of the stable-letter heights finds one, a congruence mod m per depth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Literal, Optional, Union
 
 from .errors import ParseError, ShapeMismatch, WitnessCheckFailed
-from .intsolve import solve_integer_system
 from .lattice import (
     EVec,
     GroupCtx,
@@ -454,53 +454,91 @@ def _wreath_candidate(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional
     return _q_inverse(ctx, quot[: max(top, 0)])
 
 
-def base_conjugacy_solve(
-    ctx: GroupCtx, u: ReducedForm, v: ReducedForm
-) -> Optional[EVec]:
+def _scaled_sum(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    out = {i: a * c for i, c in x.items() if a}
+    _merge_into(out, {i: b * c for i, c in y.items()})
+    return out
+
+
+def _meet_congruence(ctx: GroupCtx, d: dict[int, int], seeds: list[dict[int, int]]):
+    """d shifted by a seed combination to value 0 mod m (None if no shift
+    does), and the seed combinations of value 0 mod m.  The values are
+    echelonned from a zero pivot of value m: a seed s of value w turns the
+    pivot P of value g into x P + y s of value h = gcd(g, w) = x g + y w,
+    and leaves (w P - g s) / h of value 0 behind."""
+    m = ctx.m_abs
+    pivot, g, kernel = {}, m, []
+    for seed in seeds:
+        w = _emxi_value(ctx, seed) % m
+        h = math.gcd(g, w)
+        kernel.append(_scaled_sum(w // h, pivot, -g // h, seed))
+        if h < g:
+            y = pow(w // h, -1, g // h)
+            pivot, g = _scaled_sum((h - y * w) // g, pivot, y, seed), h
+    c = _emxi_value(ctx, d)
+    if c % g:
+        return None, kernel
+    return _scaled_sum(1, d, -c // g % (m // g), pivot), kernel
+
+
+def _lift_candidate(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional[EVec]:
+    """For sigma = 0, an e on which the chain d <- step(d + y_i - x_i) of
+    e v (-e) u^-1 is defined at every stable letter, or None if none is.
+
+    The walk starts at the peak of the partial sums of the deltas, so each
+    a-step (``_down``) returns to a depth already reached.  As q is
+    injective, the free part of d at depth k is up^k of the seeds that met
+    every congruence so far, whatever the path: in E_1 for k >= 1, and in
+    E_{m,xi} below the deepest depth.  So only the first a^-1-step to each
+    depth constrains, by one congruence mod m; every other step checks d.
+    The seeds are e_0, e_1, ... below the dense cap on e (the largest
+    support index plus the t-length plus two) less the peak height, as
+    each a-step lowers the top index by one.  A second, partial lap
+    carries the walk's start to position 0, where d is e.
+    """
+    l = u.t_length
+    diffs = [(y - x).to_dict() for x, y in zip(u.segments, v.segments)]
+    heights = list(accumulate(u.deltas[:-1], initial=0))
+    p = heights.index(max(heights))
+    order = [*range(p, l), *range(p)]
+    cap = max(u.max_support_index(), v.max_support_index(), 0) + l + 2 - heights[p]
+    seeds = [{j: 1} for j in range(cap)]
+    d: Optional[dict[int, int]] = {}
+    depth = deepest = 0
+    for i in order + order[: (l - p) % l]:
+        _merge_into(d, diffs[i])
+        if u.deltas[i] == 1:
+            d, depth = _down(ctx, d), depth - 1
+        else:
+            if depth == deepest:  # a new depth
+                d, seeds = _meet_congruence(ctx, d, seeds)
+                if d is None:
+                    return None
+                seeds, deepest = [_up(ctx, s) for s in seeds], deepest + 1
+            d, depth = _up(ctx, d), depth + 1
+        if d is None:
+            return None
+        if i == l - 1:  # the chain closes through d + y_l - x_l = e
+            _merge_into(d, diffs[l])
+    return _evec(d)
+
+
+def base_conjugacy_solve(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional[EVec]:
     """An e in E with e v (-e) = u, or None.
 
-    When sigma != 0, exact division in Z wr Z leaves one candidate (see the
-    module docstring) and the word problem decides it.  When sigma = 0,
-    d = e + y_0 - x_0 is carried left to right, a constant plus one column
-    per unknown: through a, d in E_1 is one equation on the e_0 entries,
-    then ``_down`` maps each; through a^-1, d in E_{m,xi} is one congruence
-    value(d) = m t with a fresh integer t at e_1, the rest shifted up; then
-    y_i - x_i is added.  The loop closes with d - e = 0, and the system is
-    solved exactly over the integers, with the unknown's support capped at
-    (max support index) + t-length + 1.
+    One candidate, then one word-problem check.  When sigma != 0, exact
+    division in Z wr Z gives the candidate (see the module docstring).
+    When sigma = 0, e drops out of the closing lamp equation, so every e
+    on which the pinch chain of e v (-e) u^-1 is defined conjugates as
+    soon as any does, and :func:`_lift_candidate` lifts one such e.
     """
     if u.t_length == 0 or u.t_length != v.t_length or u.deltas != v.deltas:
         raise ShapeMismatch("cores need equal positive t-length and deltas")
-    if u.sigma:
-        e = _wreath_candidate(ctx, u, v)
-        if e is None:
-            return None
-        check = word_from_evec(e) * v.to_word() * word_from_evec(-e) * u.to_word().inverse()
-        return e if is_trivial(ctx, check) else None
-    l = u.t_length
-    n_e = max(u.max_support_index(), v.max_support_index(), 0) + l + 2
-    # d's constant, then one column per unknown: c_0 .. c_{n_e - 1}, the
-    # coordinates of e, and one t per a^-1; a row [k, a_0, ...] reads k + sum a_i z_i = 0
-    cols: list[dict[int, int]] = [{}] + [{j: 1} for j in range(n_e)]
-    rows: list[list[int]] = []
-    for i, delta in enumerate(u.deltas):
-        _merge_into(cols[0], (v.segments[i] - u.segments[i]).to_dict())
-        if delta == 1:
-            rows.append([col.pop(0, 0) for col in cols])
-            cols = [_down(ctx, col) for col in cols]
-        else:
-            rows.append([_emxi_value(ctx, col) for col in cols] + [-ctx.m_abs])
-            cols = [{j + 1: c for j, c in col.items() if j} for col in cols] + [{1: 1}]
-    _merge_into(cols[0], (v.segments[l] - u.segments[l]).to_dict())
-    for j in range(n_e):  # the loop closes with d - e = 0
-        _merge_into(cols[j + 1], {j: -1})
-    # each pass moves a coordinate by at most one
-    rows += ([col.get(j, 0) for col in cols] for j in range(n_e + l))
-    rows = [row + [0] * (len(cols) - len(row)) for row in rows if any(row)]
-    sol = solve_integer_system([row[1:] for row in rows], [-row[0] for row in rows])
-    if sol is None:
+    e = (_wreath_candidate if u.sigma else _lift_candidate)(ctx, u, v)
+    if e is None:
         return None
-    return EVec.from_items({j: sol[j] for j in range(n_e)})
+    check = word_from_evec(e) * v.to_word() * word_from_evec(-e) * u.to_word().inverse()
+    return e if is_trivial(ctx, check) else None
 
 
 def are_conjugate(

@@ -286,6 +286,7 @@ class RDigitStream:
             frac = _xi_fraction(spec)
             self._p, self._q = frac.numerator, frac.denominator
             self._t: list[int] | None = [1]  # t_0 = s_0 = 1
+            self._q_powers = 1, 1  # q^k and q^-k mod m at the last step k
         else:  # a finite sequence is a preperiod with no period
             self._t = None
             finite = isinstance(xi, XiSeqFinite)
@@ -328,8 +329,10 @@ class RDigitStream:
 
     def _exact_step(self, k: int) -> int:
         m, p, q, t = self.spec.m_abs, self._p, self._q, self._t[-1]
-        r = p * t * pow(q, -k, m) % m
-        self._t.append((p * t - r * q**k) // m)
+        qk, q_inv_k = self._q_powers[0] * q, self._q_powers[1] * pow(q, -1, m) % m
+        self._q_powers = qk, q_inv_k
+        r = p * t * q_inv_k % m
+        self._t.append((p * t - r * qk) // m)
         return r
 
     def _sequence_step(self, k: int) -> int:

@@ -344,6 +344,26 @@ def test_stress_class_answers_under_cap(tlength):
                 print(f"t-length {tlength}, positive={positive}: {spent * 1e3:.0f} ms")
 
 
+def test_sigma_zero_class_answers_under_cap():
+    """m = 3, xi = 1/2, sigma = 0 at t-length 128: 64 a and 64 A shuffled,
+    each followed by one to two b or B, conjugated by six random letters.
+    The dense integer solve ran past 4 s on pairs 3, 9 and 18 (counting
+    from 0); the lift answers each pair within 1 s of process time."""
+    ctx = GroupCtx.make(3, "rat:1/2")
+    rng = random.Random(1)
+    for _ in range(24):
+        stable = ["a"] * 64 + ["A"] * 64
+        rng.shuffle(stable)
+        w = W("".join(x + rng.choice("bB") * rng.randint(1, 2) for x in stable))
+        g = W("".join(rng.choice("aAbB") for _ in range(6)))
+        v = g * w * g.inverse()
+        start = time.process_time()
+        found = are_conjugate(ctx, v, w)
+        assert time.process_time() - start < 1.0
+        assert found is not None
+        assert_witness(ctx, v, w, found)
+
+
 # --- sigma and t-length -------------------------------------------------------------
 
 def test_sigma_tlength_examples(ctx23):

@@ -1,7 +1,10 @@
+"""The dense integer solver that ``ref_base_conjugacy_solve`` runs, kept
+in the tests as the reference for the sigma = 0 lift."""
+
 import itertools
 import random
 
-from bslim.intsolve import solve_integer_system
+from test_kernel_differential import solve_integer_system
 
 
 def check(rows, rhs, sol):

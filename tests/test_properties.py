@@ -1,5 +1,6 @@
-"""Property tests of the conjugacy decision, derandomized so every run
-draws the same examples (the profile in conftest.py).
+"""Property tests of the conjugacy decision, the normal form and the word
+problem, derandomized so every run draws the same examples (the profile
+in conftest.py).
 
 For random words w and g over {a, b}: g w g^-1 is conjugate to w, through
 a witness the word problem confirms; and g w g^-1 is never conjugate to
@@ -13,15 +14,24 @@ w b's core before the base solver runs: when sigma != 0, P(1) is also the
 sum of the residues of P mod X^sigma - 1, and a cyclic shift of the
 residues keeps their sum; when sigma = 0, the screen compares the lamp
 polynomials themselves, and a shift by X^s keeps P(1).
+
+Normal forms name group elements, so inserting x x^-1 or a conjugate of
+a defining relator [b, b_i] anywhere leaves the normal form unchanged.
+And the limit group agrees with BS(|m|, n) on every word of length at
+most 2h once n = xi mod |m|^h and n >= |m|^h, the m-adic convergence the
+groups are limits of; the words probed are commutators [b^s, a^j b^k a^-j],
+whose triviality depends on the first j digits.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bslim import group
-from bslim.group import are_conjugate, is_trivial, parse_word
+from bslim import XiInt, group
+from bslim.bsclassic import BSSpec, bs_is_trivial
+from bslim.group import GroupWord, are_conjugate, commutator, is_trivial, normal_form, parse_word
 from bslim.lattice import GroupCtx
+from bslim.markedspace import b_i_word
 from bslim.morphisms import wreath_image
 
 CASES = [(2, "int:3"), (3, "rat:1/2"), (5, "int:7"), (-3, "rseq:2,1;0,1,2")]
@@ -62,3 +72,44 @@ def test_residue_screen_rejects_w_b_without_solving(w, g, case):
         mp.setattr(group, "base_conjugacy_solve", counting_solve)
         assert are_conjugate(ctx, v, ww * parse_word("b")) is None
     assert not calls
+
+
+@given(w=words, g=words, pos=st.integers(0, 14), i=st.integers(0, 3), case=st.sampled_from(CASES))
+def test_normal_form_ignores_inserted_relators(w, g, pos, i, case):
+    """i = 0 inserts x x^-1 for the first letter x of g (or b); i >= 1
+    inserts g [b, b_i] g^-1."""
+    ctx = CTXS[case]
+    ww, gw = parse_word(w), parse_word(g)
+    if i:
+        inserted = gw * commutator(parse_word("b"), b_i_word(ctx, i)) * gw.inverse()
+    else:
+        x = GroupWord(gw.letters[:1]) if g else parse_word("b")
+        inserted = x * x.inverse()
+    pos = min(pos, len(ww.letters))
+    longer = GroupWord(ww.letters[:pos]) * inserted * GroupWord(ww.letters[pos:])
+    assert normal_form(ctx, longer) == normal_form(ctx, ww)
+
+
+BS_CASES = [(2, "int:3"), (3, "rat:1/2"), (5, "int:7"), (-3, "int:2"), (4, "rat:-1/3")]
+BS_CTXS = {case: GroupCtx.make(*case) for case in BS_CASES}
+
+
+def realizing_n(ctx, h):
+    """n >= |m|^h with n = xi mod |m|^h, xi negated for m < 0."""
+    xi, mod = ctx.spec.xi, ctx.m_abs**h
+    p, q = (xi.n, 1) if isinstance(xi, XiInt) else (xi.p, xi.q)
+    return (p if ctx.spec.m > 0 else -p) * pow(q, -1, mod) % mod + mod
+
+
+@given(
+    j=st.integers(0, 4), k=st.integers(-10, 10), s=st.integers(1, 2),
+    g=st.text(alphabet="aAbB", max_size=4), tail=st.sampled_from(["", "b", "a", "abA"]),
+    case=st.sampled_from(BS_CASES),
+)
+def test_word_problem_agrees_with_bs(j, k, s, g, tail, case):
+    ctx = BS_CTXS[case]
+    inner = "a" * j + ("b" if k > 0 else "B") * abs(k) + "A" * j
+    gw = parse_word(g)
+    w = gw * commutator(parse_word("b" * s), parse_word(inner)) * gw.inverse() * parse_word(tail)
+    n = realizing_n(ctx, (len(w.letters) + 1) // 2)
+    assert bs_is_trivial(BSSpec(ctx.m_abs, n), w) == is_trivial(ctx, w)

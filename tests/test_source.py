@@ -60,3 +60,14 @@ def test_b_i_word_is_linear_in_i():
     word = b_i_word(ctx, 20000)
     assert time.process_time() - start < 1.0
     assert len(word.letters) > 20000
+
+
+def test_rational_b_i_word_is_linear_in_i():
+    """A rational parameter's digit step carries q^k and q^-k mod m from
+    the step before; recomputing both at every step made n digits cost
+    quadratic big-integer work."""
+    ctx = GroupCtx.make(3, "rat:3/7")
+    start = time.process_time()
+    word = b_i_word(ctx, 20000)
+    assert time.process_time() - start < 1.0
+    assert len(word.letters) > 20000
