@@ -20,6 +20,7 @@ from .errors import (
     RDigitBudgetExceeded,
     SameGroup,
     ShapeMismatch,
+    SizeLimitExceeded,
     UndecidableSpec,
     UnsupportedSpecKind,
     WitnessCheckFailed,

@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .bsclassic import BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
-from .errors import BslError, ParseError, RDigitBudgetExceeded
+from .errors import BslError, ParseError, RDigitBudgetExceeded, SizeLimitExceeded
 from .group import (
     GroupWord,
     are_conjugate,
@@ -67,12 +67,24 @@ def _word(args, attr: str = "word") -> GroupWord:
     return parse_word(getattr(args, attr), args.alphabet)
 
 
+#: Fixed limits on the size flags.  At each limit the command answers within
+#: 2 s on a 2-core VM; digits and recovery cost about the square of the flag.
+SIZE_LIMITS = {"rdigits": 10_000, "recover": 64, "relator": 10_000}
+
+
+def _sized(args, flag: str) -> Optional[int]:
+    value, limit = getattr(args, flag), SIZE_LIMITS[args.command]
+    if value is not None and abs(value) > limit:
+        raise SizeLimitExceeded(f"|--{flag}| = {abs(value)} is over the limit {limit}")
+    return value
+
+
 # --- command handlers: each returns (plain text, JSON data) ---------------------
 # They name library functions in their bodies, so a wrapper bound here sees each call.
 
 
 def _rdigits(args):
-    digits = r_digits(_spec(args), args.count)
+    digits = r_digits(_spec(args), _sized(args, "count"))
     return " ".join(map(str, digits)), {"digits": digits}
 
 
@@ -125,12 +137,12 @@ def _iso(args):
 
 
 def _recover(args):
-    m_abs, digits = recover_parameters(word_problem_oracle(_spec(args)), args.count)
+    m_abs, digits = recover_parameters(word_problem_oracle(_spec(args)), _sized(args, "count"))
     return f"m={m_abs} digits={' '.join(map(str, digits))}", {"m": m_abs, "digits": digits}
 
 
 def _relator(args):
-    ctx = None
+    index, ctx = _sized(args, "index"), None
     if args.kind == "bi":
         if args.m is None or args.xi is None:
             raise BslError("bi needs --m and --xi")
@@ -138,7 +150,7 @@ def _relator(args):
     digits = None if args.digits is None else _parse_digit_list(args.digits, 0)
     if digits is not None and args.m is not None:
         MarkedGroupSpec(args.m, XiSeqFinite(digits))  # digits in [0, |m|), as for rseq:
-    w = relator(args.kind, ctx=ctx, index=args.index, m=args.m, digits=digits)
+    w = relator(args.kind, ctx=ctx, index=index, m=args.m, digits=digits)
     text = format_word(w, "compact")
     return text, {"word": text}
 

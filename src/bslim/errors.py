@@ -20,6 +20,10 @@ class RDigitBudgetExceeded(BslError):
         super().__init__(message or f"digit r_{index} is not available")
 
 
+class SizeLimitExceeded(BslError):
+    """A size argument (a digit count, a relator index) is over its fixed limit."""
+
+
 class NonInvertibleDenominator(BslError):
     """Rational parameter whose denominator is not a unit modulo m."""
 

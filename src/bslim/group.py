@@ -34,8 +34,9 @@ of the stable-letter heights finds one, a congruence mod m per depth.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Literal, Optional, Union
 
 from .errors import ParseError, ShapeMismatch, WitnessCheckFailed
@@ -93,13 +94,10 @@ class GroupWord:
         return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        out = []
-        for letter in reversed(self.letters):
-            if isinstance(letter, ALetter):
-                out.append(ALetter(-letter.exp))
-            else:
-                out.append(BaseLetter(-letter.vec))
-        return GroupWord(tuple(out))
+        return GroupWord([  # a list: a tuple grown from an iterator keeps slack
+            ALetter(-x.exp) if isinstance(x, ALetter) else BaseLetter(-x.vec)
+            for x in reversed(self.letters)
+        ])
 
     @property
     def is_empty(self) -> bool:
@@ -133,13 +131,10 @@ def _substitute(
     """The image of ``w`` under the homomorphism a -> ``a_image`` (so a^-1 ->
     its inverse) that sends each base letter x to the word ``base_image(x)``."""
     images = {1: a_image.letters, -1: a_image.inverse().letters}
-    letters: list[Letter] = []
-    for letter in w.letters:
-        if isinstance(letter, ALetter):
-            letters.extend(images[letter.exp])
-        else:
-            letters.extend(base_image(letter.vec).letters)
-    return GroupWord(tuple(letters))
+    return GroupWord(list(chain.from_iterable(
+        images[x.exp] if isinstance(x, ALetter) else base_image(x.vec).letters
+        for x in w.letters
+    )))
 
 
 def compact_length(w: GroupWord) -> int:
@@ -147,29 +142,22 @@ def compact_length(w: GroupWord) -> int:
     return len(format_word(w, "compact"))
 
 
-_COMPACT = {
-    "a": A_POS,
-    "A": A_NEG,
-    "b": BaseLetter(EVec.basis(0)),
-    "B": BaseLetter(EVec.basis(0, -1)),
-}
+_B_POS, _B_NEG = BaseLetter(EVec.basis(0)), BaseLetter(EVec.basis(0, -1))
+_COMPACT = {"a": A_POS, "A": A_NEG, "b": _B_POS, "B": _B_NEG}
+_NOT_COMPACT = re.compile("[^aAbB]")
 
 
 def parse_word(text: str, mode: Literal["compact", "extended"] = "compact") -> GroupWord:
     """Parse a word; compact mode is a string over {a, A, b, B}, extended
     mode is whitespace-separated ``a``, ``a^-1`` and ``e<i>^<k>`` tokens."""
     if mode == "compact":
-        letters = []
-        for offset, ch in enumerate(text):
-            letter = _COMPACT.get(ch)
-            if letter is None:
-                raise ParseError(f"invalid symbol {ch!r}", offset)
-            letters.append(letter)
-        return GroupWord(tuple(letters))
+        bad = _NOT_COMPACT.search(text)
+        if bad:
+            raise ParseError(f"invalid symbol {bad.group()!r}", bad.start())
+        return GroupWord(list(map(_COMPACT.__getitem__, text)))  # a list, as in inverse
     if mode != "extended":
         raise ValueError(f"unknown mode {mode!r}")
-    letters = []
-    offset = 0
+    letters, offset = [], 0
     for token in text.split():
         offset = text.index(token, offset)
         if token == "a":
@@ -250,20 +238,31 @@ class NormalForm(ReducedForm):
 
 
 def _letters_to_alt(letters) -> tuple[list[dict[int, int]], list[int]]:
-    segs: list[dict[int, int]] = [{}]
-    deltas: list[int] = []
+    """Each segment's e_0 part is summed in ``e0`` and stored once, at its close;
+    the b and B letters that ``parse_word`` shares are recognised by identity."""
+    segs, deltas, seg, e0 = [], [], {}, 0
     for letter in letters:
-        if isinstance(letter, ALetter):
+        if letter is _B_POS:
+            e0 += 1
+        elif letter is _B_NEG:
+            e0 -= 1
+        elif isinstance(letter, ALetter):
+            if e0:
+                seg[0] = e0
+            segs.append(seg)
             deltas.append(letter.exp)
-            segs.append({})
+            seg, e0 = {}, 0
         else:
-            seg = segs[-1]
             for i, c in letter.vec.entries:
-                new = seg.get(i, 0) + c
-                if new:
-                    seg[i] = new
-                elif i in seg:
-                    del seg[i]
+                if not i:
+                    e0 += c
+                elif seg.get(i, 0) + c:
+                    seg[i] = seg.get(i, 0) + c
+                else:
+                    seg.pop(i, None)
+    if e0:
+        seg[0] = e0
+    segs.append(seg)
     return segs, deltas
 
 
@@ -337,20 +336,23 @@ def _normalize_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int])
 
     Keeps the form reduced: the pushed parts land in the subgroup that the
     pinch condition one step to the left tests, so no pinch can appear.
+    Each push carries everything pushed so far, so it merges with the
+    segment to its left into the larger dict, as in :func:`_reduce_alt`.
     """
     m = ctx.m_abs
     for i in range(len(deltas), 0, -1):
         seg = segs[i]  # replaced by its representative, so edited in place
         if deltas[i - 1] == 1:
             c = _emxi_value(ctx, seg) % m
-            if c:
-                seg[0] = seg.get(0, 0) - c
+            seg[0] = seg.get(0, 0) - c
             push = _up(ctx, seg)
         else:
             c = seg.pop(0, 0)
             push = _down(ctx, seg)
-        segs[i] = {0: c} if c else {}
-        _merge_into(segs[i - 1], push)
+        segs[i], left = ({0: c} if c else {}), segs[i - 1]
+        if len(left) < len(push):
+            segs[i - 1], left, push = push, push, left
+        _merge_into(left, push)
 
 
 def normal_form(ctx: GroupCtx, w: GroupWord) -> NormalForm:

@@ -118,8 +118,7 @@ def _parse_eterm(token: str, offset: int) -> tuple[int, int]:
 def parse_evec(text: str) -> EVec:
     """Parse whitespace-separated ``e<i>^<k>`` tokens (k omitted means 1);
     the empty string is the zero vector."""
-    pairs = []
-    offset = 0
+    pairs, offset = [], 0
     for token in text.split():
         offset = text.index(token, offset)
         pairs.append(_parse_eterm(token, offset))
@@ -129,10 +128,7 @@ def parse_evec(text: str) -> EVec:
 
 def format_evec(vec: EVec) -> str:
     """Inverse of :func:`parse_evec`; the zero vector prints as ''."""
-    parts = []
-    for i, c in vec.entries:
-        parts.append(f"e{i}" if c == 1 else f"e{i}^{c}")
-    return " ".join(parts)
+    return " ".join(f"e{i}" if c == 1 else f"e{i}^{c}" for i, c in vec.entries)
 
 
 class GroupCtx:

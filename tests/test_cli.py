@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bslim.cli import build_parser, main
+from bslim.cli import SIZE_LIMITS, build_parser, main
 from bslim.group import parse_word
 
 
@@ -206,6 +206,33 @@ def test_budget_error_reports_first_missing_index(capsys):
     )
     assert code == 1
     assert "first missing digit index 3" in err
+
+
+SIZE_CASES = {
+    # command: (argv before the size flag, the flag, argv that is cheap at the limit)
+    "rdigits": (("rdigits", "--m", "3", "--xi", "rat:5/7"), "--count",
+                ("rdigits", "--m", "3", "--xi", "int:5")),
+    "recover": (("recover", "--m", "64", "--xi", "rat:5/9"), "--count",
+                ("recover", "--m", "2", "--xi", "int:3")),
+    "relator": (("relator", "--kind", "bi", "--m", "3", "--xi", "rat:5/7"), "--index",
+                ("relator", "--kind", "vk")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIZE_CASES))
+def test_size_limit_exit_1(capsys, command):
+    """Over its fixed limit a size flag fails with exit code 1 before any
+    work: 10^12 digits, probe levels or relator letters would never finish.
+    At the limit a cheap parameter still answers."""
+    prefix, flag, cheap = SIZE_CASES[command]
+    limit = SIZE_LIMITS[command]
+    for value in (limit + 1, -limit - 1, 10**12):
+        code, out, err = run(capsys, *prefix, flag, str(value))
+        assert code == 1 and out == ""
+        message = f"|{flag}| = {abs(value)} is over the limit {limit}"
+        assert err == f"error: SizeLimitExceeded: {message}\n"
+    code, out, _ = run(capsys, *cheap, flag, str(limit))
+    assert code == 0 and out
 
 
 def test_usage_error_exit_2(capsys):

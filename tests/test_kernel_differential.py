@@ -7,7 +7,12 @@ which inputs run past the available digits.
 
 ``ref_reduce`` is the index walk that the one-pass stack reducer
 replaced.  Both fire the leftmost pinch first, so their reduced forms are
-identical, not just equivalent.
+identical, not just equivalent.  ``ref_letters_to_alt`` is the reader
+that merged every letter's entries into its segment dict; the reader now
+sums each segment's e_0 part in an int, and every ``ref_*`` reduction
+starts from the old reader.  ``ref_parse_compact`` is the per-character
+scan that compact parsing replaced: letters, error messages and error
+offsets must all match.
 
 The ``ref_*`` word maps are the letter walks that ``group._substitute``
 replaced; their outputs must match letter for letter.
@@ -37,13 +42,14 @@ same words in the same (lexicographic) order.
 
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
 from bslim import (
     BslError,
     InvalidAutSpec,
+    ParseError,
     PinchDomainViolation,
     RDigitBudgetExceeded,
     WitnessCheckFailed,
@@ -208,20 +214,37 @@ def ref_reduce(ctx, segs, deltas):
         i = max(i - 1, 0)
 
 
+def ref_letters_to_alt(letters):
+    segs, deltas = [{}], []
+    for letter in letters:
+        if isinstance(letter, ALetter):
+            deltas.append(letter.exp)
+            segs.append({})
+        else:
+            seg = segs[-1]
+            for i, c in letter.vec.entries:
+                new = seg.get(i, 0) + c
+                if new:
+                    seg[i] = new
+                elif i in seg:
+                    del seg[i]
+    return segs, deltas
+
+
 def ref_is_trivial(ctx, w):
-    segs, deltas = _letters_to_alt(w.letters)
+    segs, deltas = ref_letters_to_alt(w.letters)
     ref_reduce(ctx, segs, deltas)
     return not deltas and not segs[0]
 
 
 def ref_britton_reduce(ctx, w):
-    segs, deltas = _letters_to_alt(w.letters)
+    segs, deltas = ref_letters_to_alt(w.letters)
     ref_reduce(ctx, segs, deltas)
     return [sorted(s.items()) for s in segs], deltas
 
 
 def ref_normal_form(ctx, w):
-    segs, deltas = _letters_to_alt(w.letters)
+    segs, deltas = ref_letters_to_alt(w.letters)
     ref_reduce(ctx, segs, deltas)
     m = ctx.spec.m_abs
     for i in range(len(deltas), 0, -1):
@@ -245,7 +268,7 @@ def ref_alt_to_form(segs, deltas):
 def ref_cyclic_reduce(ctx, w):
     """Absorb the tail, then rotate one wraparound pinch to the right end
     and let _reduce_alt fire it, until none is left."""
-    segs, deltas = _letters_to_alt(w.letters)
+    segs, deltas = ref_letters_to_alt(w.letters)
     _reduce_alt(ctx, segs, deltas)
     conj = []
     while deltas:
@@ -430,6 +453,119 @@ def test_reduction_agrees(m, xi, monkeypatch):
         assert 2000 <= len(w.letters) <= 4000
         check(w)
     assert {ReducedForm, NormalForm} <= set(forms_built)
+
+
+# --- compact words and the alternating form ----------------------------------------
+
+
+def ref_parse_compact(text):
+    letters = []
+    for offset, ch in enumerate(text):
+        letter = group._COMPACT.get(ch)
+        if letter is None:
+            raise ParseError(f"invalid symbol {ch!r}", offset)
+        letters.append(letter)
+    return GroupWord(tuple(letters))
+
+
+def compact_strings(max_len):
+    """Every string over {a, A, b, B} of length at most ``max_len``."""
+    for n in range(max_len + 1):
+        yield from map("".join, product("aAbB", repeat=n))
+
+
+def test_compact_parse_agrees():
+    """The same shared letter objects, letter for letter, so every word a
+    test builds from compact text (``long_word`` included) is unchanged."""
+    count = 0
+    for text in compact_strings(7):
+        new, ref = parse_word(text).letters, ref_parse_compact(text).letters
+        assert len(new) == len(ref) and all(x is y for x, y in zip(new, ref)), text
+        count += 1
+    assert count == sum(4**n for n in range(8))
+    assert parse_word("") == ref_parse_compact("") == GroupWord(())
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["xab", "abXab", "abAB?", "ab?c!B", "a?b?", "abé", "éab", "a b", " ab", "ab\t",
+     "a\nb", "ab\n", "ab\x00", "aA0bB", "abab\u212a"],
+)
+def test_compact_parse_error_agrees(text):
+    """The first symbol outside {a, A, b, B} is reported, with the same
+    message and offset as the per-character scan."""
+    with pytest.raises(ParseError) as ref:
+        ref_parse_compact(text)
+    with pytest.raises(ParseError) as new:
+        parse_word(text)
+    assert (str(new.value), new.value.offset) == (str(ref.value), ref.value.offset)
+
+
+def alt_mix_word(rng):
+    """b/B runs between fresh a^+-1 letters, fresh k e_0 letters (k = 0
+    included) and base letters over e_0..e_3, so that e_0 parts cancel
+    across letter kinds and e_i entries cancel to zero."""
+    letters = []
+    for _ in range(rng.randint(0, 16)):
+        kind = rng.random()
+        if kind < 0.3:
+            letters += parse_word(rng.choice("bB") * rng.randint(1, 3)).letters
+        elif kind < 0.45:
+            letters.append(ALetter(rng.choice((1, -1))))
+        elif kind < 0.6:
+            letters.append(BaseLetter(EVec.basis(0, rng.randint(-3, 3))))
+        elif kind < 0.8:
+            tokens = [f"e{rng.randint(0, 3)}^{rng.choice((-2, -1, 1, 2))}" for _ in range(2)]
+            letters += parse_word(" ".join(tokens), "extended").letters
+        else:
+            entries = {i: rng.choice((-2, -1, 1, 2)) for i in rng.sample(range(4), 2)}
+            letters.append(BaseLetter(EVec.from_items(entries)))
+    return tuple(letters)
+
+
+def test_letters_to_alt_agrees():
+    """Equal segment dicts (no zero values) and deltas, against the reader
+    that merged every entry into the segment dict."""
+    for text in compact_strings(7):
+        letters = parse_word(text).letters
+        assert _letters_to_alt(letters) == ref_letters_to_alt(letters), text
+    x = parse_word("e0^-2 e3", "extended").letters
+    b, bb = parse_word("b").letters, parse_word("bb").letters
+    cases = [
+        bb + x + parse_word("e3^-1", "extended").letters,  # cancels to the empty segment
+        (ALetter(1),) + b + x + (ALetter(-1),) + bb + x,
+        (BaseLetter(EVec.zero()), BaseLetter(EVec.basis(0, 2))) + parse_word("BB").letters,
+    ]
+    assert _letters_to_alt(cases[0]) == ([{}], [])
+    rng = random.Random("alt")
+    cases += [alt_mix_word(rng) for _ in range(3000)]
+    cancelled = {"e0 across kinds": 0, "e_i": 0}
+    for letters in cases:
+        segs, deltas = _letters_to_alt(letters)
+        assert (segs, deltas) == ref_letters_to_alt(letters), letters
+        for seg, read in zip(segs, indices_read(letters)):
+            cancelled["e0 across kinds"] += read[0] == {"b", "base"} and 0 not in seg
+            cancelled["e_i"] += any(i not in seg for i in read if i)
+    assert min(cancelled.values()) > 100, cancelled
+
+
+def indices_read(letters):
+    """Per segment: the letter kinds ("b" for the shared b and B, "base"
+    for any other) that carried an e_0 entry, under key 0, and the indices
+    i >= 1 of the e_i entries read."""
+    out = [{0: set()}]
+    for letter in letters:
+        if isinstance(letter, ALetter):
+            out.append({0: set()})
+        elif any(letter is x for x in parse_word("bB").letters):
+            out[-1][0].add("b")
+        else:
+            for i, _ in letter.vec.entries:
+                if i:
+                    out[-1][i] = True
+                else:
+                    out[-1][0].add("base")
+    return out
 
 
 # --- letterwise maps --------------------------------------------------------------

@@ -21,17 +21,38 @@ And the limit group agrees with BS(|m|, n) on every word of length at
 most 2h once n = xi mod |m|^h and n >= |m|^h, the m-adic convergence the
 groups are limits of; the words probed are commutators [b^s, a^j b^k a^-j],
 whose triviality depends on the first j digits.
+
+Isomorphism is decided from the labels alone; it must agree with equal
+|m| and equal normalized digits r_1..r_64 for integer, rational and
+periodic parameters of the sizes drawn here, whose distinct digit streams
+part within their first 20 digits (a scan of all integers and rationals
+p/q with |p| <= 40, q < 16 against random sequences, over m = 2..6).
+Every other label of the same group must be found isomorphic:
+(m, xi) -> (-m, -xi), p/q -> fp/fq, and a small integer written out as
+the periodic digit sequence it realizes.
 """
+
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bslim import XiInt, group
+from bslim import (
+    MarkedGroupSpec,
+    RDigitStream,
+    UndecidableSpec,
+    XiInt,
+    XiRat,
+    XiSeqFinite,
+    XiSeqPeriodic,
+    group,
+    r_digits,
+)
 from bslim.bsclassic import BSSpec, bs_is_trivial
 from bslim.group import GroupWord, are_conjugate, commutator, is_trivial, normal_form, parse_word
 from bslim.lattice import GroupCtx
-from bslim.markedspace import b_i_word
+from bslim.markedspace import b_i_word, isomorphic
 from bslim.morphisms import wreath_image
 
 CASES = [(2, "int:3"), (3, "rat:1/2"), (5, "int:7"), (-3, "rseq:2,1;0,1,2")]
@@ -113,3 +134,89 @@ def test_word_problem_agrees_with_bs(j, k, s, g, tail, case):
     w = gw * commutator(parse_word("b" * s), parse_word(inner)) * gw.inverse() * parse_word(tail)
     n = realizing_n(ctx, (len(w.letters) + 1) // 2)
     assert bs_is_trivial(BSSpec(ctx.m_abs, n), w) == is_trivial(ctx, w)
+
+
+ISO_HORIZON = 64
+
+
+@st.composite
+def group_specs(draw, m_abs=None):
+    """An integer, rational or periodic-sequence parameter over a signed m."""
+    m = (m_abs or draw(st.sampled_from((2, 3, 4, 5, 6)))) * draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("int", "rat", "rseq")))
+    if kind == "int":
+        return MarkedGroupSpec(m, XiInt(draw(st.integers(-40, 40))))
+    if kind == "rat":
+        q = draw(st.sampled_from([q for q in range(2, 16) if math.gcd(q, m) == 1]))
+        return MarkedGroupSpec(m, XiRat(draw(st.integers(-40, 40)), q))
+    digit = st.integers(0, abs(m) - 1)
+    pre, per = draw(st.lists(digit, max_size=3)), draw(st.lists(digit, min_size=1, max_size=3))
+    return MarkedGroupSpec(m, XiSeqPeriodic(pre, per))
+
+
+def as_periodic_sequence(spec):
+    """The digits of an integer or rational parameter as preperiod and
+    period, from the first repeat of the state s_i; None if none by s_80."""
+    stream, seen = RDigitStream(spec), {}
+    for i in range(81):
+        s = stream.s_value(i)
+        if s in seen:
+            digits = stream.digits(i)
+            return MarkedGroupSpec(spec.m_abs, XiSeqPeriodic(digits[: seen[s]], digits[seen[s] :]))
+        seen[s] = i
+    return None
+
+
+def same_group(spec, how, f):
+    """Another label of the group of ``spec``, or None if ``how`` does not apply."""
+    m, xi = spec.m, spec.xi
+    if how == "negated":  # digit sequences already name the normalized parameter
+        if isinstance(xi, XiInt):
+            return MarkedGroupSpec(-m, XiInt(-xi.n))
+        return MarkedGroupSpec(-m, XiRat(-xi.p, xi.q) if isinstance(xi, XiRat) else xi)
+    if isinstance(xi, XiSeqPeriodic):
+        return None
+    p, q = (xi.n, 1) if isinstance(xi, XiInt) else (xi.p, xi.q)
+    if how == "scaled":
+        return MarkedGroupSpec(m, XiRat(f * p, f * q)) if math.gcd(f, m) == 1 else None
+    return as_periodic_sequence(spec)
+
+
+SAME_GROUP = ("negated", "scaled", "as rseq")
+
+
+@given(
+    g1=group_specs(),
+    how=st.sampled_from(("any", "same m", "xi negated", "shared prefix") + SAME_GROUP),
+    f=st.integers(2, 7),
+    data=st.data(),
+)
+def test_isomorphic_agrees_with_digit_prefixes(g1, how, f, data):
+    """Beside the labels of one group: any two parameters, two over the
+    same m, xi against -xi over the same m, and a periodic sequence that
+    starts with the first k digits of g1, so that streams agree for k
+    digits or more before they part."""
+    if how in ("any", "same m"):
+        g2 = data.draw(group_specs(g1.m_abs if how == "same m" else None))
+    elif how == "xi negated":
+        g2 = same_group(MarkedGroupSpec(-g1.m, g1.xi), "negated", f)
+    elif how == "shared prefix":
+        prefix = r_digits(g1, data.draw(st.integers(0, 8)))
+        period = data.draw(st.lists(st.integers(0, g1.m_abs - 1), min_size=1, max_size=3))
+        g2 = MarkedGroupSpec(g1.m, XiSeqPeriodic(prefix, period))
+    else:
+        if how == "as rseq":  # small integers have a periodic state s_i
+            g1 = MarkedGroupSpec(g1.m, XiInt(data.draw(st.integers(-g1.m_abs, g1.m_abs))))
+        g2 = same_group(g1, how, f) or g1
+    expect = g1.m_abs == g2.m_abs and r_digits(g1, ISO_HORIZON) == r_digits(g2, ISO_HORIZON)
+    assert isomorphic(g1, g2) == isomorphic(g2, g1) == expect
+    if how in SAME_GROUP:
+        assert expect
+
+
+@given(g=group_specs(), digits=st.lists(st.integers(0, 1), min_size=1, max_size=4))
+def test_isomorphic_rejects_finite_sequences(g, digits):
+    finite = MarkedGroupSpec(g.m, XiSeqFinite(digits))
+    for pair in ((g, finite), (finite, g), (finite, finite)):
+        with pytest.raises(UndecidableSpec):
+            isomorphic(*pair)
