@@ -67,13 +67,15 @@ def _word(args, attr: str = "word") -> GroupWord:
     return parse_word(getattr(args, attr), args.alphabet)
 
 
-#: Fixed limits on the size flags.  At each limit the command answers within
-#: 2 s on a 2-core VM; digits and recovery cost about the square of the flag.
-SIZE_LIMITS = {"rdigits": 10_000, "recover": 64, "relator": 10_000}
+#: Fixed limits on the size flags; at each the command answers within 2 s on
+#: a 2-core VM.  Digits and recovery cost time quadratic in the count, digits
+#: memory linear (`rat:5/7`, m = 3: `rdigits` 0.13 s, 18 MB RSS; `relator` bi
+#: 0.19 s, 20 MB); `dist` grows 6x per two letters (int:1 vs int:5: 0.7 s, 31 MB).
+SIZE_LIMITS = {"dist": 20, "rdigits": 10_000, "recover": 64, "relator": 10_000}
 
 
 def _sized(args, flag: str) -> Optional[int]:
-    value, limit = getattr(args, flag), SIZE_LIMITS[args.command]
+    value, limit = getattr(args, flag.replace("-", "_")), SIZE_LIMITS[args.command]
     if value is not None and abs(value) > limit:
         raise SizeLimitExceeded(f"|--{flag}| = {abs(value)} is over the limit {limit}")
     return value
@@ -115,11 +117,12 @@ def _conj(args):
 
 
 def _dist(args):
-    if args.max_len > 14 and not args.force:
+    max_len = _sized(args, "max-len")
+    if max_len > 14 and not args.force:
         raise BslError("enumeration beyond length 14 needs --force (usage guard)")
-    found = shortest_distinguishing(_spec(args), _spec(args, second=True), args.max_len)
+    found = shortest_distinguishing(_spec(args), _spec(args, second=True), max_len)
     if found is None:
-        return f"none up to length {args.max_len}", {"nu": None, "word": None}
+        return f"none up to length {max_len}", {"nu": None, "word": None}
     length, w = found
     text = format_word(w, "extended")
     return f"len={length} word={text}", {"nu": length, "word": text}

@@ -47,6 +47,7 @@ from .lattice import (
     _emxi_value,
     _parse_eterm,
     _q_inverse,
+    _tokens,
     _up,
     a_conjugate,
     format_evec,
@@ -94,8 +95,9 @@ class GroupWord:
         return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
+        shared = _SHARED_INVERSE.get  # keeps the letters _letters_to_alt knows by identity
         return GroupWord([  # a list: a tuple grown from an iterator keeps slack
-            ALetter(-x.exp) if isinstance(x, ALetter) else BaseLetter(-x.vec)
+            shared(id(x)) or (ALetter(-x.exp) if isinstance(x, ALetter) else BaseLetter(-x.vec))
             for x in reversed(self.letters)
         ])
 
@@ -144,6 +146,7 @@ def compact_length(w: GroupWord) -> int:
 
 _B_POS, _B_NEG = BaseLetter(EVec.basis(0)), BaseLetter(EVec.basis(0, -1))
 _COMPACT = {"a": A_POS, "A": A_NEG, "b": _B_POS, "B": _B_NEG}
+_SHARED_INVERSE = {id(x): y for x, y in zip(_COMPACT.values(), (A_NEG, A_POS, _B_NEG, _B_POS))}
 _NOT_COMPACT = re.compile("[^aAbB]")
 
 
@@ -157,16 +160,14 @@ def parse_word(text: str, mode: Literal["compact", "extended"] = "compact") -> G
         return GroupWord(list(map(_COMPACT.__getitem__, text)))  # a list, as in inverse
     if mode != "extended":
         raise ValueError(f"unknown mode {mode!r}")
-    letters, offset = [], 0
-    for token in text.split():
-        offset = text.index(token, offset)
+    letters = []
+    for token, offset in _tokens(text):
         if token == "a":
             letters.append(A_POS)
         elif token == "a^-1":
             letters.append(A_NEG)
         else:
             letters.append(BaseLetter(EVec.basis(*_parse_eterm(token, offset))))
-        offset += len(token)
     return GroupWord(tuple(letters))
 
 

@@ -102,6 +102,16 @@ class EVec:
         return format_evec(self)
 
 
+def _tokens(text: str):
+    """Each whitespace-separated token of ``text`` with its offset, the
+    position a :class:`ParseError` on it reports."""
+    offset = 0
+    for token in text.split():
+        offset = text.index(token, offset)
+        yield token, offset
+        offset += len(token)
+
+
 def _parse_eterm(token: str, offset: int) -> tuple[int, int]:
     """One ``e<i>^<k>`` token (k omitted means 1) as (i, k); ``offset`` is
     the token's position, reported by :class:`ParseError`."""
@@ -118,12 +128,7 @@ def _parse_eterm(token: str, offset: int) -> tuple[int, int]:
 def parse_evec(text: str) -> EVec:
     """Parse whitespace-separated ``e<i>^<k>`` tokens (k omitted means 1);
     the empty string is the zero vector."""
-    pairs, offset = [], 0
-    for token in text.split():
-        offset = text.index(token, offset)
-        pairs.append(_parse_eterm(token, offset))
-        offset += len(token)
-    return EVec.from_items(pairs)
+    return EVec.from_items([_parse_eterm(token, offset) for token, offset in _tokens(text)])
 
 
 def format_evec(vec: EVec) -> str:

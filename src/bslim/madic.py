@@ -10,10 +10,10 @@ and an m-adic integer ``xi``.  Everything the group algorithms need from
 
 For xi = p/q (q = 1 for integers) the digits come from the integer state
 t_i = q^i * s_i, which satisfies p * t_{i-1} = m * t_i + r_i * q^i, so
-r_i = p * t_{i-1} * q^{-i} mod m.  All arithmetic is on exact integers; no
-floating point is used anywhere.  A parameter with m < 0 is normalized on
-construction to (|m|, -xi), which labels the same marked group, so all
-digit math runs over a positive modulus.
+r_i = p * t_{i-1} * q^{-i} mod m; a stream keeps only the last t.  All
+arithmetic is on exact integers, with no floating point anywhere.  A
+parameter with m < 0 is normalized on construction to (|m|, -xi), which
+labels the same marked group, so all digit math runs over |m|.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, cycle, repeat
+from operator import itemgetter
 from typing import Union
 
 from .errors import (
@@ -263,17 +265,31 @@ def _xi_fraction(spec: MarkedGroupSpec) -> Fraction:
     raise UnsupportedSpecKind(f"no exact value for {type(xi).__name__}")
 
 
+def _t_steps(xi: Fraction, m: int, digits: list[int] | None = None):
+    """Yield (r_k, t_k, q^k) for k = 1, 2, ..., keeping only the last step:
+    t_k = q^k s_k satisfies p t_{k-1} = m t_k + r_k q^k, so r_k = p t_{k-1}
+    q^-k mod m.  A replay takes r_k from ``digits`` instead and stops with it."""
+    p, q = xi.numerator, xi.denominator
+    t, qk, q_inv, q_inv_k = 1, 1, pow(q, -1, m), 1
+    for r in repeat(None) if digits is None else digits:
+        qk, q_inv_k = qk * q, q_inv_k * q_inv % m
+        if r is None:
+            r = p * t * q_inv_k % m
+        t = (p * t - r * qk) // m
+        yield r, t, qk
+
+
 class RDigitStream:
     """Memoized, on-demand access to the digits r_1, r_2, ... of a spec.
 
     ``rs`` is the one digit table of the parameter: ``rs[0] = 1`` (the
     weight of e_0, which the lattice kernels read) and ``rs[i] = r_i``.
-    It grows one index at a time, in index order and under a lock, so a
-    budget or the end of a finite digit sequence raises
+    It grows one index at a time, in index order and under a lock, from one
+    source that keeps only its last step's state (:func:`_t_steps`, or
+    ``chain(preperiod, cycle(period))`` for a digit sequence).  A budget,
+    or a source that ends with its finite sequence, raises
     :class:`RDigitBudgetExceeded` at the first missing index.  Reads of
-    stored digits take no lock, and an exact parameter appends t_i before
-    r_i, so a reader that sees r_i also sees t_i; a stream may be shared
-    between threads.  Recomputation from scratch yields identical digits.
+    stored digits take no lock; a stream may be shared between threads.
     """
 
     def __init__(self, spec: MarkedGroupSpec, budget: int | None = None):
@@ -283,14 +299,10 @@ class RDigitStream:
         self._lock = threading.Lock()
         xi = spec.xi_norm
         if isinstance(xi, EXACT_KINDS):
-            frac = _xi_fraction(spec)
-            self._p, self._q = frac.numerator, frac.denominator
-            self._t: list[int] | None = [1]  # t_0 = s_0 = 1
-            self._q_powers = 1, 1  # q^k and q^-k mod m at the last step k
+            self._source = map(itemgetter(0), _t_steps(_xi_fraction(spec), spec.m_abs))
         else:  # a finite sequence is a preperiod with no period
-            self._t = None
-            finite = isinstance(xi, XiSeqFinite)
-            self._pre, self._per = (xi.digits, ()) if finite else (xi.preperiod, xi.period)
+            pre, per = (xi.digits, ()) if isinstance(xi, XiSeqFinite) else (xi.preperiod, xi.period)
+            self._source = chain(pre, cycle(per))
 
     def digit(self, i: int) -> int:
         """Return r_i (1-based)."""
@@ -307,41 +319,29 @@ class RDigitStream:
 
     def s_value(self, i: int) -> Fraction:
         """Return s_i (0-based; s_0 = 1) as an exact rational."""
-        if self._t is None:
-            raise UnsupportedSpecKind(
-                "exact s_i values exist only for integer or rational parameters"
-            )
-        if i < 0:
+        t = qk = 1
+        for _, t, qk in self._replay(i):
+            pass
+        return Fraction(t, qk)
+
+    def _replay(self, count: int):
+        """(r_k, t_k, q^k) for k = 1..count, replayed from the stored digits."""
+        xi = _xi_fraction(self.spec)  # exact parameters only
+        if count < 0:
             raise ValueError("s indices start at 0")
-        if i >= len(self._t):
-            self._grow(i)
-        return Fraction(self._t[i], self._q**i)
+        return _t_steps(xi, self.spec.m_abs, self.digits(count))
 
     def _grow(self, i: int) -> None:
         rs = self.rs
-        step = self._sequence_step if self._t is None else self._exact_step
         with self._lock:
             while len(rs) <= i:
                 k = len(rs)
                 if self.budget is not None and k > self.budget:
                     raise RDigitBudgetExceeded(k, f"digit r_{k} exceeds budget {self.budget}")
-                rs.append(step(k))
-
-    def _exact_step(self, k: int) -> int:
-        m, p, q, t = self.spec.m_abs, self._p, self._q, self._t[-1]
-        qk, q_inv_k = self._q_powers[0] * q, self._q_powers[1] * pow(q, -1, m) % m
-        self._q_powers = qk, q_inv_k
-        r = p * t * q_inv_k % m
-        self._t.append((p * t - r * qk) // m)
-        return r
-
-    def _sequence_step(self, k: int) -> int:
-        pre, per = self._pre, self._per
-        if k <= len(pre):
-            return pre[k - 1]
-        if not per:
-            raise RDigitBudgetExceeded(k)
-        return per[(k - len(pre) - 1) % len(per)]
+                r = next(self._source, None)
+                if r is None:
+                    raise RDigitBudgetExceeded(k)
+                rs.append(r)
 
 
 def r_digits(spec: MarkedGroupSpec, count: int) -> list[int]:
@@ -355,8 +355,7 @@ def s_values(spec: MarkedGroupSpec, count: int) -> list[Fraction]:
     """The exact rationals [s_1, ..., s_count]; integer/rational specs only."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    stream = RDigitStream(spec)
-    return [stream.s_value(i) for i in range(1, count + 1)]
+    return [Fraction(t, qk) for _, t, qk in RDigitStream(spec)._replay(count)]
 
 
 def gcd_with_m(spec: MarkedGroupSpec) -> int:

@@ -36,7 +36,6 @@ from .madic import (
     MarkedGroupSpec,
     RDigitStream,
     XiSeqFinite,
-    XiSeqPeriodic,
     _xi_fraction,
     gcd_with_m,
 )
@@ -246,13 +245,6 @@ def shortest_distinguishing(
 # --- digit-stream comparison and distance bounds --------------------------------
 
 
-def _seq_digits_all(spec: MarkedGroupSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    xi = spec.xi_norm
-    if isinstance(xi, XiSeqPeriodic):
-        return xi.preperiod, xi.period
-    raise UndecidableSpec("finite digit sequences admit no full comparison")
-
-
 def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
     """Decide r_i(a) = r_i(b) for every i, for fully described parameters.
 
@@ -278,14 +270,13 @@ def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
             return True
         return _xi_fraction(a) == _xi_fraction(b)
     if not exact_a and not exact_b:
-        pre_a, per_a = _seq_digits_all(a)
-        pre_b, per_b = _seq_digits_all(b)
-        horizon = max(len(pre_a), len(pre_b)) + math.lcm(len(per_a), len(per_b))
+        pre = max(len(ka.preperiod), len(kb.preperiod))
+        horizon = pre + math.lcm(len(ka.period), len(kb.period))
         sa, sb = RDigitStream(a), RDigitStream(b)
         return all(sa.digit(i) == sb.digit(i) for i in range(1, horizon + 1))
     # mixed: rational versus eventually periodic sequence
     rat, seq = (a, b) if exact_a else (b, a)
-    pre, per = _seq_digits_all(seq)
+    pre, per = seq.xi_norm.preperiod, seq.xi_norm.period
     if da == m:
         # gcd m forces the all-zero stream on both sides
         return all(d == 0 for d in pre + per)

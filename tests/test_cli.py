@@ -210,6 +210,8 @@ def test_budget_error_reports_first_missing_index(capsys):
 
 SIZE_CASES = {
     # command: (argv before the size flag, the flag, argv that is cheap at the limit)
+    "dist": (("dist", "--m", "2", "--xi", "int:1", "--xi2", "int:5", "--force"), "--max-len",
+             ("dist", "--m", "2", "--xi", "int:1", "--m2", "3", "--xi2", "int:1", "--force")),
     "rdigits": (("rdigits", "--m", "3", "--xi", "rat:5/7"), "--count",
                 ("rdigits", "--m", "3", "--xi", "int:5")),
     "recover": (("recover", "--m", "64", "--xi", "rat:5/9"), "--count",

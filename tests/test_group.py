@@ -111,6 +111,24 @@ def test_word_algebra():
         compact_length(word_from_evec(E1))
 
 
+def test_inverse_keeps_the_shared_letters():
+    """The inverse of a parsed word is made of the same four shared letter
+    objects the reader recognises by identity, and equals the letterwise
+    construction."""
+    rng = random.Random(5)
+    shared = [W(ch).letters[0] for ch in "aAbB"]
+    text = "".join(rng.choice("aAbB") for _ in range(300))
+    inv = W(text).inverse()
+    assert all(any(x is y for y in shared) for x in inv.letters)
+    assert inv.letters == tuple(
+        ALetter(-x.exp) if isinstance(x, ALetter) else BaseLetter(-x.vec)
+        for x in reversed(W(text).letters)
+    )
+    # other payloads still get fresh letters
+    w = parse_word("e2^3 a e0^-2", "extended")
+    assert format_word(w.inverse()) == "e0^2 a^-1 e2^-3"
+
+
 # --- Britton reduction ---------------------------------------------------------
 
 def test_reduce_defining_relation(ctx23):

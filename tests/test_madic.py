@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,31 @@ def test_direct_reads_name_the_first_missing_index():
     with pytest.raises(RDigitBudgetExceeded) as info:
         RDigitStream(spec(2, XiSeqFinite((1, 0)))).digit(5)
     assert info.value.index == 3
+
+
+def test_s_value_past_the_budget_names_the_first_missing_index():
+    # s_i is replayed from r_1..r_i, so it grows the table as far as the
+    # budget allows and stops at the first digit it may not store
+    st = RDigitStream(spec(3, XiRat(5, 7)), budget=4)
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        st.s_value(9)
+    assert info.value.index == 5
+    assert st.rs == [1] + r_digits(spec(3, XiRat(5, 7)), 4)
+    assert st.s_value(4) == s_values(spec(3, XiRat(5, 7)), 4)[-1]
+
+
+def test_rational_digits_keep_linear_memory():
+    """The stream keeps the digit table and the last t_k, not every
+    t_i = q^i s_i: 10,000 digits of 5/7 would hold about 19 MB of them."""
+    tracemalloc.start()
+    try:
+        stream = RDigitStream(MarkedGroupSpec(3, XiRat(5, 7)))
+        stream.digits(10_000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stream.rs) == 10_001
+    assert kept < 1_000_000
 
 
 def test_rat_denominator_must_be_unit():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 import time
 from pathlib import Path
 
@@ -21,6 +22,26 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_imports_only_the_standard_library():
+    """The package has no runtime dependencies: every import in
+    ``src/bslim`` is a standard-library module or one of its own."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"bslim"}
+            ]
     assert found == []
 
 
