@@ -44,11 +44,11 @@ from .lattice import (
     EVec,
     GroupCtx,
     _down,
-    _emxi_value,
     _parse_eterm,
     _q_inverse,
     _tokens,
     _up,
+    _up_split,
     a_conjugate,
     format_evec,
     q_poly,
@@ -340,13 +340,10 @@ def _normalize_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int])
     Each push carries everything pushed so far, so it merges with the
     segment to its left into the larger dict, as in :func:`_reduce_alt`.
     """
-    m = ctx.m_abs
     for i in range(len(deltas), 0, -1):
-        seg = segs[i]  # replaced by its representative, so edited in place
+        seg = segs[i]
         if deltas[i - 1] == 1:
-            c = _emxi_value(ctx, seg) % m
-            seg[0] = seg.get(0, 0) - c
-            push = _up(ctx, seg)
+            c, push = _up_split(ctx, seg)
         else:
             c = seg.pop(0, 0)
             push = _down(ctx, seg)
@@ -472,13 +469,13 @@ def _meet_congruence(ctx: GroupCtx, d: dict[int, int], seeds: list[dict[int, int
     m = ctx.m_abs
     pivot, g, kernel = {}, m, []
     for seed in seeds:
-        w = _emxi_value(ctx, seed) % m
+        w = _up_split(ctx, seed)[0]
         h = math.gcd(g, w)
         kernel.append(_scaled_sum(w // h, pivot, -g // h, seed))
         if h < g:
             y = pow(w // h, -1, g // h)
             pivot, g = _scaled_sum((h - y * w) // g, pivot, y, seed), h
-    c = _emxi_value(ctx, d)
+    c = _up_split(ctx, d)[0]  # c mod m fixes c mod g and c / g mod m / g, as g | m
     if c % g:
         return None, kernel
     return _scaled_sum(1, d, -c // g % (m // g), pivot), kernel

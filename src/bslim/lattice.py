@@ -142,9 +142,9 @@ class GroupCtx:
     ``m_abs`` is |m| and ``rs`` is the stream's digit table, the same list:
     ``rs[0] = 1`` (the weight of e_0) and ``rs[i] = r_i``, so the E_{m,xi}
     value beta_0 + sum_i beta_i r_i is one dot product with ``rs``.
-    Kernels call :meth:`table` with the largest index they need, once per
-    call, and then index ``rs`` directly.  Read-only otherwise, and safe to
-    share between threads.
+    Kernels index ``rs`` directly; a read past its end calls :meth:`table`
+    with the largest index the kernel needs and redoes the pass from
+    scratch.  Read-only otherwise, and safe to share between threads.
     """
 
     def __init__(self, spec: MarkedGroupSpec, budget: Optional[int] = None):
@@ -176,35 +176,34 @@ class GroupCtx:
 
 # --- dict-based kernels (hot paths in the reduction engine) ----------------
 
-def _emxi_value(ctx: GroupCtx, seg: Mapping[int, int]) -> int:
-    """beta_0 + sum_i beta_i r_i; membership in E_{m,xi} is value = 0 mod m."""
-    rs = ctx.table(max(seg) if seg else 0)
-    total = 0
-    for i, c in seg.items():
-        total += c * rs[i]
-    return total
+def _up_split(ctx: GroupCtx, seg: Mapping[int, int]) -> tuple[int, dict[int, int]]:
+    """(c, a (x - c e_0) a^-1) in one pass, for c the E_{m,xi} value
+    beta_0 + sum_i beta_i r_i of x mod m: x is in E_{m,xi} exactly when
+    c = 0, and the e_0 part of the shift folds into e_1."""
+    rs = ctx.rs
+    k0, out = 0, {}
+    try:
+        for i, c in seg.items():
+            k0 += c * rs[i]
+            if i:
+                out[i + 1] = c
+    except IndexError:
+        ctx.table(max(seg))
+        return _up_split(ctx, seg)
+    q, rem = divmod(k0, ctx.m_abs)
+    if q:
+        out[1] = q
+    return rem, out
 
 
 def _in_emxi(ctx: GroupCtx, seg: Mapping[int, int]) -> bool:
-    return _emxi_value(ctx, seg) % ctx.m_abs == 0
+    return not _up_split(ctx, seg)[0]
 
 
 def _up(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
-    """a x a^-1 for x in E_{m,xi}, or None when x is not in E_{m,xi}: the
-    membership test and the shift share one pass, and the e_0 part folds
-    into e_1."""
-    rs = ctx.table(max(seg) if seg else 0)
-    k0, out = 0, {}
-    for i, c in seg.items():
-        k0 += c * rs[i]
-        if i:
-            out[i + 1] = c
-    q, rem = divmod(k0, ctx.m_abs)
-    if rem:
-        return None
-    if q:
-        out[1] = q
-    return out
+    """a x a^-1 for x in E_{m,xi}, or None when x is not in E_{m,xi}."""
+    rem, out = _up_split(ctx, seg)
+    return None if rem else out
 
 
 def _down(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
@@ -212,15 +211,17 @@ def _down(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
     None when x is not in E_1, as :func:`_up` answers off E_{m,xi}."""
     if seg.get(0):
         return None
-    rs = ctx.table(max(seg) - 1 if seg else 0)
-    c0 = 0
-    out: dict[int, int] = {}
-    for i, c in seg.items():
-        if i == 1:
-            c0 += ctx.m_abs * c
-        elif i:
-            c0 -= c * rs[i - 1]
-            out[i - 1] = c
+    rs, c0, out = ctx.rs, 0, {}
+    try:
+        for i, c in seg.items():
+            if i == 1:
+                c0 += ctx.m_abs * c
+            elif i:
+                c0 -= c * rs[i - 1]
+                out[i - 1] = c
+    except IndexError:
+        ctx.table(max(seg) - 1)
+        return _down(ctx, seg)
     if c0:
         out[0] = c0
     return out

@@ -14,7 +14,16 @@ import pytest
 from bslim import XiInt, XiRat
 from bslim.bsclassic import BSSpec, bs_is_trivial
 from bslim.group import are_conjugate, is_trivial, normal_form, parse_word
-from bslim.lattice import CAP_REACHED, EVec, GroupCtx, fixed_interval, q_poly
+from bslim.lattice import (
+    CAP_REACHED,
+    EVec,
+    GroupCtx,
+    _down,
+    _up,
+    _up_split,
+    fixed_interval,
+    q_poly,
+)
 from bslim.madic import MarkedGroupSpec, p_polys, r_digits
 
 W = parse_word
@@ -224,6 +233,42 @@ def test_fresh_tables_grow_once_under_a_barrier_start():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             if ctx.rs != expect:
+                errors.append("table")
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+
+
+def test_kernels_read_fresh_tables_under_a_barrier_start():
+    # the kernels index the shared table without growing it first: six
+    # threads released at once on a fresh context race each read past its
+    # end, and must still see every digit and grow the table once
+    spec = MarkedGroupSpec(3, XiRat(5, 7))
+    segs = [{1: k, 2 * k: 2, 3 * k: -1} for k in range(1, 101)]  # up to e_300
+    ref_ctx = GroupCtx(spec)
+    expect = [(_up(ref_ctx, s), _up_split(ref_ctx, s), _down(ref_ctx, s)) for s in segs]
+    errors = []
+
+    def worker(ctx, barrier):
+        try:
+            barrier.wait(timeout=60)
+            if [(_up(ctx, s), _up_split(ctx, s), _down(ctx, s)) for s in segs] != expect:
+                errors.append("answer")
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            ctx, barrier = GroupCtx(spec), threading.Barrier(6)
+            threads = [threading.Thread(target=worker, args=(ctx, barrier)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            if ctx.rs != ref_ctx.rs:
                 errors.append("table")
     finally:
         sys.setswitchinterval(old)

@@ -3,7 +3,10 @@
 The reference kernels below read ``ctx.digits.digit(i)`` once per
 coefficient, as the kernels did before the digit table; the library
 kernels index ``ctx.rs``.  Both must agree on every input, including
-which inputs run past the available digits.
+which inputs run past the available digits.  ``_up_split`` folded the
+value kernel into the up-shift: its remainder must be ``ref_emxi_value``
+mod m and its shift ``ref_up`` of the representative, which together pin
+the full value.
 
 ``ref_reduce`` is the index walk that the one-pass stack reducer
 replaced.  Both fire the leftmost pinch first, so their reduced forms are
@@ -89,10 +92,10 @@ from bslim.lattice import (
     EVec,
     GroupCtx,
     _down,
-    _emxi_value,
     _in_emxi,
     _q_inverse,
     _up,
+    _up_split,
     a_conjugate,
     fixed_interval,
     q_poly,
@@ -373,7 +376,12 @@ def test_lattice_kernels_agree(m, xi):
         val = outcome(ref_emxi_value, ctx, seg)
         if rng.random() < 0.33 and val[0] == "ok":
             ref_merge(seg, {0: -(val[1] % mod)})
-        agree(outcome(_emxi_value, ctx, seg), outcome(ref_emxi_value, ctx, seg))
+        ref_split = outcome(ref_emxi_value, ctx, seg)
+        if ref_split[0] == "ok":
+            c, rep = ref_split[1] % mod, dict(seg)
+            ref_merge(rep, {0: -c})
+            ref_split = "ok", (c, ref_up(ctx, rep))
+        agree(outcome(_up_split, ctx, seg), ref_split)
         new_up = outcome(_up, ctx, seg)
         if new_up == ("ok", None):
             new_up = ("PinchDomainViolation", None)

@@ -9,6 +9,9 @@ from bslim.lattice import (
     EVec,
     GroupCtx,
     IntPoly,
+    _down,
+    _up,
+    _up_split,
     a_conjugate,
     fixed_interval,
     format_evec,
@@ -248,6 +251,45 @@ def test_digit_table_grows_in_index_order():
         _in_emxi(ctx, {6: 1, 4: 1})
     assert info.value.index == 4
     assert ctx.rs == [1, 1, 1, 1]  # rs[0] = 1 is the weight of e_0
+
+
+@pytest.mark.parametrize(
+    "kernel,seg,size",
+    [(_up, {0: 2, 5: 1, 2: 1}, 6), (_up_split, {3: 1}, 4), (_down, {1: 2, 6: 1}, 6), (_down, {1: 3}, 1)],
+)
+def test_kernels_grow_the_table_on_a_read_past_its_end(kernel, seg, size):
+    # as far as a pre-grown table would reach: rs[max(seg)] for the up
+    # kernels, rs[max(seg) - 1] for _down, and nothing for _down of m e_0
+    ctx = GroupCtx.make(3, "rat:5/7")
+    kernel(ctx, seg)
+    assert len(ctx.rs) == size
+
+
+@pytest.mark.parametrize("kernel", [_up, _up_split, _down])
+def test_kernel_budget_names_the_first_missing_index(kernel):
+    from bslim import RDigitBudgetExceeded
+
+    ctx = GroupCtx.make(2, XiInt(3), budget=3)
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        kernel(ctx, {1: 2, 6: 1, 5: 1})
+    assert info.value.index == 4
+    assert ctx.rs == [1, 1, 1, 1]
+
+
+UP_5E1_E9 = {1: 3, 2: 5, 10: 1}  # m = 2, r = 1, 1, ...: 5 e_1 + e_9 has value 6
+
+
+@pytest.mark.parametrize(
+    "kernel,answer", [(_up, UP_5E1_E9), (_up_split, (0, UP_5E1_E9)), (_down, {0: 9, 8: 1})]
+)
+def test_kernel_redoes_its_pass_after_growing(kernel, answer):
+    # on a table that holds r_1 but not r_9 (or r_8), the e_1 term is
+    # summed before a read runs past its end; the pass after the growth
+    # starts again from zero, so the answer is the pre-grown table's
+    for grown_to in (0, 4, 9):
+        ctx = GroupCtx.make(2, XiInt(3))
+        ctx.table(grown_to)
+        assert kernel(ctx, {1: 5, 9: 1}) == answer
 
 
 def test_context_shares_the_stream_table():
