@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -60,7 +61,8 @@ def _spec(args, second: bool = False) -> MarkedGroupSpec:
 
 
 def _ctx(args) -> GroupCtx:
-    return GroupCtx(_spec(args))
+    """The group of --m/--xi; it reads no digit past the ``rdigits`` limit."""
+    return GroupCtx(_spec(args), SIZE_LIMITS["rdigits"])
 
 
 def _word(args, attr: str = "word") -> GroupWord:
@@ -71,7 +73,9 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: a 2-core VM.  Digits and recovery cost time quadratic in the count, digits
 #: memory linear (`rat:5/7`, m = 3: `rdigits` 0.13 s, 18 MB RSS; `relator` bi
 #: 0.19 s, 20 MB); `dist` grows 6x per two letters (int:1 vs int:5: 0.7 s, 31 MB).
-SIZE_LIMITS = {"dist": 20, "rdigits": 10_000, "recover": 64, "relator": 10_000}
+#: Every group command reads digits under the `rdigits` limit (`_ctx`), and
+#: `bswp` caps the sum of |k| over a^k tokens (a^500000 b^4 a^-500000: 0.26 s, 36 MB).
+SIZE_LIMITS = {"bswp": 1_000_000, "dist": 20, "rdigits": 10_000, "recover": 64, "relator": 10_000}
 
 
 def _sized(args, flag: str) -> Optional[int]:
@@ -149,7 +153,7 @@ def _relator(args):
     if args.kind == "bi":
         if args.m is None or args.xi is None:
             raise BslError("bi needs --m and --xi")
-        ctx = GroupCtx(MarkedGroupSpec(args.m, parse_xi(args.xi)))
+        ctx = _ctx(args)
     digits = None if args.digits is None else _parse_digit_list(args.digits, 0)
     if digits is not None and args.m is not None:
         MarkedGroupSpec(args.m, XiSeqFinite(digits))  # digits in [0, |m|), as for rseq:
@@ -176,7 +180,11 @@ def _aut(args):
     return text, {"word": text}
 
 
-def _bswp(args):
+def _bswp(args):  # parse_bs_word expands each a^k token to |k| letters
+    letters = sum(abs(int(k)) for k in re.findall(r"a\^([+-]?[0-9]+)", args.word))
+    limit = SIZE_LIMITS["bswp"]
+    if letters > limit:
+        raise SizeLimitExceeded(f"a^k tokens sum to |k| = {letters}, over the limit {limit}")
     trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))
     return "trivial" if trivial else "nontrivial", {"trivial": trivial}
 

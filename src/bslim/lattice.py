@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 from .errors import ParseError, PinchDomainViolation, ZeroElement
-from .madic import (
-    IntPoly,
-    MarkedGroupSpec,
-    RDigitStream,
-    XiSpec,
-    _parse_decimal,
-    parse_xi,
-)
+from .madic import IntPoly, RDigitStream, _parse_decimal
 
 
 @dataclass(frozen=True)
@@ -136,42 +129,7 @@ def format_evec(vec: EVec) -> str:
     return " ".join(f"e{i}" if c == 1 else f"e{i}^{c}" for i, c in vec.entries)
 
 
-class GroupCtx:
-    """A marked group with its shared digit stream.
-
-    ``m_abs`` is |m| and ``rs`` is the stream's digit table, the same list:
-    ``rs[0] = 1`` (the weight of e_0) and ``rs[i] = r_i``, so the E_{m,xi}
-    value beta_0 + sum_i beta_i r_i is one dot product with ``rs``.
-    Kernels index ``rs`` directly; a read past its end calls :meth:`table`
-    with the largest index the kernel needs and redoes the pass from
-    scratch.  Read-only otherwise, and safe to share between threads.
-    """
-
-    def __init__(self, spec: MarkedGroupSpec, budget: Optional[int] = None):
-        self.spec = spec
-        self.digits = RDigitStream(spec, budget)
-        self.m_abs = spec.m_abs
-        self.rs = self.digits.rs
-
-    @classmethod
-    def make(
-        cls, m: int, xi: Union[XiSpec, str], budget: Optional[int] = None
-    ) -> "GroupCtx":
-        if isinstance(xi, str):
-            xi = parse_xi(xi)
-        return cls(MarkedGroupSpec(m, xi), budget)
-
-    def table(self, k: int) -> list[int]:
-        """The digit table, grown to hold at least rs[0..k]."""
-        if k >= len(self.rs):
-            self.digits.digit(k)
-        return self.rs
-
-    def r(self, i: int) -> int:
-        return self.digits.digit(i)
-
-    def __repr__(self) -> str:
-        return f"GroupCtx(m={self.spec.m}, xi={self.spec.xi!r})"
+GroupCtx = RDigitStream  # a marked group is its digit stream
 
 
 # --- dict-based kernels (hot paths in the reduction engine) ----------------

@@ -280,20 +280,26 @@ def _t_steps(xi: Fraction, m: int, digits: list[int] | None = None):
 
 
 class RDigitStream:
-    """Memoized, on-demand access to the digits r_1, r_2, ... of a spec.
+    """A marked group's context: the digits r_1, r_2, ... of its parameter,
+    memoized and read on demand.
 
-    ``rs`` is the one digit table of the parameter: ``rs[0] = 1`` (the
-    weight of e_0, which the lattice kernels read) and ``rs[i] = r_i``.
-    It grows one index at a time, in index order and under a lock, from one
+    ``m_abs`` is |m| and ``rs`` is the one digit table of the parameter:
+    ``rs[0] = 1`` (the weight of e_0) and ``rs[i] = r_i``, so the E_{m,xi}
+    value beta_0 + sum_i beta_i r_i is one dot product with ``rs``.  It
+    grows one index at a time, in index order and under a lock, from one
     source that keeps only its last step's state (:func:`_t_steps`, or
     ``chain(preperiod, cycle(period))`` for a digit sequence).  A budget,
     or a source that ends with its finite sequence, raises
-    :class:`RDigitBudgetExceeded` at the first missing index.  Reads of
-    stored digits take no lock; a stream may be shared between threads.
+    :class:`RDigitBudgetExceeded` at the first missing index.  The lattice
+    kernels index ``rs`` directly; a read past its end calls :meth:`table`
+    with the largest index the kernel needs and redoes the pass from
+    scratch.  Reads of stored digits take no lock; a context may be shared
+    between threads.
     """
 
     def __init__(self, spec: MarkedGroupSpec, budget: int | None = None):
         self.spec = spec
+        self.m_abs = spec.m_abs
         self.budget = budget
         self.rs = [1]
         self._lock = threading.Lock()
@@ -303,6 +309,10 @@ class RDigitStream:
         else:  # a finite sequence is a preperiod with no period
             pre, per = (xi.digits, ()) if isinstance(xi, XiSeqFinite) else (xi.preperiod, xi.period)
             self._source = chain(pre, cycle(per))
+
+    @classmethod
+    def make(cls, m: int, xi: XiSpec | str, budget: int | None = None) -> "RDigitStream":
+        return cls(MarkedGroupSpec(m, parse_xi(xi) if isinstance(xi, str) else xi), budget)
 
     def digit(self, i: int) -> int:
         """Return r_i (1-based)."""
@@ -316,6 +326,12 @@ class RDigitStream:
         if count > 0:
             self.digit(count)
         return self.rs[1 : count + 1]
+
+    def table(self, k: int) -> list[int]:
+        """The digit table, grown to hold at least rs[0..k]."""
+        if k >= len(self.rs):
+            self.digit(k)
+        return self.rs
 
     def s_value(self, i: int) -> Fraction:
         """Return s_i (0-based; s_0 = 1) as an exact rational."""

@@ -63,7 +63,7 @@ def b_i_word(ctx: GroupCtx, i: int) -> GroupWord:
     b_i = a b_{i-1} b^(-r_{i-1}) a^-1, which unfolds to w(|m|; r_1..r_{i-1})."""
     if i < 1:
         raise ValueError("generator indices start at 1")
-    return w_word(ctx.m_abs, ctx.digits.digits(i - 1))
+    return w_word(ctx.m_abs, ctx.digits(i - 1))
 
 
 def v_k_word(k: int) -> GroupWord:

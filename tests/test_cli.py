@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from bslim import cli
 from bslim.cli import SIZE_LIMITS, build_parser, main
 from bslim.group import parse_word
 
@@ -235,6 +236,55 @@ def test_size_limit_exit_1(capsys, command):
         assert err == f"error: SizeLimitExceeded: {message}\n"
     code, out, _ = run(capsys, *cheap, flag, str(limit))
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command, over", [
+    ("wp", 10_001), ("nf", 10_001), ("reduce", 10_001), ("conj", 10_001), ("wreath", 10_002),
+])
+def test_group_commands_read_digits_under_the_budget(capsys, command, over):
+    """An extended word reaches any digit index, at a cost quadratic in it
+    (e80000 took 3.3 s), so every group command reads digits under the
+    ``rdigits`` limit.  The pinch of a e_i a^-1 reads r_i; wreath's image
+    X P_{i-1}(X) of e_i reads r_1..r_{i-1}."""
+    limit = SIZE_LIMITS["rdigits"]
+    argv = [command, "--m", "2", "--xi", "int:5", "--alphabet", "extended"]
+    argv += ["--word2", "e0"] if command == "conj" else []
+    code, out, err = run(capsys, *argv, "--word", f"a e{over} a^-1")
+    assert code == 1 and out == ""
+    assert err == f"error: RDigitBudgetExceeded: first missing digit index {limit + 1}\n"
+    code, out, _ = run(capsys, *argv, "--word", f"a e{limit} a^-1")
+    assert code == 0 and out
+
+
+def test_relator_bi_reads_digits_under_the_budget(capsys):
+    # b_10000 reads r_1..r_9999: at the index limit it still answers
+    code, out, _ = run(capsys, "relator", "--kind", "bi", "--m", "2", "--xi", "int:5",
+                       "--index", str(SIZE_LIMITS["relator"]))
+    assert code == 0 and out.startswith("a" * SIZE_LIMITS["relator"])
+
+
+def test_bswp_limits_a_powers_before_parsing(capsys, monkeypatch):
+    """``parse_bs_word`` expands each a^k token to |k| letters (a^10000000 b
+    A^10000000 grew to 170 MB before its ParseError), so the sum of |k| is
+    checked first.  At the limit the word still answers."""
+    limit = SIZE_LIMITS["bswp"]
+    half = limit // 2
+    bswp = ("bswp", "--p", "2", "--q", "3", "--word")
+    code, out, _ = run(capsys, *bswp, f"a^{half}b^4a^-{half}b^-6")
+    assert code == 0 and out == "nontrivial"
+
+    def never(text):
+        raise AssertionError("parse_bs_word ran on an over-limit word")
+
+    monkeypatch.setattr(cli, "parse_bs_word", never)
+    for word, total in ((f"a^{limit + 1}", limit + 1),
+                        (f"a^{half}b^4a^-{half + 1}b^-6", limit + 1),
+                        ("a^10000000bA^10000000", 10_000_000),
+                        (f"a^{10**12}", 10**12)):
+        code, out, err = run(capsys, *bswp, word)
+        assert code == 1 and out == ""
+        message = f"a^k tokens sum to |k| = {total}, over the limit {limit}"
+        assert err == f"error: SizeLimitExceeded: {message}\n"
 
 
 def test_usage_error_exit_2(capsys):

@@ -185,7 +185,7 @@ def test_digit_table_growth_under_thread_switching():
         try:
             for _ in range(300):
                 k = rng.randint(1, 400)
-                if ctx.table(k)[k] != expect[k] or ctx.digits.digit(k) != expect[k]:
+                if ctx.table(k)[k] != expect[k] or ctx.digit(k) != expect[k]:
                     errors.append(k)
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
@@ -203,7 +203,7 @@ def test_digit_table_growth_under_thread_switching():
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert ctx.rs == expect[: len(ctx.rs)]
-    assert ctx.digits.digits(400) == expect[1:]
+    assert ctx.digits(400) == expect[1:]
 
 
 def test_fresh_tables_grow_once_under_a_barrier_start():

@@ -1,6 +1,6 @@
 """Differential tests: the digit-table kernels against the per-digit ones.
 
-The reference kernels below read ``ctx.digits.digit(i)`` once per
+The reference kernels below read ``ctx.digit(i)`` once per
 coefficient, as the kernels did before the digit table; the library
 kernels index ``ctx.rs``.  Both must agree on every input, including
 which inputs run past the available digits.  ``_up_split`` folded the
@@ -118,7 +118,7 @@ from bslim.morphisms import (
 
 
 def ref_emxi_value(ctx, seg):
-    return sum(c * (ctx.digits.digit(i) if i else 1) for i, c in seg.items())
+    return sum(c * (ctx.digit(i) if i else 1) for i, c in seg.items())
 
 
 def ref_in_emxi(ctx, seg):
@@ -131,7 +131,7 @@ def ref_up(ctx, seg):
         if i == 0:
             k0 += c
         else:
-            k0 += c * ctx.digits.digit(i)
+            k0 += c * ctx.digit(i)
             out[i + 1] = c
     q, rem = divmod(k0, ctx.spec.m_abs)
     if rem:
@@ -149,7 +149,7 @@ def ref_down(ctx, seg):
         if i == 1:
             c0 += ctx.spec.m_abs * c
         elif i:
-            c0 -= c * ctx.digits.digit(i - 1)
+            c0 -= c * ctx.digit(i - 1)
             out[i - 1] = c
     if c0:
         out[0] = c0
@@ -167,7 +167,7 @@ def ref_q_poly(ctx, x):
             continue
         while built < i - 1:
             built += 1
-            p = [-ctx.digits.digit(built)] + p
+            p = [-ctx.digit(built)] + p
         for e, pc in enumerate(p):
             out[e + 1] += c * pc
     while len(out) > 1 and out[-1] == 0:
@@ -301,7 +301,7 @@ def ref_b_i_word(ctx, i):
     m = ctx.spec.m_abs
     word = GroupWord((ALetter(1), BaseLetter(EVec.basis(0, m)), ALetter(-1)))
     for k in range(2, i + 1):
-        r = ctx.digits.digit(k - 1)
+        r = ctx.digit(k - 1)
         tail = (BaseLetter(EVec.basis(0, -r)),) if r else ()
         word = GroupWord((ALetter(1),) + word.letters + tail + (ALetter(-1),))
     return word
@@ -900,7 +900,7 @@ def ref_base_conjugacy_solve(ctx, u, v):
                 if j == 1:
                     _expr_add(e0, expr, m)
                 elif j >= 2:
-                    _expr_add(e0, expr, -ctx.digits.digit(j - 1))
+                    _expr_add(e0, expr, -ctx.digit(j - 1))
                     nd[j - 1] = expr
             if e0:
                 nd[0] = e0
@@ -908,7 +908,7 @@ def ref_base_conjugacy_solve(ctx, u, v):
         else:
             cong = {}
             for j, expr in d.items():
-                _expr_add(cong, expr, ctx.digits.digit(j) if j else 1)
+                _expr_add(cong, expr, ctx.digit(j) if j else 1)
             t_var = nvars
             nvars += 1
             _expr_add(cong, {t_var: -m})

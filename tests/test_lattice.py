@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bslim import PinchDomainViolation, XiInt, ZeroElement, ParseError
+from bslim import PinchDomainViolation, RDigitStream, XiInt, ZeroElement, ParseError
 from bslim.lattice import (
     CAP_REACHED,
     EVec,
@@ -99,7 +99,7 @@ def test_membership_closed_under_group_ops(ctx23):
             {i: rng.randrange(-3, 4) for i in rng.sample(range(6), 3)}
         )
         # adjust e_0 coefficient into the subgroup
-        val = sum(c * (ctx23.r(i) if i else 1) for i, c in v.entries)
+        val = sum(c * (ctx23.digit(i) if i else 1) for i, c in v.entries)
         v = v - (val % 2) * E0
         assert subgroup_membership(ctx23, v, "EmXi")
         members.append(v)
@@ -293,11 +293,12 @@ def test_kernel_redoes_its_pass_after_growing(kernel, answer):
 
 
 def test_context_shares_the_stream_table():
+    # the context is the digit stream, so the kernels' table is the stream's
     ctx = GroupCtx.make(3, "rseq:2,1;0,1,2")
-    assert ctx.rs is ctx.digits.rs
+    assert isinstance(ctx, RDigitStream)
     assert ctx.table(7) is ctx.rs
     assert ctx.rs == [1, 2, 1, 0, 1, 2, 0, 1]
-    assert ctx.digits.digits(7) == ctx.rs[1:]
+    assert ctx.digits(7) == ctx.rs[1:]
 
 
 def test_fixed_interval_counts_up_shifts(ctx23):

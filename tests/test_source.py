@@ -73,6 +73,27 @@ def test_only_madic_and_lattice_read_the_digit_table():
     assert found == []
 
 
+def test_one_context_class():
+    """A marked group's context is its digit stream, not a wrapper of it."""
+    assert bslim.GroupCtx is bslim.RDigitStream
+
+
+def test_cli_builds_group_contexts_only_in_ctx():
+    """``cli._ctx`` gives a context the ``rdigits`` budget; a command that
+    built its own would read digits without one."""
+    (path,) = [path for path in SOURCES if path.name == "cli.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def builds(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[0] in (
+            "GroupCtx", "RDigitStream")
+
+    in_ctx = [node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              and fn.name == "_ctx" for node in ast.walk(fn) if builds(node)]
+    assert len(in_ctx) == 1
+    assert [node for node in ast.walk(tree) if builds(node)] == in_ctx
+
+
 def test_b_i_word_is_linear_in_i():
     """b_i unfolds to w(|m|; r_1..r_{i-1}) in one pass over the digits;
     nesting b_{i-1} inside b_i would copy the word i times."""
