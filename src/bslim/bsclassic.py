@@ -1,10 +1,11 @@
 """Word problem in classical Baumslag-Solitar groups BS(p,q), plus the
 exponent-shrinking quantities N(k) used to refute equational noetherianity.
 
-BS(p,q) = < a, b | a b^p a^-1 = b^q >.  Britton reduction runs on
-b-exponent blocks held as arbitrary-precision integers (a pinch
-a b^{kp} a^-1 becomes b^{kq}, and a^-1 b^{kq} a becomes b^{kp}), so words
-like b^(n^k) stay cheap to reduce.
+BS(p,q) = < a, b | a b^p a^-1 = b^q >.  Britton reduction is one stack
+pass with the b-exponents between stable letters held as arbitrary-precision
+integers (a pinch a b^{kp} a^-1 becomes b^{kq}, and a^-1 b^{kq} a becomes
+b^{kp}), so words like b^(n^k) stay cheap to reduce.  N(k) needs only
+0 < |m| < |n|, which rules out n | m.
 """
 
 from __future__ import annotations
@@ -59,55 +60,30 @@ def parse_bs_word(text: str) -> GroupWord:
     return GroupWord(tuple(letters))
 
 
-def _word_to_blocks(w: GroupWord) -> tuple[list[int], list[int]]:
-    """Alternating representation: b-exponents b_segs[0..k] separated by
-    nonzero a-exponents a_exps[0..k-1]."""
-    b_segs = [0]
-    a_exps: list[int] = []
-    for letter in w.letters:
-        if isinstance(letter, ALetter):
-            if a_exps and b_segs[-1] == 0:
-                a_exps[-1] += letter.exp
-                if a_exps[-1] == 0:
-                    a_exps.pop()
-                    b_segs.pop()
-            else:
-                a_exps.append(letter.exp)
-                b_segs.append(0)
-        else:
-            b_segs[-1] += _b_exponent(letter.vec)
-    return b_segs, a_exps
-
-
 def bs_is_trivial(spec: BSSpec, w: GroupWord) -> bool:
-    """Word problem in BS(p, q) by block Britton reduction."""
+    """Word problem in BS(p, q) by the stack pass of :func:`group._reduce_alt`
+    on integer b-exponents: the stacked prefix is always reduced, so a pinch
+    can only form around the top segment, when the letter read is opposite
+    to the top one; free cancellation is the beta = 0 case."""
     p, q = spec.p, spec.q
-    b_segs, a_exps = _word_to_blocks(w)
-    i = 0
-    while i < len(a_exps) - 1:
-        left, right = a_exps[i], a_exps[i + 1]
-        beta = b_segs[i + 1]
-        if left > 0 and right < 0 and beta % p == 0:
-            new = (beta // p) * q
-        elif left < 0 and right > 0 and beta % q == 0:
-            new = (beta // q) * p
-        else:
-            i += 1
+    segs, deltas = [0], []
+    for letter in w.letters:
+        if not isinstance(letter, ALetter):
+            segs[-1] += _b_exponent(letter.vec)
             continue
-        # consume one stable letter from each side (exponents move toward 0)
-        a_exps[i] -= 1 if left > 0 else -1
-        a_exps[i + 1] -= 1 if right > 0 else -1
-        b_segs[i + 1] = new
-        if a_exps[i + 1] == 0:
-            b_segs[i + 1] += b_segs[i + 2]
-            del b_segs[i + 2]
-            del a_exps[i + 1]
-        if a_exps[i] == 0:
-            b_segs[i] += b_segs[i + 1]
-            del b_segs[i + 1]
-            del a_exps[i]
-        i = max(i - 1, 0)
-    return len(a_exps) == 0 and b_segs[0] == 0
+        d = letter.exp
+        if deltas and deltas[-1] != d:
+            # a b^beta a^-1 = b^(beta/p*q) when p | beta; a^-1 b^beta a = b^(beta/q*p) when q | beta
+            div, mul = (p, q) if d == -1 else (q, p)
+            beta = segs[-1]
+            if beta % div == 0:
+                deltas.pop()
+                segs.pop()
+                segs[-1] += beta // div * mul
+                continue
+        deltas.append(d)
+        segs.append(0)
+    return not deltas and not segs[0]
 
 
 def _prime_exponents(n: int) -> dict[int, int]:
@@ -130,26 +106,20 @@ def bs_n_of_k(m: int, n: int, k: int) -> tuple[int, int]:
     in BS(m, n); returns (N, alpha).
 
     Each conjugation divides the exponent by n and multiplies by m, which
-    strictly shrinks the power of any prime dividing n more than m; the
-    precondition (|m| < |n| and some prime power divides n but not m)
-    guarantees termination.
+    strictly shrinks the power of any prime dividing n more than m.  Such a
+    prime exists exactly when n does not divide m, and 0 < |m| < |n| rules
+    out n | m, so the precondition |m| < |n| guarantees termination.
     """
     if k < 1:
         raise PreconditionViolated("k must be at least 1")
     if m == 0 or n == 0 or abs(m) >= abs(n):
         raise PreconditionViolated("need |m| < |n|")
-    fm = _prime_exponents(m)
-    fn = _prime_exponents(n)
-    if not any(e > fm.get(prime, 0) for prime, e in fn.items()):
-        raise PreconditionViolated(
-            "need a prime power dividing n but not m"
-        )
-    alpha = n**k
-    count = 0
-    while alpha % n == 0:
-        alpha = (alpha // n) * m
-        count += 1
-    return count, alpha
+    alpha, count = n**k, 0
+    while True:
+        quo, rem = divmod(alpha, n)
+        if rem:
+            return count, alpha
+        alpha, count = quo * m, count + 1
 
 
 def mu_max_exponent(m: int) -> int:

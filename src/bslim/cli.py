@@ -75,7 +75,10 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: 0.19 s, 20 MB); `dist` grows 6x per two letters (int:1 vs int:5: 0.7 s, 31 MB).
 #: Every group command reads digits under the `rdigits` limit (`_ctx`), and
 #: `bswp` caps the sum of |k| over a^k tokens (a^500000 b^4 a^-500000: 0.26 s, 36 MB).
-SIZE_LIMITS = {"bswp": 1_000_000, "dist": 20, "rdigits": 10_000, "recover": 64, "relator": 10_000}
+#: `nk` caps k * bit_length(|n|), the size of n^k; the worst case is m = n/2 with
+#: k = 2, cubic in that size (n = 2^9999: 1.2 s).
+SIZE_LIMITS = {"bswp": 1_000_000, "dist": 20, "nk": 20_000, "rdigits": 10_000, "recover": 64,
+               "relator": 10_000}
 
 
 def _sized(args, flag: str) -> Optional[int]:
@@ -190,6 +193,9 @@ def _bswp(args):  # parse_bs_word expands each a^k token to |k| letters
 
 
 def _nk(args):
+    size, limit = args.k * abs(args.n).bit_length(), SIZE_LIMITS["nk"]
+    if size > limit:
+        raise SizeLimitExceeded(f"k * bit_length(|n|) = {size} is over the limit {limit}")
     count, alpha = bs_n_of_k(args.m, args.n, args.k)
     return f"N={count} alpha={alpha}", {"N": count, "alpha": alpha}
 

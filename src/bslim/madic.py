@@ -427,11 +427,12 @@ def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
     """The unique residue class (n mod |m|^h) of units whose first h digits
     equal ``prefix``.
 
-    r_1..r_k depend only on n mod |m|^k, so the residue is lifted one digit
-    at a time: of the |m| lifts n + j*|m|^k of the residue matching the
-    first k digits, exactly one also matches digit k+1.  That is O(h^2 |m|)
-    digit steps.  Raises :class:`NoUnitRealization` when prefix[0] shares
-    a factor with m (no unit starts with such a digit).
+    Unrolling n s_{k-1} = m s_k + r_k gives n^h = m^h s_h + sum_i r_i
+    m^(i-1) n^(h-i), so y = 1/n solves r_1 y + m y^2 H(y) = 1 mod m^h, with
+    H(y) = sum_{i>=2} r_i (m y)^(i-2).  The map y -> (1 - m y^2 H(y)) / r_1
+    contracts by m, so each pass from y = 1/r_1 fixes one more m-adic digit.
+    Raises :class:`NoUnitRealization` when prefix[0] shares a factor with m
+    (no unit starts with such a digit).
     """
     if m == 0:
         raise ValueError("m must be nonzero")
@@ -445,16 +446,14 @@ def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
         raise NoUnitRealization(
             f"first digit {prefix[0]} is not coprime to m={m}"
         )
-    n, modulus = prefix[0], m  # r_1 = n mod m
-    for k in range(1, h):
-        for j in range(m):
-            lift = n + j * modulus
-            if RDigitStream(MarkedGroupSpec(m, XiInt(lift))).digit(k + 1) == prefix[k]:
-                break
-        else:
-            raise NoUnitRealization(f"no unit realizes prefix {prefix} (unexpected)")
-        n, modulus = lift, modulus * m
-    return n, modulus
+    modulus = m**h
+    r1_inv = y = pow(prefix[0], -1, modulus)
+    for _ in range(h - 1):
+        horner = 0
+        for r in reversed(prefix[1:]):
+            horner = (horner * m * y + r) % modulus
+        y = (1 - m * y * y * horner) * r1_inv % modulus
+    return pow(y, -1, modulus), modulus
 
 
 # --- textual parameter grammar -------------------------------------------

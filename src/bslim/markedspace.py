@@ -292,11 +292,18 @@ def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
 
 
 def _first_digit_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int:
-    """1-based index of the first differing digit; raises SameGroup when
-    the scan cannot find one."""
+    """1-based index of the first differing digit of two unit parameters;
+    raises SameGroup when there is none, or the scan cannot find one.
+    Exact units share h digits exactly when they agree mod |m|^h (the
+    congruence law), so their digits are not scanned."""
     finite = isinstance(a.xi_norm, XiSeqFinite) or isinstance(b.xi_norm, XiSeqFinite)
     if not finite and _streams_equal_exact(a, b):
         raise SameGroup("the digit streams agree at every index")
+    if isinstance(a.xi_norm, EXACT_KINDS) and isinstance(b.xi_norm, EXACT_KINDS):
+        diff, i = (_xi_fraction(a) - _xi_fraction(b)).numerator, 1
+        while diff % a.m_abs == 0:
+            diff, i = diff // a.m_abs, i + 1
+        return i
     sa, sb = RDigitStream(a), RDigitStream(b)
     i = 1
     try:

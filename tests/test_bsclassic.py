@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from bslim.bsclassic import (
     mu_max_exponent,
     parse_bs_word,
 )
-from bslim.group import commutator, is_trivial, parse_word
+from bslim.group import GroupWord, commutator, is_trivial, parse_word
 from bslim.lattice import GroupCtx
 from bslim.madic import MarkedGroupSpec, s_values
 
@@ -64,6 +65,16 @@ def test_big_exponent_blocks():
     spec = BSSpec(2, 4)
     w = parse_bs_word("a^-3b^64a^3b^-8")
     assert bs_is_trivial(spec, w)
+
+
+def test_long_word_reduces_in_one_pass():
+    # 560k letters of a b^2 a^-1 b^-3: the block reducer backtracked and
+    # deleted from the middle of its lists (6.5 s); one stack pass is linear
+    w = GroupWord(parse_bs_word("abbABBB").letters * 80_000)
+    start = time.process_time()
+    assert bs_is_trivial(BSSpec(2, 3), w)
+    assert not bs_is_trivial(BSSpec(-2, 3), w)
+    assert time.process_time() - start < 1.0
 
 
 def test_convergence_to_limit_small():
@@ -143,6 +154,15 @@ def test_n_of_k_matches_bs_reduction():
     cnt, alpha = bs_n_of_k(m, n, k)
     w = parse_bs_word(f"a^-{cnt}b^{n**k}a^{cnt}b^{-alpha}")
     assert bs_is_trivial(BSSpec(m, n), w)
+
+
+def test_n_of_k_needs_no_factorization():
+    # |m| < |n| already rules out n | m; trial division of the 61-bit prime
+    # 2^61 - 1 ran past a minute
+    start = time.process_time()
+    assert bs_n_of_k(2, 2**61 - 1, 1) == (1, 2)
+    assert bs_n_of_k(-3, -(2**61 - 1), 2) == (2, 9)
+    assert time.process_time() - start < 1.0
 
 
 def test_n_of_k_preconditions():

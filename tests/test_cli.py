@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,17 @@ def test_bounds_same_group_is_domain_error(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: SameGroup:")
+
+
+def test_bounds_reads_h_from_the_congruence_law(capsys):
+    # 1/3^1000 and (1 + 2^h 3^1000)/3^1000 share h digits over m = 2; the
+    # digit scan took 2.6 s at h = 500 and did not end in 60 s at h = 2000
+    h, q = 2000, 3**1000
+    start = time.process_time()
+    code, out, _ = run(capsys, "bounds", "--m", "2", "--xi", f"rat:1/{q}",
+                       "--xi2", f"rat:{1 + 2**h * q}/{q}")
+    assert time.process_time() - start < 1.0
+    assert code == 0 and out == f"h={h} lower=e^-{6 * (h + 1) + 10} upper=e^-{2 * h + 1}"
 
 
 def test_reduce_roundtrip(capsys):
@@ -285,6 +297,35 @@ def test_bswp_limits_a_powers_before_parsing(capsys, monkeypatch):
         assert code == 1 and out == ""
         message = f"a^k tokens sum to |k| = {total}, over the limit {limit}"
         assert err == f"error: SizeLimitExceeded: {message}\n"
+
+
+def test_nk_limits_the_size_of_n_to_the_k(capsys, monkeypatch):
+    """The loop that counts N costs time quadratic in the size of n^k (m = 2,
+    n = 4 took 7 s at k = 80,000), so k * bit_length(|n|) is checked first.
+    At the limit it still answers, and a huge n needs no factoring."""
+    limit = SIZE_LIMITS["nk"]
+    code, out, _ = run(capsys, "nk", "--m", "2", "--n", "4", "--k", str(limit // 3))
+    assert code == 0 and out == f"N={2 * (limit // 3) - 1} alpha=2"
+    code, out, _ = run(capsys, "nk", "--m", "2", "--n", "1000000000000000003", "--k", "1")
+    assert code == 0 and out == "N=1 alpha=2"
+
+    def never(m, n, k):
+        raise AssertionError("bs_n_of_k ran on an over-limit input")
+
+    monkeypatch.setattr(cli, "bs_n_of_k", never)
+    for n, k, size in (("4", limit // 3 + 1, 3 * (limit // 3 + 1)), ("-4", 10**12, 3 * 10**12),
+                       (str(2**14_000), 2, 28_002)):
+        code, out, err = run(capsys, "nk", "--m", "2", "--n", n, "--k", str(k))
+        assert code == 1 and out == ""
+        message = f"k * bit_length(|n|) = {size} is over the limit {limit}"
+        assert err == f"error: SizeLimitExceeded: {message}\n"
+
+
+def test_recover_finds_the_largest_moduli(capsys):
+    # recovery tries |m| = 1..64: the last two must be reachable
+    for m in (63, 64):
+        code, out, _ = run(capsys, "recover", "--m", str(m), "--xi", "int:-1", "--count", "2")
+        assert code == 0 and out == f"m={m} digits={m - 1} 1"
 
 
 def test_usage_error_exit_2(capsys):

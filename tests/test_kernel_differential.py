@@ -41,10 +41,19 @@ conjugators and witnesses must match letter for letter.
 ``ref_wreath_trivial_words`` is the depth-first search with incremental
 lamp state that the meet-in-the-middle join replaced; both must list the
 same words in the same (lexicographic) order.
+
+``ref_bs_is_trivial`` is the classical BS(p, q) reducer that one stack
+pass replaced: it ran on run-length blocks of stable letters, backtracked
+after each pinch and deleted blocks from the middle of its lists.  Both
+must give the same verdict.  ``ref_first_digit_difference`` is the digit
+scan that the congruence law replaced for exact unit pairs, and
+``ref_xi_from_prefix`` the lift search that the fixed-point pass for
+1/xi replaced; each must give the same index or residue.
 """
 
 import math
 import random
+from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
@@ -55,11 +64,13 @@ from bslim import (
     ParseError,
     PinchDomainViolation,
     RDigitBudgetExceeded,
+    SameGroup,
     WitnessCheckFailed,
     ZeroElement,
     group,
     morphisms,
 )
+from bslim.bsclassic import BSSpec, bs_is_trivial, parse_bs_word
 from bslim.group import (
     ALetter,
     BaseLetter,
@@ -100,8 +111,14 @@ from bslim.lattice import (
     fixed_interval,
     q_poly,
 )
-from bslim.madic import MarkedGroupSpec, parse_xi
-from bslim.markedspace import _wreath_trivial_words, b_i_word, word_to_compact
+from bslim.madic import MarkedGroupSpec, RDigitStream, XiInt, XiRat, parse_xi, xi_from_prefix
+from bslim.markedspace import (
+    _first_digit_difference,
+    _streams_equal_exact,
+    _wreath_trivial_words,
+    b_i_word,
+    word_to_compact,
+)
 from bslim.morphisms import (
     EmbedD,
     J,
@@ -1088,6 +1105,31 @@ def test_sigma_zero_lift_runs_out_of_digits_with_the_dense_solve():
             assert info.value.index == 2
 
 
+@pytest.mark.parametrize("m,xi", [(2, "int:7"), (4, "int:2"), (6, "rat:5/7"), (9, "int:3")])
+def test_sigma_zero_lift_finds_the_conjugator_by_e(m, xi):
+    """Britton-reduced sigma = 0 pairs u = e v (-e) of equal shape, over
+    even and non-unit m: a conjugator exists, so the dense solve finds
+    one, and the lift must find one that the word problem confirms.
+    Seeding the lift with 2 e_j, or shifting d by -c * g for -c / g at a
+    pivot with g > 1, loses it on some of these pairs."""
+    rng = random.Random(f"e{m}{xi}")
+    ctx = GroupCtx.make(m, xi)
+    pairs = 0
+    for _ in range(160):
+        deltas = [1, -1] * rng.randint(1, 4)
+        rng.shuffle(deltas)
+        v = britton_reduce(ctx, syllable_word(rng, m, deltas))
+        e = EVec.from_items(random_seg(rng, 3))
+        u = britton_reduce(ctx, word_from_evec(e) * v.to_word() * word_from_evec(-e))
+        if not v.deltas or u.deltas != v.deltas:
+            continue
+        pairs += 1
+        assert ref_base_conjugacy_solve(ctx, u, v) is not None
+        found = base_conjugacy_solve(ctx, u, v)
+        assert found is not None and conjugates(ctx, found, u, v), (u, v)
+    assert pairs >= 120
+
+
 @pytest.mark.parametrize("m,xi", SOLVE_CASES)
 def test_base_conjugacy_solve_agrees(m, xi):
     """For sigma != 0, the same e (or None) as the dense solve, and a
@@ -1330,3 +1372,165 @@ def ref_wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("length", range(17))
 def test_wreath_trivial_words_agree(length):
     assert _wreath_trivial_words(length) == ref_wreath_trivial_words(length)
+
+
+# --- the classical BS(p, q) oracle -------------------------------------------------
+
+
+def ref_bs_is_trivial(spec, w):
+    p, q = spec.p, spec.q
+    b_segs, a_exps = [0], []
+    for letter in w.letters:
+        if isinstance(letter, ALetter):
+            if a_exps and b_segs[-1] == 0:
+                a_exps[-1] += letter.exp
+                if a_exps[-1] == 0:
+                    a_exps.pop()
+                    b_segs.pop()
+            else:
+                a_exps.append(letter.exp)
+                b_segs.append(0)
+        else:
+            b_segs[-1] += _b_exponent(letter.vec)
+    i = 0
+    while i < len(a_exps) - 1:
+        left, right = a_exps[i], a_exps[i + 1]
+        beta = b_segs[i + 1]
+        if left > 0 and right < 0 and beta % p == 0:
+            new = (beta // p) * q
+        elif left < 0 and right > 0 and beta % q == 0:
+            new = (beta // q) * p
+        else:
+            i += 1
+            continue
+        a_exps[i] -= 1 if left > 0 else -1
+        a_exps[i + 1] -= 1 if right > 0 else -1
+        b_segs[i + 1] = new
+        if a_exps[i + 1] == 0:
+            b_segs[i + 1] += b_segs[i + 2]
+            del b_segs[i + 2]
+            del a_exps[i + 1]
+        if a_exps[i] == 0:
+            b_segs[i] += b_segs[i + 1]
+            del b_segs[i + 1]
+            del a_exps[i]
+        i = max(i - 1, 0)
+    return len(a_exps) == 0 and b_segs[0] == 0
+
+
+def bs_text(rng, p, q, relators_only=False):
+    """a^k runs, b-powers that the pinches can divide, and relators."""
+    tokens = []
+    for _ in range(rng.randint(0, 10)):
+        kind = 1.0 if relators_only else rng.random()
+        if kind < 0.35:
+            tokens.append(f"a^{rng.choice((1, -1, 2, -2, 3, -3))}")
+        elif kind < 0.7:
+            tokens.append(f"b^{rng.choice((p, q, p * q, 1)) * rng.randint(-3, 3)}")
+        else:
+            tokens.append(rng.choice((f"ab^{p}Ab^{-q}", f"b^{q}ab^{-p}A")))
+    return "".join(tokens)
+
+
+@pytest.mark.parametrize("p,q", [
+    (1, 1), (2, 2), (2, -2), (-3, 3), (1, 2), (2, 3), (-2, 3), (3, -5), (4, 6), (6, 9), (-1, -4),
+])
+def test_bs_is_trivial_agrees(p, q):
+    rng = random.Random(f"bs{p},{q}")
+    spec = BSSpec(p, q)
+    trivial_seen = 0
+    for n in range(400):
+        w = parse_bs_word(bs_text(rng, p, q))
+        if n % 2:
+            # a conjugate of a product of relators dies only through pinches
+            g = parse_bs_word(bs_text(rng, p, q))
+            r = parse_bs_word(bs_text(rng, p, q, relators_only=True))
+            w = g * r * g.inverse() * (w if n % 4 == 1 else GroupWord(()))
+        if n % 5 == 0:
+            w = w * w.inverse()
+        got = bs_is_trivial(spec, w)
+        assert got == ref_bs_is_trivial(spec, w), (p, q, format_word(w, "compact"))
+        trivial_seen += got
+    assert trivial_seen >= 150
+
+
+# --- the first differing digit ------------------------------------------------------
+
+
+def ref_first_digit_difference(a, b):
+    """The digit scan that the congruence law replaced for exact units."""
+    if _streams_equal_exact(a, b):
+        raise SameGroup("the digit streams agree at every index")
+    sa, sb = RDigitStream(a), RDigitStream(b)
+    i = 1
+    while sa.digit(i) == sb.digit(i):
+        i += 1
+    return i
+
+
+def first_difference(fn, a, b):
+    """The index, or None for SameGroup."""
+    try:
+        return fn(a, b)
+    except SameGroup:
+        return None
+
+
+def unit_xi(rng, m):
+    while True:
+        f = Fraction(rng.randint(-200, 200), rng.randint(1, 40))
+        if math.gcd(f.numerator, m) == 1 and math.gcd(f.denominator, m) == 1:
+            return f
+
+
+def spec_of(m, f, scale=1):
+    if f.denominator == 1 and scale == 1:
+        return MarkedGroupSpec(m, XiInt(f.numerator))
+    return MarkedGroupSpec(m, XiRat(f.numerator * scale, f.denominator * scale))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9, 10, 12, -2, -3, -4, -6])
+def test_first_digit_difference_agrees(m):
+    """Exact unit pairs, a third of them a + |m|^h u/v with a common prefix
+    of at least h digits, and some equal pairs written in other terms."""
+    rng = random.Random(f"fdd{m}")
+    mod = abs(m)
+    for n in range(150):
+        fa = unit_xi(rng, mod)
+        if n % 3 == 0:
+            fb = fa + mod ** rng.randint(1, 12) * unit_xi(rng, mod)
+        else:
+            fb = unit_xi(rng, mod)
+        a, b = spec_of(m, fa), spec_of(m, fb)
+        if n % 10 == 0:
+            b = spec_of(m, fa, 7)
+        ref = first_difference(ref_first_digit_difference, a, b)
+        assert first_difference(_first_digit_difference, a, b) == ref, (m, a.xi, b.xi)
+
+
+# --- prefix realization -------------------------------------------------------------
+
+
+def ref_xi_from_prefix(m, prefix):
+    """The lift search that the fixed-point pass replaced: of the |m| lifts
+    of the residue matching k digits, the one that matches digit k + 1."""
+    m = abs(m)
+    n, modulus = prefix[0], m
+    for k in range(1, len(prefix)):
+        n = next(
+            lift
+            for lift in range(n, n + m * modulus, modulus)
+            if RDigitStream(MarkedGroupSpec(m, XiInt(lift))).digit(k + 1) == prefix[k]
+        )
+        modulus *= m
+    return n, modulus
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 10, 12, 30, -6])
+def test_xi_from_prefix_agrees(m):
+    rng = random.Random(f"xfp{m}")
+    mod = abs(m)
+    units = [d for d in range(mod) if math.gcd(d, mod) == 1]
+    for _ in range(60):
+        prefix = [rng.choice(units)] + [rng.randrange(mod) for _ in range(rng.randint(0, 24))]
+        assert xi_from_prefix(m, prefix) == ref_xi_from_prefix(m, prefix), (m, prefix)

@@ -172,9 +172,19 @@ def test_distance_bounds_errors():
         distance_bounds(spec(2, XiInt(2)), spec(2, XiInt(1)))
     with pytest.raises(GcdMismatch):
         distance_bounds(spec(2, XiInt(1)), spec(3, XiInt(1)))
-    with pytest.raises(SameGroup):
+    with pytest.raises(SameGroup, match=r"within the available 2 digits$"):
         # finite sequences exhausted without a difference
         distance_bounds(spec(2, XiSeqFinite((1, 1))), spec(2, XiInt(3)))
+
+
+def test_distance_bounds_first_digits_differ():
+    # h = 0 from the congruence law, from the scan of two sequences and of a mixed pair
+    h0 = DistanceBounds(h=0, lower_exp=20, upper_exp=1)
+    pairs = [(XiInt(1), XiRat(1, 2)), (XiSeqPeriodic((1,), (0,)), XiSeqPeriodic((), (2,))),
+             (XiSeqFinite((2, 0)), XiInt(1))]
+    for a, b in pairs:
+        assert distance_bounds(spec(3, a), spec(3, b)) == h0
+        assert distance_bounds(spec(3, b), spec(3, a)) == h0
 
 
 def test_distance_bounds_finite_spec_difference():
