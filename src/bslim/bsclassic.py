@@ -10,10 +10,12 @@ b^{kp}), so words like b^(n^k) stay cheap to reduce.  N(k) needs only
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .errors import ParseError, PreconditionViolated
-from .group import ALetter, BaseLetter, GroupWord, _b_exponent
+from .group import _COMPACT, ALetter, BaseLetter, GroupWord, _b_exponent, a_power_word
 from .lattice import EVec
 from .madic import _parse_decimal
 
@@ -30,34 +32,38 @@ class BSSpec:
             raise ValueError("BS(p, q) needs nonzero p and q")
 
 
+#: One token of the ``bswp`` grammar: a letter, optionally raised to a signed
+#: ASCII decimal if lowercase; a^k stands for |k| letters, b^k for one letter k e_0.
+BS_TOKEN = re.compile(r"([aAbB])(?:(?<=[ab])\^([+-]?[0-9]+))?")
+
+
 def parse_bs_word(text: str) -> GroupWord:
     """Compact {a, A, b, B} words extended with run-length tokens
-    ``a^<signed decimal>`` and ``b^<signed decimal>``."""
-    letters = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch not in "aAbB":
-            raise ParseError(f"invalid symbol {ch!r}", i)
-        exp = 1 if ch in "ab" else -1
-        gen = "a" if ch in "aA" else "b"
-        i += 1
-        if i < n and text[i] == "^":
-            i += 1
-            start = i
-            if i < n and text[i] in "+-":
-                i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-            exp = _parse_decimal(text[start:i], start)
-            if ch in "AB":
-                raise ParseError("exponent tokens use lowercase letters", start - 1)
-        if gen == "a":
-            letters.extend([ALetter(1 if exp > 0 else -1)] * abs(exp))
-        elif exp:
-            letters.append(BaseLetter(EVec.basis(0, exp)))
-    return GroupWord(tuple(letters))
+    ``a^<signed decimal>`` and ``b^<signed decimal>``; plain letters are
+    the ones :func:`group.parse_word` shares."""
+    letters, end, last = [], 0, None
+    for tok in BS_TOKEN.finditer(text):
+        if tok.start() != end:
+            break
+        letter, k = tok.groups()
+        end, last = tok.end(), tok
+        if k is None:
+            letters.append(_COMPACT[letter])
+        elif letter == "a":
+            letters += a_power_word(int(k)).letters
+        elif int(k):
+            letters.append(BaseLetter(EVec.basis(0, int(k))))
+    if end == len(text):
+        return GroupWord(letters)
+    # the error a left-to-right scan reports: a ^ or a non-ASCII digit at ``end``
+    # continues the last token's exponent, which fails as a number or follows A or B
+    nxt = text[end : end + 1]
+    if last and (nxt == "^" if last[2] is None else nxt.isdigit()):
+        start = last.start() + 2
+        lead = start + (text[start : start + 1] in ("+", "-"))
+        _parse_decimal(text[start:lead] + "".join(takewhile(str.isdigit, text[lead:])), start)
+        raise ParseError("exponent tokens use lowercase letters", start - 1)
+    raise ParseError(f"invalid symbol {nxt!r}", end)
 
 
 def bs_is_trivial(spec: BSSpec, w: GroupWord) -> bool:
@@ -86,21 +92,6 @@ def bs_is_trivial(spec: BSSpec, w: GroupWord) -> bool:
     return not deltas and not segs[0]
 
 
-def _prime_exponents(n: int) -> dict[int, int]:
-    # trial division; fine at desk scale
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def bs_n_of_k(m: int, n: int, k: int) -> tuple[int, int]:
     """The least N with a^-N b^(n^k) a^N = b^alpha and n not dividing alpha,
     in BS(m, n); returns (N, alpha).
@@ -123,5 +114,12 @@ def bs_n_of_k(m: int, n: int, k: int) -> tuple[int, int]:
 
 
 def mu_max_exponent(m: int) -> int:
-    """The largest exponent in the prime factorization of m."""
-    return max(_prime_exponents(m).values(), default=0)
+    """The largest exponent in the prime factorization of m (trial division;
+    fine at desk scale)."""
+    m, d, top = abs(m), 2, 0
+    while d * d <= m:
+        k = 0
+        while m % d == 0:
+            m, k = m // d, k + 1
+        top, d = max(top, k), d + 1
+    return max(top, int(m > 1))

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from typing import Optional, Sequence
 
-from .bsclassic import BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
+from .bsclassic import BS_TOKEN, BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
 from .errors import BslError, ParseError, RDigitBudgetExceeded, SizeLimitExceeded
 from .group import (
     GroupWord,
@@ -73,18 +72,23 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: a 2-core VM.  Digits and recovery cost time quadratic in the count, digits
 #: memory linear (`rat:5/7`, m = 3: `rdigits` 0.13 s, 18 MB RSS; `relator` bi
 #: 0.19 s, 20 MB); `dist` grows 6x per two letters (int:1 vs int:5: 0.7 s, 31 MB).
-#: Every group command reads digits under the `rdigits` limit (`_ctx`), and
-#: `bswp` caps the sum of |k| over a^k tokens (a^500000 b^4 a^-500000: 0.26 s, 36 MB).
-#: `nk` caps k * bit_length(|n|), the size of n^k; the worst case is m = n/2 with
-#: k = 2, cubic in that size (n = 2^9999: 1.2 s).
-SIZE_LIMITS = {"bswp": 1_000_000, "dist": 20, "nk": 20_000, "rdigits": 10_000, "recover": 64,
+#: Every group command reads digits under the `rdigits` limit (`_ctx`).  A `bswp`
+#: pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
+#: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k
+#: so alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
+SIZE_LIMITS = {"bswp": 150_000, "dist": 20, "nk": 14_000, "rdigits": 10_000, "recover": 64,
                "relator": 10_000}
 
 
+def _capped(args, size_name: str, size: int) -> None:
+    limit = SIZE_LIMITS[args.command]
+    if size > limit:
+        raise SizeLimitExceeded(f"{size_name} = {size} is over the limit {limit}")
+
+
 def _sized(args, flag: str) -> Optional[int]:
-    value, limit = getattr(args, flag.replace("-", "_")), SIZE_LIMITS[args.command]
-    if value is not None and abs(value) > limit:
-        raise SizeLimitExceeded(f"|--{flag}| = {abs(value)} is over the limit {limit}")
+    value = getattr(args, flag.replace("-", "_"))
+    _capped(args, f"|--{flag}|", abs(value or 0))
     return value
 
 
@@ -183,19 +187,16 @@ def _aut(args):
     return text, {"word": text}
 
 
-def _bswp(args):  # parse_bs_word expands each a^k token to |k| letters
-    letters = sum(abs(int(k)) for k in re.findall(r"a\^([+-]?[0-9]+)", args.word))
-    limit = SIZE_LIMITS["bswp"]
-    if letters > limit:
-        raise SizeLimitExceeded(f"a^k tokens sum to |k| = {letters}, over the limit {limit}")
+def _bswp(args):  # each a-letter may pinch, rescaling a b-exponent by |p| or |q|
+    a_letters = sum(abs(int(k or 1)) for letter, k in BS_TOKEN.findall(args.word) if letter in "aA")
+    bits = max(abs(args.p), abs(args.q)).bit_length()
+    _capped(args, "a-letters * bit_length(max(|p|, |q|))", a_letters * bits)
     trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))
     return "trivial" if trivial else "nontrivial", {"trivial": trivial}
 
 
 def _nk(args):
-    size, limit = args.k * abs(args.n).bit_length(), SIZE_LIMITS["nk"]
-    if size > limit:
-        raise SizeLimitExceeded(f"k * bit_length(|n|) = {size} is over the limit {limit}")
+    _capped(args, "k * bit_length(|n|)", args.k * abs(args.n).bit_length())
     count, alpha = bs_n_of_k(args.m, args.n, args.k)
     return f"N={count} alpha={alpha}", {"N": count, "alpha": alpha}
 

@@ -108,7 +108,7 @@ class GroupWord:
 
 def a_power_word(n: int) -> GroupWord:
     """The word a^n."""
-    return GroupWord((ALetter(1 if n > 0 else -1),) * abs(n))
+    return GroupWord((A_POS if n > 0 else A_NEG,) * abs(n))
 
 
 def word_from_evec(vec: EVec) -> GroupWord:

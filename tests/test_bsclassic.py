@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -75,6 +76,20 @@ def test_long_word_reduces_in_one_pass():
     assert bs_is_trivial(BSSpec(2, 3), w)
     assert not bs_is_trivial(BSSpec(-2, 3), w)
     assert time.process_time() - start < 1.0
+
+
+def test_parse_bs_word_reads_shared_letters():
+    # 560k letters in under 1 s: the per-character scanner built a fresh
+    # BaseLetter for every b and B and took 2.0-2.4 s
+    start = time.process_time()
+    w = parse_bs_word("abbABBB" * 80_000)
+    assert time.process_time() - start < 1.0
+    assert len(w.letters) == 560_000
+    # with no ^ the grammar is the compact one, letter objects included
+    for n in range(7):
+        for text in map("".join, product("aAbB", repeat=n)):
+            new, compact = parse_bs_word(text), parse_word(text)
+            assert new == compact and all(x is y for x, y in zip(new.letters, compact.letters))
 
 
 def test_convergence_to_limit_small():
@@ -154,6 +169,12 @@ def test_n_of_k_matches_bs_reduction():
     cnt, alpha = bs_n_of_k(m, n, k)
     w = parse_bs_word(f"a^-{cnt}b^{n**k}a^{cnt}b^{-alpha}")
     assert bs_is_trivial(BSSpec(m, n), w)
+
+
+@pytest.mark.parametrize("m,mu", [(1, 0), (2, 1), (-3, 1), (12, 2), (-72, 3), (97, 1),
+                                  (2 * 97**2, 2), (2**5 * 3**7, 7), (65_537, 1)])
+def test_mu_max_exponent(m, mu):
+    assert mu_max_exponent(m) == mu
 
 
 def test_n_of_k_needs_no_factorization():

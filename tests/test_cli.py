@@ -276,27 +276,37 @@ def test_relator_bi_reads_digits_under_the_budget(capsys):
 
 
 def test_bswp_limits_a_powers_before_parsing(capsys, monkeypatch):
-    """``parse_bs_word`` expands each a^k token to |k| letters (a^10000000 b
-    A^10000000 grew to 170 MB before its ParseError), so the sum of |k| is
-    checked first.  At the limit the word still answers."""
+    """Each a-letter can pinch, and a pinch rescales a b-exponent by p/q or
+    q/p, so the work is quadratic in the a-letters the word expands to
+    (a^200000 b a^-200000 b^-1 in BS(1, 2) took 12.4 s).  Their count, plain
+    letters and each a^k's |k|, times bit_length(max(|p|, |q|)) is checked
+    before parsing.  At the limit the word still answers."""
     limit = SIZE_LIMITS["bswp"]
-    half = limit // 2
-    bswp = ("bswp", "--p", "2", "--q", "3", "--word")
-    code, out, _ = run(capsys, *bswp, f"a^{half}b^4a^-{half}b^-6")
+    k = limit // 8  # 4k a-letters of 2 bits: a^k b a^-k = b^(3^k) commutes with b
+    word = f"a^{k}ba^-{k}ba^{k}Ba^-{k}B"
+    code, out, _ = run(capsys, "bswp", "--p", "1", "--q", "3", "--word", word)
+    assert code == 0 and out == "trivial"
+    code, out, _ = run(capsys, "bswp", "--p", "1", "--q", "1", "--word", "a" * limit)
     assert code == 0 and out == "nontrivial"
 
     def never(text):
         raise AssertionError("parse_bs_word ran on an over-limit word")
 
     monkeypatch.setattr(cli, "parse_bs_word", never)
-    for word, total in ((f"a^{limit + 1}", limit + 1),
-                        (f"a^{half}b^4a^-{half + 1}b^-6", limit + 1),
-                        ("a^10000000bA^10000000", 10_000_000),
-                        (f"a^{10**12}", 10**12)):
-        code, out, err = run(capsys, *bswp, word)
+    half = limit // 4
+    for p, q, word, size in (
+        ("1", "3", f"a^{half + 1}ba^-{half}", limit + 2),
+        ("1", "3", "a" * (half + 1) + "b" + "A" * half, limit + 2),  # plain letters count
+        ("-3", "1", f"a^-{half}Ba^{half}a", limit + 2),
+        ("1", "1", "a" * limit + "A", limit + 1),
+        (str(2**64), "1", "a" * (limit // 65 + 1), 65 * (limit // 65 + 1)),
+        ("2", "3", "a^10000000bA^10000000", 2 * (10_000_000 + 1)),  # A^k is A, then no token
+        ("2", "3", f"a^{10**12}", 2 * 10**12),
+    ):
+        code, out, err = run(capsys, "bswp", "--p", p, "--q", q, "--word", word)
         assert code == 1 and out == ""
-        message = f"a^k tokens sum to |k| = {total}, over the limit {limit}"
-        assert err == f"error: SizeLimitExceeded: {message}\n"
+        message = f"a-letters * bit_length(max(|p|, |q|)) = {size} is over the limit {limit}"
+        assert err == f"error: SizeLimitExceeded: {message}\n", (p, q, word[:20])
 
 
 def test_nk_limits_the_size_of_n_to_the_k(capsys, monkeypatch):
@@ -319,6 +329,28 @@ def test_nk_limits_the_size_of_n_to_the_k(capsys, monkeypatch):
         assert code == 1 and out == ""
         message = f"k * bit_length(|n|) = {size} is over the limit {limit}"
         assert err == f"error: SizeLimitExceeded: {message}\n"
+
+
+def test_nk_prints_alpha_at_the_limit(capsys):
+    """With m odd and n = 2^j, N = k and alpha = m^k, up to k * j bits, and
+    printing an int over 4,300 decimal digits raises in Python.  Under the
+    limit |alpha| < 2^14000 has at most 4,215 digits, so alpha prints in
+    plain text and in JSON; the old limit let 1023^1818 through."""
+    limit = SIZE_LIMITS["nk"]
+    code, out, err = run(capsys, "nk", "--m", "1023", "--n", "1024", "--k", "1818")
+    assert code == 1 and out == ""
+    message = f"k * bit_length(|n|) = 19998 is over the limit {limit}"
+    assert err == f"error: SizeLimitExceeded: {message}\n"
+    j = limit // 2 - 1  # n = 2^j has j + 1 bits, so k = 2 is at the limit
+    m, n = 2**j - 1, 2**j
+    argv = ("nk", "--m", str(m), "--n", str(n), "--k", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == f"N=2 alpha={m * m}" and len(str(m * m)) == 4_214
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out) == {"N": 2, "alpha": m * m}
+    k = limit // 8  # n = 128
+    code, out, _ = run(capsys, "nk", "--m", "127", "--n", "128", "--k", str(k))
+    assert code == 0 and out == f"N={k} alpha={127**k}"
 
 
 def test_recover_finds_the_largest_moduli(capsys):

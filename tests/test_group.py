@@ -293,6 +293,24 @@ def test_solver_shape_mismatch(ctx23):
         base_conjugacy_solve(ctx23, u, v)
 
 
+@pytest.mark.parametrize("m", [2, 3, -2, 6])
+def test_solver_divides_past_every_digit_read(m):
+    """Over xi = 0 every digit is 0, so e_n = a^n (|m| e_0) a^-n, and for
+    v = a^(n+1) e_0 a^-n the element e_n v (-e_n) has the reduced form
+    u = a^n (|m| e_0) a ((1 - |m|) e_0) a^-n.  Every segment is a multiple
+    of e_0, so folding the lamp polynomials reads no digit, and the exact
+    division (|m| X^n = q(e_n)) is the first read of r_1..r_(n-1)."""
+    n, k = 6, abs(m)
+    zeros = [EVec.zero()] * n
+    v = form([*zeros, EVec.zero(), E0, *zeros], [1] * (n + 1) + [-1] * n)
+    u = form([*zeros, k * E0, (1 - k) * E0, *zeros], [1] * (n + 1) + [-1] * n)
+    ctx = GroupCtx.make(m, "int:0")
+    e = word_from_evec(EVec.basis(n))
+    assert is_trivial(ctx, e * v.to_word() * e.inverse() * u.to_word().inverse())
+    fresh = GroupCtx.make(m, "int:0")
+    assert base_conjugacy_solve(fresh, u, v) == EVec.basis(n)
+
+
 # --- conjugacy --------------------------------------------------------------------
 
 def assert_witness(ctx, v, w, g):

@@ -45,7 +45,9 @@ same words in the same (lexicographic) order.
 ``ref_bs_is_trivial`` is the classical BS(p, q) reducer that one stack
 pass replaced: it ran on run-length blocks of stable letters, backtracked
 after each pinch and deleted blocks from the middle of its lists.  Both
-must give the same verdict.  ``ref_first_digit_difference`` is the digit
+must give the same verdict.  ``ref_parse_bs_word`` is the per-character
+scanner that one walk over ``bsclassic.BS_TOKEN`` replaced: equal words,
+or the same error message and offset.  ``ref_first_digit_difference`` is the digit
 scan that the congruence law replaced for exact unit pairs, and
 ``ref_xi_from_prefix`` the lift search that the fixed-point pass for
 1/xi replaced; each must give the same index or residue.
@@ -53,6 +55,7 @@ scan that the congruence law replaced for exact unit pairs, and
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -111,7 +114,15 @@ from bslim.lattice import (
     fixed_interval,
     q_poly,
 )
-from bslim.madic import MarkedGroupSpec, RDigitStream, XiInt, XiRat, parse_xi, xi_from_prefix
+from bslim.madic import (
+    MarkedGroupSpec,
+    RDigitStream,
+    XiInt,
+    XiRat,
+    _parse_decimal,
+    parse_xi,
+    xi_from_prefix,
+)
 from bslim.markedspace import (
     _first_digit_difference,
     _streams_equal_exact,
@@ -1452,6 +1463,64 @@ def test_bs_is_trivial_agrees(p, q):
         assert got == ref_bs_is_trivial(spec, w), (p, q, format_word(w, "compact"))
         trivial_seen += got
     assert trivial_seen >= 150
+
+
+def ref_parse_bs_word(text):
+    letters = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch not in "aAbB":
+            raise ParseError(f"invalid symbol {ch!r}", i)
+        exp = 1 if ch in "ab" else -1
+        gen = "a" if ch in "aA" else "b"
+        i += 1
+        if i < n and text[i] == "^":
+            i += 1
+            start = i
+            if i < n and text[i] in "+-":
+                i += 1
+            while i < n and text[i].isdigit():
+                i += 1
+            exp = _parse_decimal(text[start:i], start)
+            if ch in "AB":
+                raise ParseError("exponent tokens use lowercase letters", start - 1)
+        if gen == "a":
+            letters.extend([ALetter(1 if exp > 0 else -1)] * abs(exp))
+        elif exp:
+            letters.append(BaseLetter(EVec.basis(0, exp)))
+    return GroupWord(tuple(letters))
+
+
+# pieces of bswp texts: letters, exponents with +, - and 0, sign and caret
+# fragments, non-ASCII digits that pass str.isdigit ("²" is no decimal, "١"
+# is an Arabic-Indic one) and symbols outside the grammar
+BS_PIECES = ("a", "A", "b", "B", "a^3", "a^-2", "a^+1", "a^0", "b^-0", "b^12", "b^-7", "A^2",
+             "B^-3", "^", "^-", "^+", "-", "+", "0", "5", "²", "١", "x", " ", "é", "\n")
+
+
+def bs_parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+def test_parse_bs_word_agrees():
+    rng = random.Random("bswp")
+    texts = ["", "a^", "b^-", "A^", "a^²", "a^5²", "a^-1١", "A^5²", "A^5x", "a^5^3", "Bb^7x",
+             "b^+", "^a", "a^١2", "ab^0A", "a^+0B"]
+    texts += ["".join(rng.choice(BS_PIECES) for _ in range(rng.randint(1, 8)))
+              for _ in range(20_000)]
+    seen = Counter()
+    for text in texts:
+        ref = bs_parse_outcome(ref_parse_bs_word, text)
+        assert bs_parse_outcome(parse_bs_word, text) == ref, text
+        seen["word" if isinstance(ref, GroupWord) else ref[0].split()[0]] += 1
+    # words and each kind of error ("invalid symbol", "bad number", "exponent
+    # tokens use lowercase letters") are all well represented
+    assert min(seen[kind] for kind in ("word", "invalid", "bad", "exponent")) >= 1_000, seen
 
 
 # --- the first differing digit ------------------------------------------------------
