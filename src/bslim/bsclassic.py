@@ -50,9 +50,9 @@ def parse_bs_word(text: str) -> GroupWord:
         if k is None:
             letters.append(_COMPACT[letter])
         elif letter == "a":
-            letters += a_power_word(int(k)).letters
-        elif int(k):
-            letters.append(BaseLetter(EVec.basis(0, int(k))))
+            letters += a_power_word(_parse_decimal(k, tok.start(2))).letters
+        elif k := _parse_decimal(k, tok.start(2)):
+            letters.append(BaseLetter(EVec.basis(0, k)))
     if end == len(text):
         return GroupWord(letters)
     # the error a left-to-right scan reports: a ^ or a non-ASCII digit at ``end``

@@ -188,7 +188,8 @@ def _aut(args):
 
 
 def _bswp(args):  # each a-letter may pinch, rescaling a b-exponent by |p| or |q|
-    a_letters = sum(abs(int(k or 1)) for letter, k in BS_TOKEN.findall(args.word) if letter in "aA")
+    a_letters = sum(abs(_parse_decimal(tok[2], tok.start(2))) if tok[2] else 1
+                    for tok in BS_TOKEN.finditer(args.word) if tok[1] in "aA")
     bits = max(abs(args.p), abs(args.q)).bit_length()
     _capped(args, "a-letters * bit_length(max(|p|, |q|))", a_letters * bits)
     trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))

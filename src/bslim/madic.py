@@ -19,6 +19,7 @@ labels the same marked group, so all digit math runs over |m|.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +81,11 @@ EXACT_KINDS = (XiInt, XiRat)
 SEQ_KINDS = (XiSeqFinite, XiSeqPeriodic)
 
 
+def _pre_period(xi: XiSeqFinite | XiSeqPeriodic) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A digit sequence as (preperiod, period): a finite one has no period."""
+    return (xi.digits, ()) if isinstance(xi, XiSeqFinite) else (xi.preperiod, xi.period)
+
+
 @dataclass(frozen=True)
 class MarkedGroupSpec:
     """The pair (m, xi) identifying one marked limit group.
@@ -105,12 +111,8 @@ class MarkedGroupSpec:
                     f"denominator {xi.q} shares a factor with m={self.m}"
                 )
         elif isinstance(xi, SEQ_KINDS):
-            digits = (
-                xi.digits
-                if isinstance(xi, XiSeqFinite)
-                else xi.preperiod + xi.period
-            )
-            bad = [d for d in digits if not 0 <= d < abs(self.m)]
+            pre, per = _pre_period(xi)
+            bad = [d for d in pre + per if not 0 <= d < abs(self.m)]
             if bad:
                 raise ValueError(f"digits {bad} outside range [0, {abs(self.m)})")
             if isinstance(xi, XiSeqPeriodic) and not xi.period:
@@ -136,14 +138,10 @@ class MarkedGroupSpec:
         """True for digit-sequence inputs whose first digit is not coprime
         to m.  Such sequences are accepted (the group they define is well
         defined) but no m-adic integer is guaranteed to realize them."""
-        xi = self.xi
-        if isinstance(xi, XiSeqFinite):
-            first = xi.digits[0] if xi.digits else 0
-        elif isinstance(xi, XiSeqPeriodic):
-            first = (xi.preperiod + xi.period)[0]
-        else:
+        if not isinstance(self.xi, SEQ_KINDS):
             return False
-        return math.gcd(first, self.m_abs) != 1
+        pre, per = _pre_period(self.xi)
+        return math.gcd(next(iter(pre + per), 0), self.m_abs) != 1
 
 
 @dataclass(frozen=True)
@@ -306,8 +304,8 @@ class RDigitStream:
         xi = spec.xi_norm
         if isinstance(xi, EXACT_KINDS):
             self._source = map(itemgetter(0), _t_steps(_xi_fraction(spec), spec.m_abs))
-        else:  # a finite sequence is a preperiod with no period
-            pre, per = (xi.digits, ()) if isinstance(xi, XiSeqFinite) else (xi.preperiod, xi.period)
+        else:
+            pre, per = _pre_period(xi)
             self._source = chain(pre, cycle(per))
 
     @classmethod
@@ -423,6 +421,49 @@ def project_unit(spec: MarkedGroupSpec) -> MarkedGroupSpec:
     return MarkedGroupSpec(m_hat, XiRat(xi.p // d, xi.q))
 
 
+def _first_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int | None:
+    """The 1-based index of the first digit where two parameters over the
+    same |m| differ, or None when their streams agree at every index.
+
+    An exact parameter's digits are d = gcd(|m|, r_1) times those of its
+    unit projection (m/d, xi/d), and exact units share h digits exactly when
+    they agree mod (m/d)^h (the congruence law), so exact pairs are not
+    scanned.  Other pairs are, once: periodic pairs to both preperiods plus
+    the period lcm; a rational against a periodic sequence through preperiod
+    and period, where the rational's digits go on repeating exactly when its
+    s-state returns after one period (its denominators are prime to m, so a
+    drift would force unbounded m-powers into them), and then on to the
+    difference.  A finite sequence raises RDigitBudgetExceeded where it ends.
+    """
+    m, sa, sb = a.m_abs, RDigitStream(a), RDigitStream(b)
+    d = math.gcd(m, sa.digit(1))
+    if math.gcd(m, sb.digit(1)) != d:
+        return 1
+    xa, xb = a.xi_norm, b.xi_norm
+    if isinstance(xa, EXACT_KINDS) and isinstance(xb, EXACT_KINDS):
+        diff, i = ((_xi_fraction(a) - _xi_fraction(b)) / d).numerator, 1
+        if m == d or not diff:
+            return None
+        while diff % (m // d) == 0:
+            diff, i = diff // (m // d), i + 1
+        return i
+    rat, horizon = None, 0  # a finite sequence has no horizon
+    if isinstance(xa, XiSeqPeriodic) and isinstance(xb, XiSeqPeriodic):
+        horizon = max(len(xa.preperiod), len(xb.preperiod))
+        horizon += math.lcm(len(xa.period), len(xb.period))
+    elif not isinstance(xa, XiSeqFinite) and not isinstance(xb, XiSeqFinite):
+        rat, seq = (sa, xb) if isinstance(xa, EXACT_KINDS) else (sb, xa)
+        pre = len(seq.preperiod)
+        horizon = pre + len(seq.period)
+    i = 1
+    while sa.digit(i) == sb.digit(i):
+        # at d = m the rational's digits are all zero, whatever its s-state
+        if i == horizon and (rat is None or m == d or rat.s_value(pre) == rat.s_value(horizon)):
+            return None
+        i += 1
+    return i
+
+
 def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
     """The unique residue class (n mod |m|^h) of units whose first h digits
     equal ``prefix``.
@@ -470,7 +511,11 @@ def _parse_decimal(text: str, offset: int, signed: bool = True) -> int:
     body = text[1:] if signed and text[:1] in ("+", "-") else text
     if not (body.isascii() and body.isdigit()):
         raise ParseError(f"bad number {text!r}", offset)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # well formed, but longer than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{len(body)}-digit number is over the {limit}-digit limit", offset) from None
 
 
 def _parse_digit_list(text: str, offset: int) -> tuple[int, ...]:

@@ -8,7 +8,6 @@ handled through integer exponents only; no floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -31,14 +30,7 @@ from .group import (
     parse_word,
 )
 from .lattice import EVec, GroupCtx
-from .madic import (
-    EXACT_KINDS,
-    MarkedGroupSpec,
-    RDigitStream,
-    XiSeqFinite,
-    _xi_fraction,
-    gcd_with_m,
-)
+from .madic import MarkedGroupSpec, XiSeqFinite, _first_difference, gcd_with_m
 
 
 @dataclass(frozen=True)
@@ -242,78 +234,7 @@ def shortest_distinguishing(
     return None
 
 
-# --- digit-stream comparison and distance bounds --------------------------------
-
-
-def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
-    """Decide r_i(a) = r_i(b) for every i, for fully described parameters.
-
-    Integer/rational pairs agree exactly when their gcd with m matches and
-    the parameters are equal as rationals (or the projected modulus is 1).
-    A rational against an eventually periodic sequence agrees exactly when
-    the digits match through preperiod plus one period and the companion
-    s-state returns to its value one period earlier; periodic pairs agree
-    when they match through both preperiods plus the period lcm.
-    """
-    if a.m_abs != b.m_abs:
-        return False
-    m = a.m_abs
-    ka, kb = a.xi_norm, b.xi_norm
-    if isinstance(ka, XiSeqFinite) or isinstance(kb, XiSeqFinite):
-        raise UndecidableSpec("finite digit sequences admit no full comparison")
-    da, db = gcd_with_m(a), gcd_with_m(b)
-    if da != db:
-        return False
-    exact_a, exact_b = isinstance(ka, EXACT_KINDS), isinstance(kb, EXACT_KINDS)
-    if exact_a and exact_b:
-        if m // da == 1:
-            return True
-        return _xi_fraction(a) == _xi_fraction(b)
-    if not exact_a and not exact_b:
-        pre = max(len(ka.preperiod), len(kb.preperiod))
-        horizon = pre + math.lcm(len(ka.period), len(kb.period))
-        sa, sb = RDigitStream(a), RDigitStream(b)
-        return all(sa.digit(i) == sb.digit(i) for i in range(1, horizon + 1))
-    # mixed: rational versus eventually periodic sequence
-    rat, seq = (a, b) if exact_a else (b, a)
-    pre, per = seq.xi_norm.preperiod, seq.xi_norm.period
-    if da == m:
-        # gcd m forces the all-zero stream on both sides
-        return all(d == 0 for d in pre + per)
-    horizon = len(pre) + len(per)
-    rs = RDigitStream(rat)
-    ss = RDigitStream(seq)
-    if any(rs.digit(i) != ss.digit(i) for i in range(1, horizon + 1)):
-        return False
-    # digits of a rational are periodic from len(pre) on exactly when the
-    # s-state is fixed by one period step (denominators are coprime to m,
-    # so any drift would force unbounded m-powers into them)
-    return rs.s_value(len(pre)) == rs.s_value(len(pre) + len(per))
-
-
-def _first_digit_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int:
-    """1-based index of the first differing digit of two unit parameters;
-    raises SameGroup when there is none, or the scan cannot find one.
-    Exact units share h digits exactly when they agree mod |m|^h (the
-    congruence law), so their digits are not scanned."""
-    finite = isinstance(a.xi_norm, XiSeqFinite) or isinstance(b.xi_norm, XiSeqFinite)
-    if not finite and _streams_equal_exact(a, b):
-        raise SameGroup("the digit streams agree at every index")
-    if isinstance(a.xi_norm, EXACT_KINDS) and isinstance(b.xi_norm, EXACT_KINDS):
-        diff, i = (_xi_fraction(a) - _xi_fraction(b)).numerator, 1
-        while diff % a.m_abs == 0:
-            diff, i = diff // a.m_abs, i + 1
-        return i
-    sa, sb = RDigitStream(a), RDigitStream(b)
-    i = 1
-    try:
-        while sa.digit(i) == sb.digit(i):
-            i += 1
-    except RDigitBudgetExceeded as exc:
-        raise SameGroup(
-            f"no differing digit within the available {exc.index - 1} digits"
-        ) from None
-    return i
+# --- distance bounds ------------------------------------------------------------
 
 
 def distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBounds:
@@ -324,8 +245,15 @@ def distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBounds:
         raise GcdMismatch("parameters live over different moduli")
     if gcd_with_m(g1) != 1 or gcd_with_m(g2) != 1:
         raise GcdMismatch("distance bounds need unit parameters")
-    m = g1.m_abs
-    h = _first_digit_difference(g1, g2) - 1
+    try:
+        i = _first_difference(g1, g2)
+    except RDigitBudgetExceeded as exc:
+        raise SameGroup(
+            f"no differing digit within the available {exc.index - 1} digits"
+        ) from None
+    if i is None:
+        raise SameGroup("the digit streams agree at every index")
+    m, h = g1.m_abs, i - 1
     return DistanceBounds(
         h=h,
         lower_exp=2 * (m + 1) * (h + 1) + 2 * m + 6,
@@ -342,7 +270,7 @@ def isomorphic(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> bool:
     isomorphism).  Finite digit prefixes are rejected as undecidable."""
     if isinstance(g1.xi_norm, XiSeqFinite) or isinstance(g2.xi_norm, XiSeqFinite):
         raise UndecidableSpec("finite digit sequences admit no full comparison")
-    return _streams_equal_exact(g1, g2)
+    return g1.m_abs == g2.m_abs and _first_difference(g1, g2) is None
 
 
 # --- parameter recovery -------------------------------------------------------------

@@ -372,6 +372,33 @@ def test_usage_error_exit_2(capsys):
         assert info.value.code == 2
 
 
+LONG = "9" * 5_000  # well formed, but over int()'s 4,300-digit conversion limit
+LONG_NUMBERS = {  # name: (the number's offset, argv)
+    "wp-xi": (4, ["wp", "--m", "2", "--xi", f"int:{LONG}", "--word", "a"]),
+    "bswp-b": (3, ["bswp", "--p", "2", "--q", "3", "--word", f"ab^{LONG}"]),
+    "bswp-a": (3, ["bswp", "--p", "2", "--q", "3", "--word", f"ba^-{LONG}"]),
+    "wp-e": (3, ["wp", "--m", "2", "--xi", "int:3", "--alphabet", "extended",
+                 "--word", f"a e{LONG}"]),
+    "relator-digits": (2, ["relator", "--kind", "w", "--m", "2", "--digits", f"1,{LONG}"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NUMBERS))
+def test_long_numbers_are_parse_errors(capsys, name):
+    offset, argv = LONG_NUMBERS[name]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: ParseError: 5000-digit number is over the 4300-digit limit (offset {offset})\n"
+
+
+def test_long_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["rdigits", "--m", "2", "--xi", "int:3", "--count", LONG])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert f"argument --count: bad number '{LONG}'" in err and "ValueError" not in err
+
+
 def test_cached_parser_keeps_no_state_between_calls(capsys):
     g = ("--m", "2", "--xi", "int:3")
     code, out, _ = run(capsys, "--json", "wp", *g, "--word", "b")

@@ -51,6 +51,13 @@ or the same error message and offset.  ``ref_first_digit_difference`` is the dig
 scan that the congruence law replaced for exact unit pairs, and
 ``ref_xi_from_prefix`` the lift search that the fixed-point pass for
 1/xi replaced; each must give the same index or residue.
+
+``_streams_equal_exact`` and ``_first_digit_difference`` are the two
+comparisons, each branching on the parameter kinds, that
+``madic._first_difference`` replaced; ``ref_isomorphic`` and
+``ref_distance_bounds`` answer through them.  On pairs of every kind,
+``isomorphic`` and ``distance_bounds`` must give the same value, or the
+same error type and message.
 """
 
 import math
@@ -63,11 +70,13 @@ import pytest
 
 from bslim import (
     BslError,
+    GcdMismatch,
     InvalidAutSpec,
     ParseError,
     PinchDomainViolation,
     RDigitBudgetExceeded,
     SameGroup,
+    UndecidableSpec,
     WitnessCheckFailed,
     ZeroElement,
     group,
@@ -115,19 +124,27 @@ from bslim.lattice import (
     q_poly,
 )
 from bslim.madic import (
+    EXACT_KINDS,
     MarkedGroupSpec,
     RDigitStream,
     XiInt,
     XiRat,
+    XiSeqFinite,
+    XiSeqPeriodic,
+    _first_difference,
     _parse_decimal,
+    _xi_fraction,
+    gcd_with_m,
     parse_xi,
+    r_digits,
     xi_from_prefix,
 )
 from bslim.markedspace import (
-    _first_digit_difference,
-    _streams_equal_exact,
+    DistanceBounds,
     _wreath_trivial_words,
     b_i_word,
+    distance_bounds,
+    isomorphic,
     word_to_compact,
 )
 from bslim.morphisms import (
@@ -1526,6 +1543,97 @@ def test_parse_bs_word_agrees():
 # --- the first differing digit ------------------------------------------------------
 
 
+def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
+    """Decide r_i(a) = r_i(b) for every i, for fully described parameters.
+
+    Integer/rational pairs agree exactly when their gcd with m matches and
+    the parameters are equal as rationals (or the projected modulus is 1).
+    A rational against an eventually periodic sequence agrees exactly when
+    the digits match through preperiod plus one period and the companion
+    s-state returns to its value one period earlier; periodic pairs agree
+    when they match through both preperiods plus the period lcm.
+    """
+    if a.m_abs != b.m_abs:
+        return False
+    m = a.m_abs
+    ka, kb = a.xi_norm, b.xi_norm
+    if isinstance(ka, XiSeqFinite) or isinstance(kb, XiSeqFinite):
+        raise UndecidableSpec("finite digit sequences admit no full comparison")
+    da, db = gcd_with_m(a), gcd_with_m(b)
+    if da != db:
+        return False
+    exact_a, exact_b = isinstance(ka, EXACT_KINDS), isinstance(kb, EXACT_KINDS)
+    if exact_a and exact_b:
+        if m // da == 1:
+            return True
+        return _xi_fraction(a) == _xi_fraction(b)
+    if not exact_a and not exact_b:
+        pre = max(len(ka.preperiod), len(kb.preperiod))
+        horizon = pre + math.lcm(len(ka.period), len(kb.period))
+        sa, sb = RDigitStream(a), RDigitStream(b)
+        return all(sa.digit(i) == sb.digit(i) for i in range(1, horizon + 1))
+    # mixed: rational versus eventually periodic sequence
+    rat, seq = (a, b) if exact_a else (b, a)
+    pre, per = seq.xi_norm.preperiod, seq.xi_norm.period
+    if da == m:
+        # gcd m forces the all-zero stream on both sides
+        return all(d == 0 for d in pre + per)
+    horizon = len(pre) + len(per)
+    rs = RDigitStream(rat)
+    ss = RDigitStream(seq)
+    if any(rs.digit(i) != ss.digit(i) for i in range(1, horizon + 1)):
+        return False
+    # digits of a rational are periodic from len(pre) on exactly when the
+    # s-state is fixed by one period step (denominators are coprime to m,
+    # so any drift would force unbounded m-powers into them)
+    return rs.s_value(len(pre)) == rs.s_value(len(pre) + len(per))
+
+
+def _first_digit_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int:
+    """1-based index of the first differing digit of two unit parameters;
+    raises SameGroup when there is none, or the scan cannot find one.
+    Exact units share h digits exactly when they agree mod |m|^h (the
+    congruence law), so their digits are not scanned."""
+    finite = isinstance(a.xi_norm, XiSeqFinite) or isinstance(b.xi_norm, XiSeqFinite)
+    if not finite and _streams_equal_exact(a, b):
+        raise SameGroup("the digit streams agree at every index")
+    if isinstance(a.xi_norm, EXACT_KINDS) and isinstance(b.xi_norm, EXACT_KINDS):
+        diff, i = (_xi_fraction(a) - _xi_fraction(b)).numerator, 1
+        while diff % a.m_abs == 0:
+            diff, i = diff // a.m_abs, i + 1
+        return i
+    sa, sb = RDigitStream(a), RDigitStream(b)
+    i = 1
+    try:
+        while sa.digit(i) == sb.digit(i):
+            i += 1
+    except RDigitBudgetExceeded as exc:
+        raise SameGroup(
+            f"no differing digit within the available {exc.index - 1} digits"
+        ) from None
+    return i
+
+
+def ref_distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBounds:
+    if g1.m_abs != g2.m_abs:
+        raise GcdMismatch("parameters live over different moduli")
+    if gcd_with_m(g1) != 1 or gcd_with_m(g2) != 1:
+        raise GcdMismatch("distance bounds need unit parameters")
+    m = g1.m_abs
+    h = _first_digit_difference(g1, g2) - 1
+    return DistanceBounds(
+        h=h,
+        lower_exp=2 * (m + 1) * (h + 1) + 2 * m + 6,
+        upper_exp=2 * h + 1,
+    )
+
+
+def ref_isomorphic(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> bool:
+    if isinstance(g1.xi_norm, XiSeqFinite) or isinstance(g2.xi_norm, XiSeqFinite):
+        raise UndecidableSpec("finite digit sequences admit no full comparison")
+    return _streams_equal_exact(g1, g2)
+
+
 def ref_first_digit_difference(a, b):
     """The digit scan that the congruence law replaced for exact units."""
     if _streams_equal_exact(a, b):
@@ -1545,6 +1653,14 @@ def first_difference(fn, a, b):
         return None
 
 
+def verdict(fn, a, b):
+    """The value, or the type and message of the library error raised."""
+    try:
+        return fn(a, b)
+    except BslError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def unit_xi(rng, m):
     while True:
         f = Fraction(rng.randint(-200, 200), rng.randint(1, 40))
@@ -1558,12 +1674,77 @@ def spec_of(m, f, scale=1):
     return MarkedGroupSpec(m, XiRat(f.numerator * scale, f.denominator * scale))
 
 
+def exact_xi(rng, m, d=None):
+    """A small rational over m (so its digits turn periodic early) whose gcd
+    with m is d, or anything when d is None."""
+    while True:
+        f = Fraction(rng.randint(-60, 60), rng.choice((1, 1, 3, 5, 7, 11)))
+        if math.gcd(f.denominator, m) == 1 and d in (None, math.gcd(f.numerator, m)):
+            return f
+
+
+def cut(rng, digits):
+    """A preperiod and a period cut from the front of a digit list."""
+    j = rng.randint(0, 3)
+    return XiSeqPeriodic(digits[:j], digits[j : j + rng.randint(1, 6)])
+
+
+def unrolled(rng, xi):
+    """The same periodic stream written with a longer preperiod and period."""
+    pre, per = xi.preperiod, xi.period
+    k = rng.randrange(len(per))
+    return XiSeqPeriodic(pre + per[:k], (per[k:] + per[:k]) * rng.randint(1, 2))
+
+
+def perturbed(rng, m, xi):
+    """A periodic stream with one digit changed, if m allows another digit."""
+    digits = list(xi.preperiod + xi.period)
+    i = rng.randrange(len(digits))
+    digits[i] = (digits[i] + rng.randint(1, max(1, m - 1))) % m
+    pre = len(xi.preperiod)
+    return XiSeqPeriodic(tuple(digits[:pre]), tuple(digits[pre:]))
+
+
+def kind_pairs(rng, m, count):
+    """Pairs of every kind over m: exact units and non-units (the same gcd, a
+    different one, |m| = d), periodic pairs, rationals against sequences cut
+    from digits (their own or another's), and finite prefixes."""
+    mod = abs(m)
+    ds = [d for d in range(1, mod + 1) if mod % d == 0]
+    pairs = []
+    for n in range(count):
+        kind = n % 6
+        fa = exact_xi(rng, mod, rng.choice(ds) if kind == 1 else None)
+        a = spec_of(m, fa)
+        digits = tuple(r_digits(a, 12))
+        if kind == 0:  # exact pairs, some equal in other terms
+            fb = fa + mod ** rng.randint(0, 6) * exact_xi(rng, mod)
+            b = spec_of(m, fa, 7) if n % 4 == 0 else spec_of(m, fb)
+        elif kind == 1:  # exact pairs with the same gcd
+            g = math.gcd(fa.numerator, mod)
+            b = spec_of(m, fa + g * mod ** rng.randint(0, 6) * exact_xi(rng, mod))
+        elif kind == 2:  # periodic pairs: the same stream, or one digit changed
+            a = MarkedGroupSpec(m, cut(rng, digits))
+            same = unrolled(rng, a.xi)
+            b = MarkedGroupSpec(m, same if n % 4 else perturbed(rng, mod, same))
+        elif kind in (3, 4):  # a rational against digits cut from its own or another's
+            other = digits if kind == 3 else tuple(r_digits(spec_of(m, exact_xi(rng, mod)), 12))
+            b = MarkedGroupSpec(m, cut(rng, other))
+        else:  # finite prefixes of one parameter, against another
+            b = MarkedGroupSpec(m, XiSeqFinite(digits[: rng.randint(0, 8)]))
+        pairs.append((kind, a, b) if n % 2 else (kind, b, a))
+    return pairs
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 9, 10, 12, -2, -3, -4, -6])
 def test_first_digit_difference_agrees(m):
     """Exact unit pairs, a third of them a + |m|^h u/v with a common prefix
-    of at least h digits, and some equal pairs written in other terms."""
+    of at least h digits, and some equal pairs written in other terms, get
+    the scan's index; on them and on pairs of every kind, ``isomorphic``
+    and ``distance_bounds`` give the references' values or errors."""
     rng = random.Random(f"fdd{m}")
     mod = abs(m)
+    pairs = []
     for n in range(150):
         fa = unit_xi(rng, mod)
         if n % 3 == 0:
@@ -1574,7 +1755,43 @@ def test_first_digit_difference_agrees(m):
         if n % 10 == 0:
             b = spec_of(m, fa, 7)
         ref = first_difference(ref_first_digit_difference, a, b)
-        assert first_difference(_first_digit_difference, a, b) == ref, (m, a.xi, b.xi)
+        assert _first_difference(a, b) == ref, (m, a.xi, b.xi)
+        pairs.append((None, a, b))
+    seen = Counter()
+    for kind, a, b in pairs + kind_pairs(rng, m, 600):
+        iso = verdict(isomorphic, a, b)
+        assert iso == verdict(ref_isomorphic, a, b), (m, a.xi, b.xi)
+        bounds = verdict(distance_bounds, a, b)
+        assert bounds == verdict(ref_distance_bounds, a, b), (m, a.xi, b.xi)
+        seen[kind, iso] += 1
+        seen[bounds[1].split()[0] if isinstance(bounds, tuple) else "bounds"] += 1
+    # the s-state check passes and fails on sequences cut from the rational's own
+    # digits; distance_bounds answers, rejects non-units ("distance bounds need
+    # ..."), and meets equal streams ("the ...") and exhausted prefixes ("no ...")
+    if mod > 1:
+        assert seen[3, True] and seen[3, False], seen
+        assert seen["bounds"] and seen["distance"], seen
+    assert seen["the"] and seen["no"], seen
+
+
+@pytest.mark.parametrize("m", [4, -4, 6, 8, 9, 12, -12, 18, 30, 36])
+def test_non_unit_index_agrees_with_a_digit_scan(m):
+    """Exact non-units with the same gcd d: the first difference is 1 plus
+    the (|m|/d)-adic valuation of (xi_a - xi_b)/d, as 400 digits show."""
+    rng = random.Random(f"nonunit{m}")
+    mod = abs(m)
+    ds = [d for d in range(2, mod + 1) if mod % d == 0]
+    found = 0
+    for _ in range(60):
+        d = rng.choice(ds)
+        fa = exact_xi(rng, mod, d)
+        fb = fa + d * (mod // d) ** rng.randint(0, 12) * exact_xi(rng, mod)
+        a, b = spec_of(m, fa), spec_of(m, fb)
+        scan = next((i for i, (x, y) in enumerate(zip(r_digits(a, 400), r_digits(b, 400)), 1)
+                     if x != y), None)
+        assert _first_difference(a, b) == scan, (m, fa, fb)
+        found += scan is not None and scan > 1
+    assert found >= 20, found
 
 
 # --- prefix realization -------------------------------------------------------------
