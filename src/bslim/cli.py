@@ -59,9 +59,9 @@ def _spec(args, second: bool = False) -> MarkedGroupSpec:
     return MarkedGroupSpec(args.m, parse_xi(args.xi))
 
 
-def _ctx(args) -> GroupCtx:
-    """The group of --m/--xi; it reads no digit past the ``rdigits`` limit."""
-    return GroupCtx(_spec(args), SIZE_LIMITS["rdigits"])
+def _ctx(args, second: bool = False) -> GroupCtx:
+    """The group of --m/--xi, or --m2/--xi2; it reads no digit past the ``rdigits`` limit."""
+    return GroupCtx(_spec(args, second), SIZE_LIMITS["rdigits"])
 
 
 def _word(args, attr: str = "word") -> GroupWord:
@@ -131,7 +131,7 @@ def _dist(args):
     max_len = _sized(args, "max-len")
     if max_len > 14 and not args.force:
         raise BslError("enumeration beyond length 14 needs --force (usage guard)")
-    found = shortest_distinguishing(_spec(args), _spec(args, second=True), max_len)
+    found = shortest_distinguishing(_ctx(args), _ctx(args, second=True), max_len)
     if found is None:
         return f"none up to length {max_len}", {"nu": None, "word": None}
     length, w = found
@@ -140,18 +140,18 @@ def _dist(args):
 
 
 def _bounds(args):
-    b = distance_bounds(_spec(args), _spec(args, second=True))
+    b = distance_bounds(_ctx(args), _ctx(args, second=True))
     data = {"h": b.h, "lower_exp": b.lower_exp, "upper_exp": b.upper_exp}
     return f"h={b.h} lower=e^-{b.lower_exp} upper=e^-{b.upper_exp}", data
 
 
 def _iso(args):
-    flag = isomorphic(_spec(args), _spec(args, second=True))
+    flag = isomorphic(_ctx(args), _ctx(args, second=True))
     return "isomorphic" if flag else "not isomorphic", {"isomorphic": flag}
 
 
 def _recover(args):
-    m_abs, digits = recover_parameters(word_problem_oracle(_spec(args)), _sized(args, "count"))
+    m_abs, digits = recover_parameters(word_problem_oracle(_ctx(args)), _sized(args, "count"))
     return f"m={m_abs} digits={' '.join(map(str, digits))}", {"m": m_abs, "digits": digits}
 
 

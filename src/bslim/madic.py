@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice
 from operator import itemgetter
 from typing import Union
 
@@ -263,17 +263,16 @@ def _xi_fraction(spec: MarkedGroupSpec) -> Fraction:
     raise UnsupportedSpecKind(f"no exact value for {type(xi).__name__}")
 
 
-def _t_steps(xi: Fraction, m: int, digits: list[int] | None = None):
+def _t_steps(xi: Fraction, m: int):
     """Yield (r_k, t_k, q^k) for k = 1, 2, ..., keeping only the last step:
     t_k = q^k s_k satisfies p t_{k-1} = m t_k + r_k q^k, so r_k = p t_{k-1}
-    q^-k mod m.  A replay takes r_k from ``digits`` instead and stops with it."""
+    q^-k mod m."""
     p, q = xi.numerator, xi.denominator
     t, qk, q_inv, q_inv_k = 1, 1, pow(q, -1, m), 1
-    for r in repeat(None) if digits is None else digits:
-        qk, q_inv_k = qk * q, q_inv_k * q_inv % m
-        if r is None:
-            r = p * t * q_inv_k % m
-        t = (p * t - r * qk) // m
+    while True:
+        qk, q_inv_k, pt = qk * q, q_inv_k * q_inv % m, p * t
+        r = pt % m * q_inv_k % m
+        t = (pt - r * qk) // m
         yield r, t, qk
 
 
@@ -339,11 +338,12 @@ class RDigitStream:
         return Fraction(t, qk)
 
     def _replay(self, count: int):
-        """(r_k, t_k, q^k) for k = 1..count, replayed from the stored digits."""
+        """(r_k, t_k, q^k) for k = 1..count, under the stream's budget."""
         xi = _xi_fraction(self.spec)  # exact parameters only
         if count < 0:
             raise ValueError("s indices start at 0")
-        return _t_steps(xi, self.spec.m_abs, self.digits(count))
+        self.digits(count)
+        return islice(_t_steps(xi, self.m_abs), count)
 
     def _grow(self, i: int) -> None:
         rs = self.rs
@@ -421,21 +421,23 @@ def project_unit(spec: MarkedGroupSpec) -> MarkedGroupSpec:
     return MarkedGroupSpec(m_hat, XiRat(xi.p // d, xi.q))
 
 
-def _first_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int | None:
-    """The 1-based index of the first digit where two parameters over the
-    same |m| differ, or None when their streams agree at every index.
+def _first_difference(sa: RDigitStream, sb: RDigitStream) -> int | None:
+    """The 1-based index of the first digit where two groups over the same
+    |m| differ, or None when their streams agree at every index.
 
     An exact parameter's digits are d = gcd(|m|, r_1) times those of its
     unit projection (m/d, xi/d), and exact units share h digits exactly when
     they agree mod (m/d)^h (the congruence law), so exact pairs are not
-    scanned.  Other pairs are, once: periodic pairs to both preperiods plus
-    the period lcm; a rational against a periodic sequence through preperiod
-    and period, where the rational's digits go on repeating exactly when its
-    s-state returns after one period (its denominators are prime to m, so a
-    drift would force unbounded m-powers into them), and then on to the
-    difference.  A finite sequence raises RDigitBudgetExceeded where it ends.
+    scanned.  Other pairs are, once: periodic pairs (periods p, q) to both
+    preperiods plus p + q - gcd(p, q), past which agreement forces period
+    gcd(p, q) on both (Fine and Wilf, 1965); a rational against a periodic
+    sequence through preperiod and period, where the rational's digits go on
+    repeating exactly when its s-state returns after one period (its
+    denominators are prime to m, so a drift would force unbounded m-powers
+    into them), and then on to the difference.  A finite sequence or a
+    stream's budget raises RDigitBudgetExceeded where it stops.
     """
-    m, sa, sb = a.m_abs, RDigitStream(a), RDigitStream(b)
+    m, a, b = sa.m_abs, sa.spec, sb.spec
     d = math.gcd(m, sa.digit(1))
     if math.gcd(m, sb.digit(1)) != d:
         return 1
@@ -449,8 +451,8 @@ def _first_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int | None:
         return i
     rat, horizon = None, 0  # a finite sequence has no horizon
     if isinstance(xa, XiSeqPeriodic) and isinstance(xb, XiSeqPeriodic):
-        horizon = max(len(xa.preperiod), len(xb.preperiod))
-        horizon += math.lcm(len(xa.period), len(xb.period))
+        p, q = len(xa.period), len(xb.period)
+        horizon = max(len(xa.preperiod), len(xb.preperiod)) + p + q - math.gcd(p, q)
     elif not isinstance(xa, XiSeqFinite) and not isinstance(xb, XiSeqFinite):
         rat, seq = (sa, xb) if isinstance(xa, EXACT_KINDS) else (sb, xa)
         pre = len(seq.preperiod)

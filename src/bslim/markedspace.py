@@ -8,6 +8,7 @@ handled through integer exponents only; no floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -30,7 +31,7 @@ from .group import (
     parse_word,
 )
 from .lattice import EVec, GroupCtx
-from .madic import MarkedGroupSpec, XiSeqFinite, _first_difference, gcd_with_m
+from .madic import XiSeqFinite, _first_difference
 
 
 @dataclass(frozen=True)
@@ -216,9 +217,8 @@ def _candidate_words(length: int) -> tuple[GroupWord, ...]:
     )
 
 
-def shortest_distinguishing(
-    g1: MarkedGroupSpec, g2: MarkedGroupSpec, max_len: int
-) -> Optional[tuple[int, GroupWord]]:
+def shortest_distinguishing(ctx1: GroupCtx, ctx2: GroupCtx,
+                            max_len: int) -> Optional[tuple[int, GroupWord]]:
     """The shortest (then lexicographically first canonical) word trivial
     in exactly one of the two groups, or None up to ``max_len``.
 
@@ -226,7 +226,6 @@ def shortest_distinguishing(
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    ctx1, ctx2 = GroupCtx(g1), GroupCtx(g2)
     for length in range(2, max_len + 1):
         for w in _candidate_words(length):
             if is_trivial(ctx1, w) != is_trivial(ctx2, w):
@@ -237,23 +236,26 @@ def shortest_distinguishing(
 # --- distance bounds ------------------------------------------------------------
 
 
-def distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBounds:
+def distance_bounds(ctx1: GroupCtx, ctx2: GroupCtx) -> DistanceBounds:
     """The exact sandwich e^-(2(|m|+1)(h+1)+2|m|+6) <= d <= e^-(2h+1) for
     unit parameters over the same m, where h is the length of the common
-    digit prefix."""
-    if g1.m_abs != g2.m_abs:
+    digit prefix.  A finite sequence's end is SameGroup, a budget's is not."""
+    m = ctx1.m_abs
+    if m != ctx2.m_abs:
         raise GcdMismatch("parameters live over different moduli")
-    if gcd_with_m(g1) != 1 or gcd_with_m(g2) != 1:
+    if math.gcd(m, ctx1.digit(1)) != 1 or math.gcd(m, ctx2.digit(1)) != 1:
         raise GcdMismatch("distance bounds need unit parameters")
     try:
-        i = _first_difference(g1, g2)
+        i = _first_difference(ctx1, ctx2)
     except RDigitBudgetExceeded as exc:
+        if any(c.budget is not None and exc.index > c.budget for c in (ctx1, ctx2)):
+            raise
         raise SameGroup(
             f"no differing digit within the available {exc.index - 1} digits"
         ) from None
     if i is None:
         raise SameGroup("the digit streams agree at every index")
-    m, h = g1.m_abs, i - 1
+    h = i - 1
     return DistanceBounds(
         h=h,
         lower_exp=2 * (m + 1) * (h + 1) + 2 * m + 6,
@@ -264,21 +266,20 @@ def distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBounds:
 # --- isomorphism classification ---------------------------------------------------
 
 
-def isomorphic(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> bool:
+def isomorphic(ctx1: GroupCtx, ctx2: GroupCtx) -> bool:
     """Abstract isomorphism test: |m| equal and the normalized digit
     streams agree at every index (which also characterizes marked
     isomorphism).  Finite digit prefixes are rejected as undecidable."""
-    if isinstance(g1.xi_norm, XiSeqFinite) or isinstance(g2.xi_norm, XiSeqFinite):
+    if any(isinstance(c.spec.xi_norm, XiSeqFinite) for c in (ctx1, ctx2)):
         raise UndecidableSpec("finite digit sequences admit no full comparison")
-    return g1.m_abs == g2.m_abs and _first_difference(g1, g2) is None
+    return ctx1.m_abs == ctx2.m_abs and _first_difference(ctx1, ctx2) is None
 
 
 # --- parameter recovery -------------------------------------------------------------
 
 
-def word_problem_oracle(spec: MarkedGroupSpec) -> Callable[[GroupWord], bool]:
-    """The triviality oracle of a decidable spec, for recovery tests."""
-    ctx = GroupCtx(spec)
+def word_problem_oracle(ctx: GroupCtx) -> Callable[[GroupWord], bool]:
+    """The triviality oracle of a group, for recovery tests."""
     return lambda w: is_trivial(ctx, w)
 
 

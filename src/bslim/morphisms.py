@@ -27,7 +27,7 @@ from .group import (
     word_from_evec,
 )
 from .lattice import EVec, GroupCtx
-from .madic import LaurentPoly, MarkedGroupSpec
+from .madic import LaurentPoly
 from .markedspace import b_i_word
 
 
@@ -135,19 +135,12 @@ class HomCheckResult:
     first_failing: Optional[int] = None
 
 
-def hom_check(
-    src: MarkedGroupSpec,
-    dst: MarkedGroupSpec,
-    image_of_a: GroupWord,
-    image_of_b: GroupWord,
-    depth: int,
-) -> HomCheckResult:
+def hom_check(src_ctx: GroupCtx, dst_ctx: GroupCtx, image_of_a: GroupWord,
+              image_of_b: GroupWord, depth: int) -> HomCheckResult:
     """Test whether a -> image_of_a, b -> image_of_b kills the first
     ``depth`` defining relators of the source group inside the target."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    src_ctx = GroupCtx(src)
-    dst_ctx = GroupCtx(dst)
     b_word = GroupWord((BaseLetter(EVec.basis(0)),))
     b_inverse = image_of_b.inverse()
 

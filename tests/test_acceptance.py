@@ -159,7 +159,7 @@ def test_criterion_4_metric_sandwich(xi2, h, bound):
     assert is_trivial(ctx1, cert) and not is_trivial(ctx2, cert)
     assert compact_length(cert) <= bound
     # (c) enumeration result against the sandwich, cap 14
-    found = shortest_distinguishing(g1, g2, 14)
+    found = shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 14)
     if found is None:
         assert bound > 14  # absence below the cap is consistent
     else:
@@ -175,13 +175,13 @@ def test_criterion_4_exact_distance_h1():
     g1 = MarkedGroupSpec(2, XiInt(1))
     g2 = MarkedGroupSpec(2, XiInt(3))
     word = W("aaabbAbAAbaaaBBABAAB")
-    assert shortest_distinguishing(g1, g2, 20) == (20, word)
+    assert shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 20) == (20, word)
     assert not is_trivial(GroupCtx(g1), word)
     assert is_trivial(GroupCtx(g2), word)
     # n = xi + 2^11 shares 11 digits with xi, which covers words of length 20
     assert not bs_is_trivial(BSSpec(2, 1 + 2**11), word)
     assert bs_is_trivial(BSSpec(2, 3 + 2**11), word)
-    bounds = distance_bounds(g1, g2)
+    bounds = distance_bounds(GroupCtx(g1), GroupCtx(g2))
     assert (bounds.upper_exp, bounds.lower_exp) == (3, 22)
     assert bounds.upper_exp <= 20 <= bounds.lower_exp
     report(4, "exact distance nu = 20 (h=1)", t0)
@@ -276,7 +276,7 @@ def test_criterion_7_parameter_recovery():
     t0 = time.time()
     for m, xi in [(2, XiInt(3)), (2, XiInt(1)), (3, XiInt(0)), (3, XiRat(1, 2))]:
         spec = MarkedGroupSpec(m, xi)
-        m_found, digits = recover_parameters(word_problem_oracle(spec), 6)
+        m_found, digits = recover_parameters(word_problem_oracle(GroupCtx(spec)), 6)
         assert m_found == abs(m)
         assert digits == r_digits(spec, 6)
     report(7, "parameter recovery", t0)

@@ -268,6 +268,24 @@ def test_group_commands_read_digits_under_the_budget(capsys, command, over):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("command", ["iso", "bounds"])
+def test_pair_commands_read_digits_under_the_budget(capsys, command):
+    """Sequences with one preperiod and different periods first differ
+    just past it, so a 12,000-digit preperiod stops both commands at the
+    ``rdigits`` limit; a 9,999-digit one still answers.  (``dist`` and
+    ``recover`` read no more digits than their own size limits allow.)"""
+    limit, answers = SIZE_LIMITS["rdigits"], {"iso": "not isomorphic", "bounds": "h=9999 "}
+    for length in (12_000, limit - 1):
+        pre = ",".join(["1"] * length)
+        code, out, err = run(capsys, command, "--m", "2", "--xi", f"rseq:{pre};0",
+                             "--xi2", f"rseq:{pre};1")
+        if length > limit:
+            assert code == 1 and out == ""
+            assert err == f"error: RDigitBudgetExceeded: first missing digit index {limit + 1}\n"
+        else:
+            assert code == 0 and out.startswith(answers[command])
+
+
 def test_relator_bi_reads_digits_under_the_budget(capsys):
     # b_10000 reads r_1..r_9999: at the index limit it still answers
     code, out, _ = run(capsys, "relator", "--kind", "bi", "--m", "2", "--xi", "int:5",

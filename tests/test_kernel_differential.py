@@ -57,7 +57,10 @@ comparisons, each branching on the parameter kinds, that
 ``madic._first_difference`` replaced; ``ref_isomorphic`` and
 ``ref_distance_bounds`` answer through them.  On pairs of every kind,
 ``isomorphic`` and ``distance_bounds`` must give the same value, or the
-same error type and message.
+same error type and message.  ``ref_periodic_first_difference`` scans two
+periodic streams to both preperiods plus the period lcm, the horizon that
+the Fine-Wilf bound p + q - gcd(p, q) replaced; both must give the same
+index, or None.
 """
 
 import math
@@ -818,7 +821,7 @@ def test_hom_check_substitution_agrees(m, xi, monkeypatch):
         if n % 5 == 0:  # the identity map passes
             image_of_a, image_of_b = parse_word("a"), b
         seen.clear()
-        result = hom_check(src.spec, dst, image_of_a, image_of_b, 4)
+        result = hom_check(src, GroupCtx(dst), image_of_a, image_of_b, 4)
         ref_images = [
             ref_substitute(commutator(b, ref_b_i_word(src, i)), image_of_a, image_of_b)
             for i in range(1, len(seen) + 1)
@@ -1755,13 +1758,13 @@ def test_first_digit_difference_agrees(m):
         if n % 10 == 0:
             b = spec_of(m, fa, 7)
         ref = first_difference(ref_first_digit_difference, a, b)
-        assert _first_difference(a, b) == ref, (m, a.xi, b.xi)
+        assert _first_difference(GroupCtx(a), GroupCtx(b)) == ref, (m, a.xi, b.xi)
         pairs.append((None, a, b))
     seen = Counter()
     for kind, a, b in pairs + kind_pairs(rng, m, 600):
-        iso = verdict(isomorphic, a, b)
+        iso = verdict(isomorphic, GroupCtx(a), GroupCtx(b))
         assert iso == verdict(ref_isomorphic, a, b), (m, a.xi, b.xi)
-        bounds = verdict(distance_bounds, a, b)
+        bounds = verdict(distance_bounds, GroupCtx(a), GroupCtx(b))
         assert bounds == verdict(ref_distance_bounds, a, b), (m, a.xi, b.xi)
         seen[kind, iso] += 1
         seen[bounds[1].split()[0] if isinstance(bounds, tuple) else "bounds"] += 1
@@ -1789,9 +1792,62 @@ def test_non_unit_index_agrees_with_a_digit_scan(m):
         a, b = spec_of(m, fa), spec_of(m, fb)
         scan = next((i for i, (x, y) in enumerate(zip(r_digits(a, 400), r_digits(b, 400)), 1)
                      if x != y), None)
-        assert _first_difference(a, b) == scan, (m, fa, fb)
+        assert _first_difference(GroupCtx(a), GroupCtx(b)) == scan, (m, fa, fb)
         found += scan is not None and scan > 1
     assert found >= 20, found
+
+
+def ref_periodic_first_difference(a, b):
+    """The scan to both preperiods plus the period lcm."""
+    horizon = max(len(a.xi.preperiod), len(b.xi.preperiod))
+    horizon += math.lcm(len(a.xi.period), len(b.xi.period))
+    sa, sb = RDigitStream(a), RDigitStream(b)
+    return next((i for i in range(1, horizon + 1) if sa.digit(i) != sb.digit(i)), None)
+
+
+def two_period_word(rng, m, p, q, length):
+    """A random digit word with periods p and q: positions p or q apart
+    share a digit."""
+    word = [None] * length
+    for start in range(length):
+        if word[start] is None:
+            digit, todo = rng.randrange(m), [start]
+            while todo:
+                i = todo.pop()
+                if 0 <= i < length and word[i] is None:
+                    word[i] = digit
+                    todo += [i - p, i + p, i - q, i + q]
+    return tuple(word)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_fine_wilf_horizon_agrees_with_the_lcm_scan(m):
+    """Small periodic pairs: streams of periods p and q built on one word
+    with both periods (so they agree on its length past the preperiod,
+    which reaches p + q - gcd(p, q) - 1 and beyond), the same stream
+    unrolled, one digit changed, and unrelated streams."""
+    rng = random.Random(f"fw{m}")
+    seen = Counter()
+    for n in range(500):
+        pre = tuple(rng.randrange(m) for _ in range(rng.randint(0, 3)))
+        p, q = rng.randint(1, 8), rng.randint(1, 8)
+        if n % 4 < 2:
+            length = max(p, q, p + q - math.gcd(p, q) - rng.randint(-1, 2))
+            word = two_period_word(rng, m, p, q, length)
+            a, b = XiSeqPeriodic(pre, word[:p]), XiSeqPeriodic(pre, word[:q])
+        elif n % 4 == 2:
+            a = XiSeqPeriodic(pre, tuple(rng.randrange(m) for _ in range(p)))
+            b = unrolled(rng, a) if n % 8 == 2 else perturbed(rng, m, unrolled(rng, a))
+        else:
+            a, b = (XiSeqPeriodic(pre, tuple(rng.randrange(m) for _ in range(k))) for k in (p, q))
+        a, b = MarkedGroupSpec(m, a), MarkedGroupSpec(m, b)
+        ref = ref_periodic_first_difference(a, b)
+        assert _first_difference(GroupCtx(a), GroupCtx(b)) == ref, (m, a.xi, b.xi)
+        late = max(len(a.xi.preperiod), len(b.xi.preperiod))
+        late += max(len(a.xi.period), len(b.xi.period))
+        seen["equal" if ref is None else "late" if ref > late else "early"] += 1
+    # equal streams, and differences past both preperiods plus the longer period
+    assert seen["equal"] >= 50 and seen["late"] >= 20, seen
 
 
 # --- prefix realization -------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from bslim import (
     GcdMismatch,
     OracleInconsistent,
+    RDigitBudgetExceeded,
     SameGroup,
     UndecidableSpec,
     XiInt,
@@ -115,12 +116,12 @@ def test_word_to_compact(ctx23):
 # --- shortest distinguishing word ---------------------------------------------
 
 def test_shortest_distinguishing_identical():
-    assert shortest_distinguishing(spec(2, XiInt(3)), spec(2, XiInt(3)), 8) is None
+    assert shortest_distinguishing(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiInt(3)), 8) is None
 
 
 def test_shortest_distinguishing_cross_m():
     g1, g2 = spec(2, XiInt(1)), spec(3, XiInt(1))
-    found = shortest_distinguishing(g1, g2, 10)
+    found = shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 10)
     assert found is not None
     length, word = found
     assert 2 <= length <= 10
@@ -128,7 +129,7 @@ def test_shortest_distinguishing_cross_m():
     t2 = is_trivial(GroupCtx(g2), word)
     assert t1 != t2
     # deterministic
-    assert shortest_distinguishing(g1, g2, 10) == found
+    assert shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 10) == found
     # minimality against the explicit commutator certificate of length 10
     assert length <= 10
 
@@ -136,7 +137,7 @@ def test_shortest_distinguishing_cross_m():
 def test_shortest_distinguishing_same_m_far_apart():
     # digits differ at index 1: (2, Int(1)) vs the all-zero parameter
     g1, g2 = spec(2, XiInt(1)), spec(2, XiInt(0))
-    found = shortest_distinguishing(g1, g2, 12)
+    found = shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 12)
     if found is not None:
         length, word = found
         assert is_trivial(GroupCtx(g1), word) != is_trivial(GroupCtx(g2), word)
@@ -159,22 +160,22 @@ def test_wreath_trivial_words_under_cap():
 # --- distance bounds ------------------------------------------------------------
 
 def test_distance_bounds_examples():
-    b = distance_bounds(spec(2, XiInt(1)), spec(2, XiInt(3)))
+    b = distance_bounds(GroupCtx.make(2, XiInt(1)), GroupCtx.make(2, XiInt(3)))
     assert b == DistanceBounds(h=1, lower_exp=22, upper_exp=3)
-    b = distance_bounds(spec(2, XiInt(1)), spec(2, XiInt(5)))
+    b = distance_bounds(GroupCtx.make(2, XiInt(1)), GroupCtx.make(2, XiInt(5)))
     assert b == DistanceBounds(h=2, lower_exp=28, upper_exp=5)
 
 
 def test_distance_bounds_errors():
     with pytest.raises(SameGroup):
-        distance_bounds(spec(2, XiInt(3)), spec(2, XiInt(3)))
+        distance_bounds(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiInt(3)))
     with pytest.raises(GcdMismatch):
-        distance_bounds(spec(2, XiInt(2)), spec(2, XiInt(1)))
+        distance_bounds(GroupCtx.make(2, XiInt(2)), GroupCtx.make(2, XiInt(1)))
     with pytest.raises(GcdMismatch):
-        distance_bounds(spec(2, XiInt(1)), spec(3, XiInt(1)))
+        distance_bounds(GroupCtx.make(2, XiInt(1)), GroupCtx.make(3, XiInt(1)))
     with pytest.raises(SameGroup, match=r"within the available 2 digits$"):
         # finite sequences exhausted without a difference
-        distance_bounds(spec(2, XiSeqFinite((1, 1))), spec(2, XiInt(3)))
+        distance_bounds(GroupCtx.make(2, XiSeqFinite((1, 1))), GroupCtx.make(2, XiInt(3)))
 
 
 def test_distance_bounds_first_digits_differ():
@@ -183,49 +184,86 @@ def test_distance_bounds_first_digits_differ():
     pairs = [(XiInt(1), XiRat(1, 2)), (XiSeqPeriodic((1,), (0,)), XiSeqPeriodic((), (2,))),
              (XiSeqFinite((2, 0)), XiInt(1))]
     for a, b in pairs:
-        assert distance_bounds(spec(3, a), spec(3, b)) == h0
-        assert distance_bounds(spec(3, b), spec(3, a)) == h0
+        assert distance_bounds(GroupCtx.make(3, a), GroupCtx.make(3, b)) == h0
+        assert distance_bounds(GroupCtx.make(3, b), GroupCtx.make(3, a)) == h0
 
 
 def test_distance_bounds_finite_spec_difference():
-    b = distance_bounds(spec(2, XiSeqFinite((1, 0))), spec(2, XiInt(3)))
+    b = distance_bounds(GroupCtx.make(2, XiSeqFinite((1, 0))), GroupCtx.make(2, XiInt(3)))
     assert b.h == 1
+
+
+def test_distance_bounds_budget_stop_is_not_same_group():
+    """The end of a finite sequence leaves no digit to differ (SameGroup);
+    a context's budget leaves the question open, so its stop surfaces."""
+    agree = ("rseq:1,1,1,1,1,1;0", "rseq:1,1,1,1,1,1;1")
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        distance_bounds(*(GroupCtx.make(2, xi, 4) for xi in agree))
+    assert info.value.index == 5
+    assert distance_bounds(*(GroupCtx.make(2, xi, 7) for xi in agree)).h == 6
+    with pytest.raises(SameGroup, match=r"within the available 2 digits$"):
+        distance_bounds(GroupCtx.make(2, XiSeqFinite((1, 1)), 4), GroupCtx.make(2, XiInt(3), 4))
 
 
 # --- isomorphism -------------------------------------------------------------------
 
 def test_isomorphic_examples():
-    assert isomorphic(spec(2, XiInt(3)), spec(2, XiRat(3, 1)))
-    assert not isomorphic(spec(2, XiInt(1)), spec(2, XiInt(3)))
-    assert isomorphic(spec(2, XiInt(3)), spec(-2, XiInt(-3)))
-    assert not isomorphic(spec(2, XiInt(3)), spec(-2, XiInt(3)))
-    assert not isomorphic(spec(2, XiInt(3)), spec(3, XiInt(3)))
+    assert isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiRat(3, 1)))
+    assert not isomorphic(GroupCtx.make(2, XiInt(1)), GroupCtx.make(2, XiInt(3)))
+    assert isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(-2, XiInt(-3)))
+    assert not isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(-2, XiInt(3)))
+    assert not isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(3, XiInt(3)))
 
 
 def test_isomorphic_gcd_and_zero_ring_cases():
     # gcd m forces the all-zero digit stream: both are the m-adic zero group
-    assert isomorphic(spec(2, XiInt(2)), spec(2, XiInt(4)))
-    assert isomorphic(spec(4, XiInt(2)), spec(4, XiInt(2)))
-    assert not isomorphic(spec(4, XiInt(2)), spec(4, XiInt(6)))
-    assert not isomorphic(spec(4, XiInt(2)), spec(4, XiInt(1)))
+    assert isomorphic(GroupCtx.make(2, XiInt(2)), GroupCtx.make(2, XiInt(4)))
+    assert isomorphic(GroupCtx.make(4, XiInt(2)), GroupCtx.make(4, XiInt(2)))
+    assert not isomorphic(GroupCtx.make(4, XiInt(2)), GroupCtx.make(4, XiInt(6)))
+    assert not isomorphic(GroupCtx.make(4, XiInt(2)), GroupCtx.make(4, XiInt(1)))
 
 
 def test_isomorphic_periodic_sequences():
-    assert isomorphic(spec(2, XiSeqPeriodic((), (1,))), spec(2, XiInt(3)))
-    assert isomorphic(spec(2, XiInt(3)), spec(2, XiSeqPeriodic((), (1, 1))))
-    assert not isomorphic(spec(2, XiSeqPeriodic((), (1, 0))), spec(2, XiInt(1)))
-    assert isomorphic(spec(2, XiSeqPeriodic((1,), (0,))), spec(2, XiInt(1)))
+    assert isomorphic(GroupCtx.make(2, XiSeqPeriodic((), (1,))), GroupCtx.make(2, XiInt(3)))
+    assert isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiSeqPeriodic((), (1, 1))))
+    assert not isomorphic(GroupCtx.make(2, XiSeqPeriodic((), (1, 0))), GroupCtx.make(2, XiInt(1)))
+    assert isomorphic(GroupCtx.make(2, XiSeqPeriodic((1,), (0,))), GroupCtx.make(2, XiInt(1)))
     assert isomorphic(
-        spec(3, XiSeqPeriodic((1,), (2, 0))), spec(3, XiSeqPeriodic((1, 2), (0, 2)))
+        GroupCtx.make(3, XiSeqPeriodic((1,), (2, 0))), GroupCtx.make(3, XiSeqPeriodic((1, 2), (0, 2)))
     )
     assert not isomorphic(
-        spec(3, XiSeqPeriodic((1,), (2, 0))), spec(3, XiSeqPeriodic((1, 2), (0, 1)))
+        GroupCtx.make(3, XiSeqPeriodic((1,), (2, 0))), GroupCtx.make(3, XiSeqPeriodic((1, 2), (0, 1)))
     )
+
+
+def test_fine_wilf_horizon_is_exact():
+    """Streams of periods p and q that agree on p + q - gcd(p, q) digits
+    past their preperiods agree everywhere (Fine and Wilf), and one digit
+    fewer is not enough: 101 101 1.. and 10110 10110 part at digit 7.
+    Equal streams are decided on exactly 7 digits."""
+    a, b = GroupCtx.make(2, "rseq:;1,0,1"), GroupCtx.make(2, "rseq:;1,0,1,1,0")
+    assert not isomorphic(a, b)
+    assert distance_bounds(a, b).h == 6
+    ones = ("rseq:;1,1,1", "rseq:;1,1,1,1,1")
+    assert isomorphic(*(GroupCtx.make(2, xi, 7) for xi in ones))
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        isomorphic(*(GroupCtx.make(2, xi, 6) for xi in ones))
+    assert info.value.index == 7
+
+
+def test_long_equal_periods_answer_at_once():
+    """Periods of 3,001 and 3,002 ones are decided on 6,002 digits; their
+    lcm would be 9,006,002."""
+    a = GroupCtx.make(2, XiSeqPeriodic((), (1,) * 3001))
+    b = GroupCtx.make(2, XiSeqPeriodic((), (1,) * 3002))
+    start = time.process_time()
+    assert isomorphic(a, b)
+    assert time.process_time() - start < 1.0
 
 
 def test_isomorphic_undecidable_for_finite():
     with pytest.raises(UndecidableSpec):
-        isomorphic(spec(2, XiSeqFinite((1,))), spec(2, XiInt(3)))
+        isomorphic(GroupCtx.make(2, XiSeqFinite((1,))), GroupCtx.make(2, XiInt(3)))
 
 
 def test_isomorphic_consistent_with_digit_prefixes():
@@ -236,7 +274,7 @@ def test_isomorphic_consistent_with_digit_prefixes():
         (spec(3, XiRat(1, 2)), spec(3, XiRat(2, 4))),
     ]
     for a, b in pairs:
-        assert isomorphic(a, b)
+        assert isomorphic(GroupCtx(a), GroupCtx(b))
         assert r_digits(a, 12) == r_digits(b, 12)
 
 
@@ -244,11 +282,11 @@ def test_isomorphic_consistent_with_digit_prefixes():
 
 @pytest.mark.parametrize(
     "m,xi",
-    [(2, XiInt(3)), (2, XiInt(1)), (3, XiInt(0)), (3, XiRat(1, 2))],
+    [(2, XiInt(3)), (2, XiInt(1)), (3, XiInt(0)), (3, XiRat(1, 2)), (1, XiInt(0))],
 )
 def test_recover_parameters(m, xi):
     s = spec(m, xi)
-    m_found, digits = recover_parameters(word_problem_oracle(s), 4)
+    m_found, digits = recover_parameters(word_problem_oracle(GroupCtx(s)), 4)
     assert m_found == abs(m)
     assert digits == r_digits(s, 4)
 
@@ -278,14 +316,14 @@ def test_isomorphic_randomized_against_digit_prefixes():
     for _ in range(800):
         m = rng.choice([2, 3, 4, 5, 6, -2, -3])
         a, b = random_spec(m), random_spec(m)
-        assert isomorphic(a, b) == (r_digits(a, 40) == r_digits(b, 40)), (a, b)
+        assert isomorphic(GroupCtx(a), GroupCtx(b)) == (r_digits(a, 40) == r_digits(b, 40)), (a, b)
 
 
 def test_recover_parameters_nonunit_specs():
     # probe words characterize digits for every parameter, units or not
     for m, xi in [(4, XiInt(6)), (6, XiInt(21)), (4, XiSeqPeriodic((2,), (0, 2)))]:
         s = spec(m, xi)
-        assert recover_parameters(word_problem_oracle(s), 5) == (
+        assert recover_parameters(word_problem_oracle(GroupCtx(s)), 5) == (
             abs(m),
             r_digits(s, 5),
         )
@@ -294,7 +332,8 @@ def test_recover_parameters_nonunit_specs():
 def test_recover_rejects_negative_count():
     # as r_digits does
     with pytest.raises(ValueError, match="count must be nonnegative"):
-        recover_parameters(word_problem_oracle(spec(2, XiInt(3))), -1)
+        recover_parameters(word_problem_oracle(GroupCtx.make(2, XiInt(3))), -1)
+    assert recover_parameters(word_problem_oracle(GroupCtx.make(2, XiInt(3))), 0) == (2, [])
 
 
 def test_recover_inconsistent_oracle():
@@ -311,3 +350,5 @@ def test_recover_inconsistent_oracle():
 
     with pytest.raises(OracleInconsistent):
         recover_parameters(never, 1, max_m=8)
+    with pytest.raises(OracleInconsistent):  # |m| = 1..64 by default
+        recover_parameters(word_problem_oracle(GroupCtx.make(65, XiInt(1))), 1)

@@ -180,14 +180,14 @@ def test_theta_invalid_specs(ctx23):
 
 def test_hom_check_identity():
     s = MarkedGroupSpec(2, XiInt(3))
-    res = hom_check(s, s, W("a"), W("b"), depth=5)
+    res = hom_check(GroupCtx(s), GroupCtx(s), W("a"), W("b"), depth=5)
     assert res == HomCheckResult(ok=True, depth=5)
 
 
 def test_hom_check_digit_mismatch():
     src = MarkedGroupSpec(2, XiInt(1))
     dst = MarkedGroupSpec(2, XiInt(3))
-    res = hom_check(src, dst, W("a"), W("b"), depth=3)
+    res = hom_check(GroupCtx(src), GroupCtx(dst), W("a"), W("b"), depth=3)
     assert not res.ok
     assert res.first_failing == 3
 
@@ -195,11 +195,11 @@ def test_hom_check_digit_mismatch():
 def test_hom_check_wreath_target():
     src = MarkedGroupSpec(2, XiInt(3))
     dst = MarkedGroupSpec(1, XiInt(0))  # the wreath product Z wr Z
-    res = hom_check(src, dst, W("a"), W("b"), depth=5)
+    res = hom_check(GroupCtx(src), GroupCtx(dst), W("a"), W("b"), depth=5)
     assert res.ok
 
 
 def test_hom_check_rejects_non_homomorphism():
     s = MarkedGroupSpec(2, XiInt(3))
-    res = hom_check(s, s, W("b"), W("a"), depth=4)
+    res = hom_check(GroupCtx(s), GroupCtx(s), W("b"), W("a"), depth=4)
     assert not res.ok and res.first_failing == 1

@@ -209,7 +209,7 @@ def test_isomorphic_agrees_with_digit_prefixes(g1, how, f, data):
             g1 = MarkedGroupSpec(g1.m, XiInt(data.draw(st.integers(-g1.m_abs, g1.m_abs))))
         g2 = same_group(g1, how, f) or g1
     expect = g1.m_abs == g2.m_abs and r_digits(g1, ISO_HORIZON) == r_digits(g2, ISO_HORIZON)
-    assert isomorphic(g1, g2) == isomorphic(g2, g1) == expect
+    assert isomorphic(GroupCtx(g1), GroupCtx(g2)) == isomorphic(GroupCtx(g2), GroupCtx(g1)) == expect
     if how in SAME_GROUP:
         assert expect
 
@@ -219,4 +219,4 @@ def test_isomorphic_rejects_finite_sequences(g, digits):
     finite = MarkedGroupSpec(g.m, XiSeqFinite(digits))
     for pair in ((g, finite), (finite, g), (finite, finite)):
         with pytest.raises(UndecidableSpec):
-            isomorphic(*pair)
+            isomorphic(*map(GroupCtx, pair))

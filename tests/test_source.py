@@ -94,6 +94,35 @@ def test_cli_builds_group_contexts_only_in_ctx():
     assert [node for node in ast.walk(tree) if builds(node)] == in_ctx
 
 
+CONTEXT_CONSTRUCTORS = ("GroupCtx", "RDigitStream", "GroupCtx.make", "RDigitStream.make")
+
+
+def _context_builds(path):
+    """The name of the function around each call that builds a context."""
+    found = []
+
+    def visit(node, fn, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = ast.unparse(child.func)
+                if name in CONTEXT_CONSTRUCTORS or (name, cls) == ("cls", "RDigitStream"):
+                    found.append(fn)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else fn,
+                  child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", None)
+    return found
+
+
+def test_the_caller_builds_every_context():
+    """Every marked-group function takes its contexts from the caller, whose
+    budget they keep.  Only ``madic``'s spec helpers build their own, and
+    in the CLI, ``_ctx``; ``madic._first_difference`` builds none."""
+    found = {(path.stem, fn) for path in SOURCES for fn in _context_builds(path)}
+    helpers = ("make", "r_digits", "s_values", "gcd_with_m", "p_polys")
+    assert found == {("madic", fn) for fn in helpers} | {("cli", "_ctx")}
+
+
 def test_b_i_word_is_linear_in_i():
     """b_i unfolds to w(|m|; r_1..r_{i-1}) in one pass over the digits;
     nesting b_{i-1} inside b_i would copy the word i times."""
