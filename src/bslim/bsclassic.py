@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 from .errors import ParseError, PreconditionViolated
-from .group import _COMPACT, ALetter, BaseLetter, GroupWord, _b_exponent, a_power_word
-from .lattice import EVec
+from .group import _COMPACT, ALetter, GroupWord, _b_exponent, _base_letter, a_power_word
 from .madic import _parse_decimal
 
 
@@ -52,7 +51,7 @@ def parse_bs_word(text: str) -> GroupWord:
         elif letter == "a":
             letters += a_power_word(_parse_decimal(k, tok.start(2))).letters
         elif k := _parse_decimal(k, tok.start(2)):
-            letters.append(BaseLetter(EVec.basis(0, k)))
+            letters.append(_base_letter(0, k))
     if end == len(text):
         return GroupWord(letters)
     # the error a left-to-right scan reports: a ^ or a non-ASCII digit at ``end``

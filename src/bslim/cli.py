@@ -68,14 +68,14 @@ def _word(args, attr: str = "word") -> GroupWord:
     return parse_word(getattr(args, attr), args.alphabet)
 
 
-#: Fixed limits on the size flags; at each the command answers within 2 s on
-#: a 2-core VM.  Digits and recovery cost time quadratic in the count, digits
-#: memory linear (`rat:5/7`, m = 3: `rdigits` 0.13 s, 18 MB RSS; `relator` bi
-#: 0.19 s, 20 MB); `dist` grows 6x per two letters (int:1 vs int:5: 0.7 s, 31 MB).
-#: Every group command reads digits under the `rdigits` limit (`_ctx`).  A `bswp`
-#: pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
-#: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k
-#: so alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
+#: Fixed limits on the size flags; at each the command answers within 2 s on a 2-core
+#: VM.  Digits and recovery cost time quadratic in the count, digits memory linear
+#: (`rat:5/7`, m = 3: `rdigits` 0.13 s, 18 MB RSS; `relator` bi 0.19 s, 20 MB; int:3,
+#: m = 64: `recover` 0.74 s, 17 MB); `dist` grows 6x per two letters (int:1 vs int:5:
+#: 0.7 s, 31 MB).  Every group command reads digits under the `rdigits` limit (`_ctx`).
+#: A `bswp` pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
+#: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k so
+#: alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
 SIZE_LIMITS = {"bswp": 150_000, "dist": 20, "nk": 14_000, "rdigits": 10_000, "recover": 64,
                "relator": 10_000}
 

@@ -80,6 +80,7 @@ Letter = Union[ALetter, BaseLetter]
 
 A_POS = ALetter(1)
 A_NEG = ALetter(-1)
+_A_POWER = {1: A_POS, -1: A_NEG}  # the shared letter a^d; no other ALetter is built
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         shared = _SHARED_INVERSE.get  # keeps the letters _letters_to_alt knows by identity
         return GroupWord([  # a list: a tuple grown from an iterator keeps slack
-            shared(id(x)) or (ALetter(-x.exp) if isinstance(x, ALetter) else BaseLetter(-x.vec))
+            shared(id(x)) or (_A_POWER[-x.exp] if isinstance(x, ALetter) else BaseLetter(-x.vec))
             for x in reversed(self.letters)
         ])
 
@@ -113,7 +114,12 @@ def a_power_word(n: int) -> GroupWord:
 
 def word_from_evec(vec: EVec) -> GroupWord:
     """The vector as a word, one letter per basis index."""
-    return GroupWord(tuple(BaseLetter(EVec.basis(i, c)) for i, c in vec.entries))
+    return GroupWord([_base_letter(i, c) for i, c in vec.entries])
+
+
+def _base_letter(i: int, c: int) -> BaseLetter:
+    """The letter c e_i: the shared b or B letter when c e_i = +-e_0."""
+    return _SHARED_B.get((i, c)) or BaseLetter(EVec.basis(i, c))
 
 
 def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
@@ -145,6 +151,7 @@ def compact_length(w: GroupWord) -> int:
 
 
 _B_POS, _B_NEG = BaseLetter(EVec.basis(0)), BaseLetter(EVec.basis(0, -1))
+_SHARED_B = {(0, 1): _B_POS, (0, -1): _B_NEG}
 _COMPACT = {"a": A_POS, "A": A_NEG, "b": _B_POS, "B": _B_NEG}
 _SHARED_INVERSE = {id(x): y for x, y in zip(_COMPACT.values(), (A_NEG, A_POS, _B_NEG, _B_POS))}
 _NOT_COMPACT = re.compile("[^aAbB]")
@@ -167,7 +174,7 @@ def parse_word(text: str, mode: Literal["compact", "extended"] = "compact") -> G
         elif token == "a^-1":
             letters.append(A_NEG)
         else:
-            letters.append(BaseLetter(EVec.basis(*_parse_eterm(token, offset))))
+            letters.append(_base_letter(*_parse_eterm(token, offset)))
     return GroupWord(tuple(letters))
 
 
@@ -223,7 +230,7 @@ class ReducedForm:
     def to_word(self) -> GroupWord:
         letters: list[Letter] = list(word_from_evec(self.segments[0]).letters)
         for d, seg in zip(self.deltas, self.segments[1:]):
-            letters.append(ALetter(d))
+            letters.append(_A_POWER[d])
             letters.extend(word_from_evec(seg).letters)
         return GroupWord(tuple(letters))
 
@@ -240,7 +247,7 @@ class NormalForm(ReducedForm):
 
 def _letters_to_alt(letters) -> tuple[list[dict[int, int]], list[int]]:
     """Each segment's e_0 part is summed in ``e0`` and stored once, at its close;
-    the b and B letters that ``parse_word`` shares are recognised by identity."""
+    the b and B letters that every builder shares are recognised by identity."""
     segs, deltas, seg, e0 = [], [], {}, 0
     for letter in letters:
         if letter is _B_POS:
@@ -392,7 +399,7 @@ def cyclic_reduce(ctx: GroupCtx, w: GroupWord) -> tuple[ReducedForm, GroupWord]:
         if fired is None:
             break
         conj.extend(word_from_evec(_evec(lead)).letters)
-        conj.append(ALetter(d_first))
+        conj.append(_A_POWER[d_first])
         lo, hi = lo + 1, hi - 1
         _merge_into(segs[hi], fired)
     return _alt_to_form(segs[lo : hi + 1], deltas[lo:hi]), GroupWord(tuple(conj))

@@ -460,10 +460,19 @@ def _first_difference(sa: RDigitStream, sb: RDigitStream) -> int | None:
     i = 1
     while sa.digit(i) == sb.digit(i):
         # at d = m the rational's digits are all zero, whatever its s-state
-        if i == horizon and (rat is None or m == d or rat.s_value(pre) == rat.s_value(horizon)):
+        if i == horizon and (rat is None or m == d or _s_returns(rat, pre, horizon)):
             return None
         i += 1
     return i
+
+
+def _s_returns(rat: RDigitStream, pre: int, horizon: int) -> bool:
+    """Whether s_pre = s_horizon (s_0 = 1), from one replay of the digit step."""
+    t_pre = qk_pre = t = qk = 1
+    for k, (_, t, qk) in enumerate(rat._replay(horizon), 1):
+        if k == pre:
+            t_pre, qk_pre = t, qk
+    return Fraction(t_pre, qk_pre) == Fraction(t, qk)
 
 
 def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:

@@ -21,9 +21,12 @@ from .errors import (
     UndecidableSpec,
 )
 from .group import (
-    ALetter,
-    BaseLetter,
+    A_NEG,
+    A_POS,
     GroupWord,
+    _B_NEG,
+    _B_POS,
+    _base_letter,
     _substitute,
     commutator,
     format_word,
@@ -61,31 +64,27 @@ def b_i_word(ctx: GroupCtx, i: int) -> GroupWord:
 
 def v_k_word(k: int) -> GroupWord:
     """[a b^k a^-1, b]; trivial exactly when m divides k."""
-    inner = parse_word("a") * GroupWord((BaseLetter(EVec.basis(0, k)),)) * parse_word("A")
-    return commutator(inner, parse_word("b"))
+    return commutator(GroupWord((A_POS, _base_letter(0, k), A_NEG)), GroupWord((_B_POS,)))
 
 
 def w_word(m: int, digits: Sequence[int]) -> GroupWord:
     """a^(n+1) (m e_0) a^-1 (-t_1 e_0) a^-1 ... (-t_n e_0) a^-1 for the
     digit list t; lands in the base group exactly when t matches the
-    group's digits."""
-    letters: list = [ALetter(1)] * (len(digits) + 1)
-    letters.append(BaseLetter(EVec.basis(0, m)))
-    letters.append(ALetter(-1))
+    group's digits.  Each payload's letter is built once per call."""
+    e0 = {c: _base_letter(0, c) for c in {m, *(-t for t in digits if t)}}
+    letters = [A_POS] * (len(digits) + 1) + [e0[m], A_NEG]
     for t in digits:
         if t:
-            letters.append(BaseLetter(EVec.basis(0, -t)))
-        letters.append(ALetter(-1))
-    return GroupWord(tuple(letters))
+            letters.append(e0[-t])
+        letters.append(A_NEG)
+    return GroupWord(letters)
 
 
 def win_e_word(m: int, digits: Sequence[int]) -> GroupWord:
     """w(m,t) e_0 w(-m,-t) (-e_0): trivial exactly when t_i = r_i for all
     i up to len(t)."""
-    pos = w_word(m, digits)
-    neg = w_word(-m, [-t for t in digits])
-    b = GroupWord((BaseLetter(EVec.basis(0)),))
-    return pos * b * neg * b.inverse()
+    pos, neg = w_word(m, digits), w_word(-m, [-t for t in digits])
+    return GroupWord((*pos.letters, _B_POS, *neg.letters, _B_NEG))
 
 
 def relator(kind: str, *, ctx: GroupCtx | None = None, index: int | None = None,

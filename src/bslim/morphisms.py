@@ -15,9 +15,10 @@ from typing import Optional, Union
 
 from .errors import InvalidAutSpec
 from .group import (
-    ALetter,
+    A_POS,
     BaseLetter,
     GroupWord,
+    _B_POS,
     _b_exponent,
     _lamp_fold,
     _letters_to_alt,
@@ -98,7 +99,7 @@ AutSpec = Union[J, PhiE, ThetaK, EmbedD]
 
 def apply_automorphism(ctx: GroupCtx, spec: AutSpec, w: GroupWord) -> GroupWord:
     """Letterwise image of the word under the chosen (endo)morphism."""
-    a = GroupWord((ALetter(1),))
+    a = GroupWord((A_POS,))
     if isinstance(spec, J):
         return _substitute(w, a, lambda x: GroupWord((BaseLetter(-x),)))
     if isinstance(spec, PhiE):
@@ -141,7 +142,7 @@ def hom_check(src_ctx: GroupCtx, dst_ctx: GroupCtx, image_of_a: GroupWord,
     ``depth`` defining relators of the source group inside the target."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    b_word = GroupWord((BaseLetter(EVec.basis(0)),))
+    b_word = GroupWord((_B_POS,))
     b_inverse = image_of_b.inverse()
 
     def b_power(x: EVec) -> GroupWord:

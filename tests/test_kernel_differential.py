@@ -61,6 +61,14 @@ same error type and message.  ``ref_periodic_first_difference`` scans two
 periodic streams to both preperiods plus the period lcm, the horizon that
 the Fine-Wilf bound p + q - gcd(p, q) replaced; both must give the same
 index, or None.
+
+``ref_w_word``, ``ref_win_e_word``, ``ref_v_k_word``, ``ref_word_from_evec``,
+``ref_to_word`` and ``ref_cyclic_reduce_pass`` are the builders that
+allocated a new letter for every stable letter and every payload; the
+builders now reuse ``group``'s shared letters (``A_POS``, ``A_NEG``,
+``_B_POS``, ``_B_NEG``).  Their words must match letter for letter,
+``recover_parameters`` must ask its oracle the same words, and no built
+word may hold a copy of a shared letter.
 """
 
 import math
@@ -83,16 +91,23 @@ from bslim import (
     WitnessCheckFailed,
     ZeroElement,
     group,
+    markedspace,
     morphisms,
 )
 from bslim.bsclassic import BSSpec, bs_is_trivial, parse_bs_word
 from bslim.group import (
+    _B_NEG,
+    _B_POS,
+    A_NEG,
+    A_POS,
     ALetter,
     BaseLetter,
     GroupWord,
     NormalForm,
     ReducedForm,
+    _alt_to_form,
     _b_exponent,
+    _evec,
     _letters_to_alt,
     _merge_into,
     _reduce_alt,
@@ -148,6 +163,10 @@ from bslim.markedspace import (
     b_i_word,
     distance_bounds,
     isomorphic,
+    recover_parameters,
+    v_k_word,
+    w_word,
+    win_e_word,
     word_to_compact,
 )
 from bslim.morphisms import (
@@ -1876,3 +1895,167 @@ def test_xi_from_prefix_agrees(m):
     for _ in range(60):
         prefix = [rng.choice(units)] + [rng.randrange(mod) for _ in range(rng.randint(0, 24))]
         assert xi_from_prefix(m, prefix) == ref_xi_from_prefix(m, prefix), (m, prefix)
+
+
+# --- shared letters ------------------------------------------------------------------
+
+
+def ref_w_word(m, digits):
+    letters = [ALetter(1)] * (len(digits) + 1)
+    letters.append(BaseLetter(EVec.basis(0, m)))
+    letters.append(ALetter(-1))
+    for t in digits:
+        if t:
+            letters.append(BaseLetter(EVec.basis(0, -t)))
+        letters.append(ALetter(-1))
+    return GroupWord(tuple(letters))
+
+
+def ref_win_e_word(m, digits):
+    pos = ref_w_word(m, digits)
+    neg = ref_w_word(-m, [-t for t in digits])
+    b = GroupWord((BaseLetter(EVec.basis(0)),))
+    return pos * b * neg * b.inverse()
+
+
+def ref_v_k_word(k):
+    inner = parse_word("a") * GroupWord((BaseLetter(EVec.basis(0, k)),)) * parse_word("A")
+    return commutator(inner, parse_word("b"))
+
+
+def ref_word_from_evec(vec):
+    return GroupWord(tuple(BaseLetter(EVec.basis(i, c)) for i, c in vec.entries))
+
+
+def ref_to_word(form):
+    letters = list(ref_word_from_evec(form.segments[0]).letters)
+    for d, seg in zip(form.deltas, form.segments[1:]):
+        letters.append(ALetter(d))
+        letters.extend(ref_word_from_evec(seg).letters)
+    return GroupWord(tuple(letters))
+
+
+def ref_inverse(w):
+    return GroupWord(tuple(
+        ALetter(-x.exp) if isinstance(x, ALetter) else BaseLetter(-x.vec)
+        for x in reversed(w.letters)
+    ))
+
+
+def ref_cyclic_reduce_pass(ctx, w):
+    """``cyclic_reduce`` with a new letter per conjugator letter."""
+    segs, deltas = _letters_to_alt(w.letters)
+    _reduce_alt(ctx, segs, deltas)
+    conj = []
+    lo, hi = 0, len(deltas)
+    while lo < hi:
+        lead, tail = segs[lo], segs[hi]
+        if tail:
+            conj.extend(ref_word_from_evec(-_evec(tail)).letters)
+            _merge_into(lead, tail)
+            segs[hi] = {}
+        d_first = deltas[lo]
+        if deltas[hi - 1] == d_first:
+            break
+        fired = _up(ctx, lead) if d_first == -1 else _down(ctx, lead)
+        if fired is None:
+            break
+        conj.extend(ref_word_from_evec(_evec(lead)).letters)
+        conj.append(ALetter(d_first))
+        lo, hi = lo + 1, hi - 1
+        _merge_into(segs[hi], fired)
+    return _alt_to_form(segs[lo : hi + 1], deltas[lo:hi]), GroupWord(tuple(conj))
+
+
+SHARED_LETTERS = (A_POS, A_NEG, _B_POS, _B_NEG)
+
+
+def unshared(w):
+    """The letters of w equal to a shared letter but not that object: every
+    a-letter, and every payload +-e_0, must be the shared one."""
+    return [x for x in w.letters if x in SHARED_LETTERS and not any(x is y for y in SHARED_LETTERS)]
+
+
+def digit_lists(rng, m):
+    """Digit lists over range(|m|), each holding both 0 and |m| - 1."""
+    top = abs(m) - 1
+    yield from ([0], [top], [0, top], [top, top, 0, top])
+    for _ in range(40):
+        digits = [rng.randrange(top + 1) for _ in range(rng.randint(0, 12))] + [0, top]
+        rng.shuffle(digits)
+        yield digits
+
+
+@pytest.mark.parametrize("m", [2, -2, 3, 5, 7, 64])
+def test_probe_words_agree(m):
+    rng = random.Random(f"probe{m}")
+    for digits in digit_lists(rng, m):
+        new, ref = w_word(m, digits), ref_w_word(m, digits)
+        assert new.letters == ref.letters, (m, digits)
+        assert unshared(new) == []
+        # one letter per payload within a call
+        payloads = {}
+        for x in new.letters:
+            if isinstance(x, BaseLetter):
+                assert payloads.setdefault(x.vec, x) is x, (m, digits, x)
+        new, ref = win_e_word(m, digits), ref_win_e_word(m, digits)
+        assert new.letters == ref.letters, (m, digits)
+        assert unshared(new) == []
+    for k in range(-3, abs(m) + 2):
+        assert v_k_word(k).letters == ref_v_k_word(k).letters
+        assert unshared(v_k_word(k)) == []
+
+
+@pytest.mark.parametrize("m,xi", CASES)
+def test_form_words_agree(m, xi):
+    """Reduced and normal forms, cyclic cores and conjugators, inverses and
+    conjugacy witnesses, all built from the shared letters."""
+    rng = random.Random(f"words{m}{xi}")
+    ctx = GroupCtx.make(m, xi)
+    checked = 0
+    for _ in range(150):
+        vec = EVec.from_items(random_seg(rng, 3))
+        assert word_from_evec(vec).letters == ref_word_from_evec(vec).letters
+        assert unshared(word_from_evec(vec)) == []
+        w = random_word(rng, m, 3)
+        # w's own letters are new ones: its inverse shares every a-letter
+        assert w.inverse().letters == ref_inverse(w).letters
+        assert [x for x in unshared(w.inverse()) if isinstance(x, ALetter)] == []
+        for reduce in (britton_reduce, normal_form):
+            kind, form = outcome(reduce, ctx, w)
+            if kind == "ok":
+                assert form.to_word().letters == ref_to_word(form).letters
+                assert unshared(form.to_word()) == []
+        new, ref = outcome(cyclic_reduce, ctx, w), outcome(ref_cyclic_reduce_pass, ctx, w)
+        assert new == ref, (m, xi, format_word(w))
+        if new[0] == "ok":
+            assert unshared(new[1][1]) == []
+            checked += 1
+        g = random_word(rng, m, 2)
+        kind, witness = outcome(are_conjugate, ctx, g * w * g.inverse(), w)
+        if kind == "ok" and witness is not None:
+            assert unshared(witness) == []
+    assert checked >= 50, checked
+
+
+@pytest.mark.parametrize("m,xi", [(2, "int:3"), (3, "rat:5/7"), (-5, "int:12"), (4, "int:2"),
+                                  (7, "rseq:1;2,0,6")])
+def test_recover_asks_the_same_words(m, xi, monkeypatch):
+    """The oracle sees the same probe words, in the same order, as it did
+    from the builders that made new letters."""
+    ctx = GroupCtx.make(m, xi)
+
+    def run():
+        asked = []
+
+        def oracle(w):
+            asked.append(w)
+            return is_trivial(ctx, w)
+
+        return recover_parameters(oracle, 6), asked
+
+    new = run()
+    assert all(unshared(w) == [] for w in new[1])
+    monkeypatch.setattr(markedspace, "win_e_word", ref_win_e_word)
+    monkeypatch.setattr(markedspace, "v_k_word", ref_v_k_word)
+    assert run() == new

@@ -25,6 +25,7 @@ from bslim import (
     s_values,
     xi_from_prefix,
 )
+from bslim.madic import _first_difference, _s_returns
 
 
 def oracle_digits(xi: Fraction, m: int, count: int):
@@ -344,6 +345,25 @@ def test_integer_recurrence_matches_fraction_recurrence(m, xi):
     stream = RDigitStream(spec(m, xi))
     assert stream.s_value(count) == ss[-1] and stream.s_value(0) == 1
     assert stream.digits(count) == rs
+
+
+@pytest.mark.parametrize("m,xi,seq,first", [
+    (2, "int:3", "rseq:;1", None),  # pre = 0: s_0 = s_1 = 1
+    (2, "int:-1", "rseq:1,1;0", None),  # pre = 2: s_2 = s_3 = 0
+    (3, "rat:1/2", "rseq:;2", 3),  # pre = 0: r_1 agrees, s_0 = 1 but s_1 = -1/2
+    (3, "rat:1/2", "rseq:2;2", 3),  # pre = 1: r_1, r_2 agree, s_1 = -1/2 but s_2 = -3/4
+])
+def test_s_state_check_of_a_rational_against_a_periodic_sequence(m, xi, seq, first):
+    """The rational's digits repeat with the sequence's period exactly when
+    its s-state at the preperiod returns after one period; both states come
+    from one walk of the digit step."""
+    rat, per = RDigitStream.make(m, xi), RDigitStream.make(m, seq)
+    pre = len(per.spec.xi.preperiod)
+    horizon = pre + len(per.spec.xi.period)
+    ss = [Fraction(1)] + s_values(rat.spec, horizon)
+    assert rat.digits(horizon) == per.digits(horizon)
+    assert _s_returns(rat, pre, horizon) == (ss[pre] == ss[horizon]) == (first is None)
+    assert _first_difference(rat, per) == _first_difference(per, rat) == first
 
 
 # --- congruence law and bijection (brute force, small) ---------------------

@@ -123,6 +123,22 @@ def test_the_caller_builds_every_context():
     assert found == {("madic", fn) for fn in helpers} | {("cli", "_ctx")}
 
 
+def test_only_the_shared_constants_build_a_letters():
+    """Every a-letter the package builds is ``group.A_POS`` or ``A_NEG``:
+    ``ALetter(...)`` is called only to define them, so no builder allocates
+    a letter per stable letter."""
+    defining, found = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shared = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and [ast.unparse(t) for t in node.targets] in (["A_POS"], ["A_NEG"])}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "ALetter":
+                (defining if id(node) in shared else found).append(f"{path.name}:{node.lineno}")
+    assert len(defining) == 2
+    assert found == []
+
+
 def test_b_i_word_is_linear_in_i():
     """b_i unfolds to w(|m|; r_1..r_{i-1}) in one pass over the digits;
     nesting b_{i-1} inside b_i would copy the word i times."""
