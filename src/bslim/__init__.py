@@ -31,10 +31,8 @@ from .madic import (
     LaurentPoly,
     MarkedGroupSpec,
     RDigitStream,
-    XiInt,
     XiRat,
-    XiSeqFinite,
-    XiSeqPeriodic,
+    XiSeq,
     XiSpec,
     format_xi,
     gcd_with_m,

@@ -27,7 +27,7 @@ from .group import (
 from .lattice import GroupCtx, parse_evec
 from .madic import (
     MarkedGroupSpec,
-    XiSeqFinite,
+    XiSeq,
     _parse_decimal,
     _parse_digit_list,
     parse_xi,
@@ -68,11 +68,13 @@ def _word(args, attr: str = "word") -> GroupWord:
     return parse_word(getattr(args, attr), args.alphabet)
 
 
-#: Fixed limits on the size flags; at each the command answers within 2 s on a 2-core
-#: VM.  Digits and recovery cost time quadratic in the count, digits memory linear
-#: (`rat:5/7`, m = 3: `rdigits` 0.13 s, 18 MB RSS; `relator` bi 0.19 s, 20 MB; int:3,
-#: m = 64: `recover` 0.74 s, 17 MB); `dist` grows 6x per two letters (int:1 vs int:5:
-#: 0.7 s, 31 MB).  Every group command reads digits under the `rdigits` limit (`_ctx`).
+#: Fixed limits on the size flags, on a 2-core VM.  Digits and recovery cost time
+#: quadratic in the count, digits memory linear (`rat:5/7`, m = 3: `rdigits` 0.13 s,
+#: 18 MB RSS; `relator` bi 0.19 s, 20 MB; int:3, m = 64: `recover` 0.74 s, 17 MB), but
+#: `rdigits` bounds digits, not their bits: m = 2, `rat:1/<3^1000>` took 2.0-2.3 s CPU
+#: for 1,000 digits and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 6x per two
+#: letters (int:1 vs int:5: 0.7 s, 31 MB).  Every group command reads digits under the
+#: `rdigits` limit (`_ctx`).
 #: A `bswp` pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
 #: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k so
 #: alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
@@ -163,7 +165,7 @@ def _relator(args):
         ctx = _ctx(args)
     digits = None if args.digits is None else _parse_digit_list(args.digits, 0)
     if digits is not None and args.m is not None:
-        MarkedGroupSpec(args.m, XiSeqFinite(digits))  # digits in [0, |m|), as for rseq:
+        MarkedGroupSpec(args.m, XiSeq(digits))  # digits in [0, |m|), as for rseq:
     w = relator(args.kind, ctx=ctx, index=index, m=args.m, digits=digits)
     text = format_word(w, "compact")
     return text, {"word": text}

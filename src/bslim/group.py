@@ -98,7 +98,7 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         shared = _SHARED_INVERSE.get  # keeps the letters _letters_to_alt knows by identity
         return GroupWord([  # a list: a tuple grown from an iterator keeps slack
-            shared(id(x)) or (_A_POWER[-x.exp] if isinstance(x, ALetter) else BaseLetter(-x.vec))
+            shared(id(x)) or (_A_POWER[-x.exp] if isinstance(x, ALetter) else _base_letter(-x.vec))
             for x in reversed(self.letters)
         ])
 
@@ -114,12 +114,15 @@ def a_power_word(n: int) -> GroupWord:
 
 def word_from_evec(vec: EVec) -> GroupWord:
     """The vector as a word, one letter per basis index."""
-    return GroupWord([_base_letter(i, c) for i, c in vec.entries])
+    # a +-e_0 entry takes its shared letter before any vector is built for it
+    return GroupWord([_SHARED_B.get(e) or _base_letter(EVec((e,))) for e in vec.entries])
 
 
-def _base_letter(i: int, c: int) -> BaseLetter:
-    """The letter c e_i: the shared b or B letter when c e_i = +-e_0."""
-    return _SHARED_B.get((i, c)) or BaseLetter(EVec.basis(i, c))
+def _base_letter(vec: EVec) -> BaseLetter:
+    """The letter of ``vec``: the shared b or B letter when vec = +-e_0.
+    Every other base letter the package builds is built here."""
+    entries = vec.entries
+    return (len(entries) == 1 and _SHARED_B.get(entries[0])) or BaseLetter(vec)
 
 
 def commutator(u: GroupWord, v: GroupWord) -> GroupWord:
@@ -174,7 +177,7 @@ def parse_word(text: str, mode: Literal["compact", "extended"] = "compact") -> G
         elif token == "a^-1":
             letters.append(A_NEG)
         else:
-            letters.append(_base_letter(*_parse_eterm(token, offset)))
+            letters.append(_base_letter(EVec.basis(*_parse_eterm(token, offset))))
     return GroupWord(tuple(letters))
 
 

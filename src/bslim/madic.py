@@ -38,52 +38,27 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class XiInt:
-    """A rational integer viewed inside the ring of m-adic integers."""
-
-    n: int
-
-
-@dataclass(frozen=True)
 class XiRat:
-    """A fraction p/q with q invertible modulo m."""
+    """An exact parameter p/q with q invertible modulo m; q = 1 for an integer."""
 
     p: int
-    q: int
+    q: int = 1
 
 
 @dataclass(frozen=True)
-class XiSeqFinite:
-    """A finite digit prefix; only finitely many digits are available."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-
-
-@dataclass(frozen=True)
-class XiSeqPeriodic:
-    """An eventually periodic digit sequence (preperiod then period)."""
+class XiSeq:
+    """A digit sequence: the preperiod, then the period repeated forever.
+    With no period it is a finite prefix, and only its digits are available."""
 
     preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    period: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
 
 
-XiSpec = Union[XiInt, XiRat, XiSeqFinite, XiSeqPeriodic]
-
-#: Kinds whose full digit stream is reconstructible exactly.
-EXACT_KINDS = (XiInt, XiRat)
-SEQ_KINDS = (XiSeqFinite, XiSeqPeriodic)
-
-
-def _pre_period(xi: XiSeqFinite | XiSeqPeriodic) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A digit sequence as (preperiod, period): a finite one has no period."""
-    return (xi.digits, ()) if isinstance(xi, XiSeqFinite) else (xi.preperiod, xi.period)
+XiSpec = Union[XiRat, XiSeq]
 
 
 @dataclass(frozen=True)
@@ -91,9 +66,9 @@ class MarkedGroupSpec:
     """The pair (m, xi) identifying one marked limit group.
 
     Internally normalized to (|m|, sign(m)*xi); both label the same marked
-    group.  Digit-sequence descriptions (``XiSeqFinite``/``XiSeqPeriodic``)
-    always denote the digits of the *normalized* parameter over |m|, so
-    they pass through normalization unchanged.
+    group.  A digit sequence (``XiSeq``) always denotes the digits of the
+    *normalized* parameter over |m|, so it passes through normalization
+    unchanged.
     """
 
     m: int
@@ -110,14 +85,11 @@ class MarkedGroupSpec:
                 raise NonInvertibleDenominator(
                     f"denominator {xi.q} shares a factor with m={self.m}"
                 )
-        elif isinstance(xi, SEQ_KINDS):
-            pre, per = _pre_period(xi)
-            bad = [d for d in pre + per if not 0 <= d < abs(self.m)]
+        elif isinstance(xi, XiSeq):
+            bad = [d for d in xi.preperiod + xi.period if not 0 <= d < abs(self.m)]
             if bad:
                 raise ValueError(f"digits {bad} outside range [0, {abs(self.m)})")
-            if isinstance(xi, XiSeqPeriodic) and not xi.period:
-                raise ValueError("period must be nonempty")
-        elif not isinstance(xi, XiInt):
+        else:
             raise TypeError(f"not a XiSpec: {xi!r}")
 
     @property
@@ -127,10 +99,8 @@ class MarkedGroupSpec:
     @cached_property
     def xi_norm(self) -> XiSpec:
         """sign(m) * xi, the parameter actually used for digit math."""
-        if self.m > 0 or isinstance(self.xi, SEQ_KINDS):
+        if self.m > 0 or isinstance(self.xi, XiSeq):
             return self.xi
-        if isinstance(self.xi, XiInt):
-            return XiInt(-self.xi.n)
         return XiRat(-self.xi.p, self.xi.q)
 
     @property
@@ -138,10 +108,10 @@ class MarkedGroupSpec:
         """True for digit-sequence inputs whose first digit is not coprime
         to m.  Such sequences are accepted (the group they define is well
         defined) but no m-adic integer is guaranteed to realize them."""
-        if not isinstance(self.xi, SEQ_KINDS):
+        xi = self.xi
+        if not isinstance(xi, XiSeq):
             return False
-        pre, per = _pre_period(self.xi)
-        return math.gcd(next(iter(pre + per), 0), self.m_abs) != 1
+        return math.gcd(next(iter(xi.preperiod + xi.period), 0), self.m_abs) != 1
 
 
 @dataclass(frozen=True)
@@ -256,8 +226,6 @@ class LaurentPoly:
 
 def _xi_fraction(spec: MarkedGroupSpec) -> Fraction:
     xi = spec.xi_norm
-    if isinstance(xi, XiInt):
-        return Fraction(xi.n)
     if isinstance(xi, XiRat):
         return Fraction(xi.p, xi.q)
     raise UnsupportedSpecKind(f"no exact value for {type(xi).__name__}")
@@ -301,11 +269,10 @@ class RDigitStream:
         self.rs = [1]
         self._lock = threading.Lock()
         xi = spec.xi_norm
-        if isinstance(xi, EXACT_KINDS):
+        if isinstance(xi, XiRat):
             self._source = map(itemgetter(0), _t_steps(_xi_fraction(spec), spec.m_abs))
         else:
-            pre, per = _pre_period(xi)
-            self._source = chain(pre, cycle(per))
+            self._source = chain(xi.preperiod, cycle(xi.period))
 
     @classmethod
     def make(cls, m: int, xi: XiSpec | str, budget: int | None = None) -> "RDigitStream":
@@ -404,18 +371,12 @@ def project_unit(spec: MarkedGroupSpec) -> MarkedGroupSpec:
     d = gcd_with_m(spec)
     if d == 1:
         return spec
-    if isinstance(spec.xi_norm, SEQ_KINDS):
-        raise UnsupportedSpecKind(
-            "cannot divide a digit-sequence parameter by its gcd"
-        )
+    xi = spec.xi_norm
+    if isinstance(xi, XiSeq):
+        raise UnsupportedSpecKind("cannot divide a digit-sequence parameter by its gcd")
     m_hat = spec.m_abs // d
     if m_hat == 1:
-        return MarkedGroupSpec(1, XiInt(0))
-    xi = spec.xi_norm
-    if isinstance(xi, XiInt):
-        if xi.n % d:
-            raise ValueError(f"gcd {d} does not divide {xi.n}")
-        return MarkedGroupSpec(m_hat, XiInt(xi.n // d))
+        return MarkedGroupSpec(1, XiRat(0))
     if xi.p % d:
         raise ValueError(f"gcd {d} does not divide {xi.p}")
     return MarkedGroupSpec(m_hat, XiRat(xi.p // d, xi.q))
@@ -442,7 +403,7 @@ def _first_difference(sa: RDigitStream, sb: RDigitStream) -> int | None:
     if math.gcd(m, sb.digit(1)) != d:
         return 1
     xa, xb = a.xi_norm, b.xi_norm
-    if isinstance(xa, EXACT_KINDS) and isinstance(xb, EXACT_KINDS):
+    if isinstance(xa, XiRat) and isinstance(xb, XiRat):
         diff, i = ((_xi_fraction(a) - _xi_fraction(b)) / d).numerator, 1
         if m == d or not diff:
             return None
@@ -450,13 +411,14 @@ def _first_difference(sa: RDigitStream, sb: RDigitStream) -> int | None:
             diff, i = diff // (m // d), i + 1
         return i
     rat, horizon = None, 0  # a finite sequence has no horizon
-    if isinstance(xa, XiSeqPeriodic) and isinstance(xb, XiSeqPeriodic):
+    if isinstance(xa, XiRat) or isinstance(xb, XiRat):
+        rat, seq = (sa, xb) if isinstance(xa, XiRat) else (sb, xa)
+        pre = len(seq.preperiod)
+        if seq.period:
+            horizon = pre + len(seq.period)
+    elif xa.period and xb.period:
         p, q = len(xa.period), len(xb.period)
         horizon = max(len(xa.preperiod), len(xb.preperiod)) + p + q - math.gcd(p, q)
-    elif not isinstance(xa, XiSeqFinite) and not isinstance(xb, XiSeqFinite):
-        rat, seq = (sa, xb) if isinstance(xa, EXACT_KINDS) else (sb, xa)
-        pre = len(seq.preperiod)
-        horizon = pre + len(seq.period)
     i = 1
     while sa.digit(i) == sb.digit(i):
         # at d = m the rational's digits are all zero, whatever its s-state
@@ -543,7 +505,7 @@ def _parse_digit_list(text: str, offset: int) -> tuple[int, ...]:
 def parse_xi(text: str) -> XiSpec:
     """Parse the XiSpec grammar (int:/rat:/rseq: forms)."""
     if text.startswith("int:"):
-        return XiInt(_parse_decimal(text[4:], 4))
+        return XiRat(_parse_decimal(text[4:], 4))
     if text.startswith("rat:"):
         body = text[4:]
         if body.count("/") != 1:
@@ -556,28 +518,18 @@ def parse_xi(text: str) -> XiSpec:
         body = text[5:]
         if not body:
             raise ParseError("rseq: needs at least one digit", 5)
-        if ";" in body:
-            pre_text, _, per_text = body.partition(";")
-            pre = _parse_digit_list(pre_text, 5)
-            per = _parse_digit_list(per_text, 6 + len(pre_text))
-            if not per:
-                raise ParseError("empty period", 6 + len(pre_text))
-            return XiSeqPeriodic(pre, per)
-        return XiSeqFinite(_parse_digit_list(body, 5))
+        pre_text, semicolon, per_text = body.partition(";")
+        pre = _parse_digit_list(pre_text, 5)
+        per = _parse_digit_list(per_text, 6 + len(pre_text))
+        if semicolon and not per:
+            raise ParseError("empty period", 6 + len(pre_text))
+        return XiSeq(pre, per)
     raise ParseError("expected int:, rat: or rseq:", 0)
 
 
 def format_xi(xi: XiSpec) -> str:
     """Inverse of :func:`parse_xi`."""
-    if isinstance(xi, XiInt):
-        return f"int:{xi.n}"
     if isinstance(xi, XiRat):
-        return f"rat:{xi.p}/{xi.q}"
-    if isinstance(xi, XiSeqFinite):
-        return "rseq:" + ",".join(map(str, xi.digits))
-    return (
-        "rseq:"
-        + ",".join(map(str, xi.preperiod))
-        + ";"
-        + ",".join(map(str, xi.period))
-    )
+        return f"int:{xi.p}" if xi.q == 1 else f"rat:{xi.p}/{xi.q}"
+    text = "rseq:" + ",".join(map(str, xi.preperiod))
+    return text + ";" + ",".join(map(str, xi.period)) if xi.period else text

@@ -34,7 +34,7 @@ from .group import (
     parse_word,
 )
 from .lattice import EVec, GroupCtx
-from .madic import XiSeqFinite, _first_difference
+from .madic import XiSeq, _first_difference
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,15 @@ def b_i_word(ctx: GroupCtx, i: int) -> GroupWord:
 
 def v_k_word(k: int) -> GroupWord:
     """[a b^k a^-1, b]; trivial exactly when m divides k."""
-    return commutator(GroupWord((A_POS, _base_letter(0, k), A_NEG)), GroupWord((_B_POS,)))
+    b_k = _base_letter(EVec.basis(0, k))
+    return commutator(GroupWord((A_POS, b_k, A_NEG)), GroupWord((_B_POS,)))
 
 
 def w_word(m: int, digits: Sequence[int]) -> GroupWord:
     """a^(n+1) (m e_0) a^-1 (-t_1 e_0) a^-1 ... (-t_n e_0) a^-1 for the
     digit list t; lands in the base group exactly when t matches the
     group's digits.  Each payload's letter is built once per call."""
-    e0 = {c: _base_letter(0, c) for c in {m, *(-t for t in digits if t)}}
+    e0 = {c: _base_letter(EVec.basis(0, c)) for c in {m, *(-t for t in digits if t)}}
     letters = [A_POS] * (len(digits) + 1) + [e0[m], A_NEG]
     for t in digits:
         if t:
@@ -269,7 +270,7 @@ def isomorphic(ctx1: GroupCtx, ctx2: GroupCtx) -> bool:
     """Abstract isomorphism test: |m| equal and the normalized digit
     streams agree at every index (which also characterizes marked
     isomorphism).  Finite digit prefixes are rejected as undecidable."""
-    if any(isinstance(c.spec.xi_norm, XiSeqFinite) for c in (ctx1, ctx2)):
+    if any(isinstance(c.spec.xi, XiSeq) and not c.spec.xi.period for c in (ctx1, ctx2)):
         raise UndecidableSpec("finite digit sequences admit no full comparison")
     return ctx1.m_abs == ctx2.m_abs and _first_difference(ctx1, ctx2) is None
 

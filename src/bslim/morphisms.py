@@ -16,10 +16,10 @@ from typing import Optional, Union
 from .errors import InvalidAutSpec
 from .group import (
     A_POS,
-    BaseLetter,
     GroupWord,
     _B_POS,
     _b_exponent,
+    _base_letter,
     _lamp_fold,
     _letters_to_alt,
     _substitute,
@@ -101,15 +101,15 @@ def apply_automorphism(ctx: GroupCtx, spec: AutSpec, w: GroupWord) -> GroupWord:
     """Letterwise image of the word under the chosen (endo)morphism."""
     a = GroupWord((A_POS,))
     if isinstance(spec, J):
-        return _substitute(w, a, lambda x: GroupWord((BaseLetter(-x),)))
+        return _substitute(w, a, lambda x: GroupWord((_base_letter(-x),)))
     if isinstance(spec, PhiE):
-        e = GroupWord(() if spec.e.is_zero else (BaseLetter(spec.e),))
-        return _substitute(w, a * e, lambda x: GroupWord((BaseLetter(x),)))
+        e = GroupWord(() if spec.e.is_zero else (_base_letter(spec.e),))
+        return _substitute(w, a * e, lambda x: GroupWord((_base_letter(x),)))
     if isinstance(spec, ThetaK):
         if spec.k == 0 or math.gcd(spec.k, ctx.m_abs) != 1:
             raise InvalidAutSpec(f"k = {spec.k} must be nonzero and coprime to m")
         return _substitute(
-            w, a, lambda x: GroupWord(() if x.is_zero else (BaseLetter(spec.k * x),))
+            w, a, lambda x: GroupWord(() if x.is_zero else (_base_letter(spec.k * x),))
         )
     if isinstance(spec, EmbedD):
         if spec.d < 1:

@@ -13,9 +13,8 @@ import pytest
 
 from bslim import (
     MarkedGroupSpec,
-    XiInt,
     XiRat,
-    XiSeqPeriodic,
+    XiSeq,
     gcd_with_m,
     r_digits,
     s_values,
@@ -82,7 +81,7 @@ def test_criterion_1_digit_bijection():
                 if math.gcd(n, m) != 1:
                     continue
                 count += 1
-                seen.add(tuple(r_digits(MarkedGroupSpec(m, XiInt(n)), h)))
+                seen.add(tuple(r_digits(MarkedGroupSpec(m, XiRat(n)), h)))
             phi = sum(1 for k in range(m) if math.gcd(k, m) == 1)
             expect = phi * m ** (h - 1)
             assert count == expect
@@ -100,7 +99,7 @@ def test_criterion_2_congruence_law():
         bound = m**5
         info = {}
         for n in range(bound):
-            spec = MarkedGroupSpec(m, XiInt(n))
+            spec = MarkedGroupSpec(m, XiRat(n))
             info[n] = (gcd_with_m(spec), tuple(r_digits(spec, 4)))
         for h in (1, 2, 3, 4):
             # two equivalence relations on each gcd class must coincide:
@@ -129,7 +128,7 @@ def test_criterion_2_congruence_law():
 
 def test_criterion_3_convergence_oracle():
     t0 = time.time()
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     words = [W(text) for text in freely_reduced_words(8)]
     limit_answers = [is_trivial(ctx, w) for w in words]
     for xi_n in (19, 35, 51):
@@ -142,11 +141,11 @@ def test_criterion_3_convergence_oracle():
 
 @pytest.mark.parametrize(
     "xi2,h,bound",
-    [(XiInt(3), 1, 22), (XiInt(5), 2, 28)],
+    [(XiRat(3), 1, 22), (XiRat(5), 2, 28)],
 )
 def test_criterion_4_metric_sandwich(xi2, h, bound):
     t0 = time.time()
-    g1 = MarkedGroupSpec(2, XiInt(1))
+    g1 = MarkedGroupSpec(2, XiRat(1))
     g2 = MarkedGroupSpec(2, xi2)
     ctx1, ctx2 = GroupCtx(g1), GroupCtx(g2)
     # (a) no distinguishing word up to length 2h
@@ -172,8 +171,8 @@ def test_criterion_4_metric_sandwich(xi2, h, bound):
 def test_criterion_4_exact_distance_h1():
     """The exact distance of the h = 1 pair, inside its sandwich [3, 22]."""
     t0 = time.time()
-    g1 = MarkedGroupSpec(2, XiInt(1))
-    g2 = MarkedGroupSpec(2, XiInt(3))
+    g1 = MarkedGroupSpec(2, XiRat(1))
+    g2 = MarkedGroupSpec(2, XiRat(3))
     word = W("aaabbAbAAbaaaBBABAAB")
     assert shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 20) == (20, word)
     assert not is_trivial(GroupCtx(g1), word)
@@ -190,28 +189,28 @@ def test_criterion_4_exact_distance_h1():
 def test_criterion_5_relator_suite():
     t0 = time.time()
     specs = [
-        MarkedGroupSpec(2, XiInt(0)),
-        MarkedGroupSpec(2, XiInt(1)),
-        MarkedGroupSpec(2, XiInt(3)),
+        MarkedGroupSpec(2, XiRat(0)),
+        MarkedGroupSpec(2, XiRat(1)),
+        MarkedGroupSpec(2, XiRat(3)),
         MarkedGroupSpec(3, XiRat(1, 2)),
-        MarkedGroupSpec(2, XiSeqPeriodic((1,), (0, 1))),
+        MarkedGroupSpec(2, XiSeq((1,), (0, 1))),
     ]
     b = W("b")
     for spec in specs:
         ctx = GroupCtx(spec)
         for i in range(1, 11):
             assert is_trivial(ctx, commutator(b, b_i_word(ctx, i))), (spec, i)
-    for spec in (MarkedGroupSpec(2, XiInt(3)), MarkedGroupSpec(3, XiRat(1, 2))):
+    for spec in (MarkedGroupSpec(2, XiRat(3)), MarkedGroupSpec(3, XiRat(1, 2))):
         ctx = GroupCtx(spec)
         for k in range(1, 21):
             assert is_trivial(ctx, v_k_word(k)) == (k % spec.m_abs == 0), (spec, k)
     # b_2 b^(-xi s_1(xi)) dies in BS(2, 19)
     xi = 19
-    s1 = s_values(MarkedGroupSpec(2, XiInt(xi)), 1)[0]
+    s1 = s_values(MarkedGroupSpec(2, XiRat(xi)), 1)[0]
     exp = xi * s1
     assert exp.denominator == 1
     exp = int(exp)
-    ctx19 = GroupCtx.make(2, XiInt(xi))
+    ctx19 = GroupCtx.make(2, XiRat(xi))
     b2 = b_i_word(ctx19, 2)
     tail = W("B" * exp) if exp > 0 else W("b" * (-exp))
     assert bs_is_trivial(BSSpec(2, xi), b2 * tail)
@@ -240,7 +239,7 @@ def _conjugate_ball(ctx, w, depth):
 
 def test_criterion_6_conjugacy_correctness():
     t0 = time.time()
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     rng = random.Random(6)
 
     # (b) constructed conjugate pairs always succeed, witnesses verify (a)
@@ -274,7 +273,7 @@ def test_criterion_6_conjugacy_correctness():
 
 def test_criterion_7_parameter_recovery():
     t0 = time.time()
-    for m, xi in [(2, XiInt(3)), (2, XiInt(1)), (3, XiInt(0)), (3, XiRat(1, 2))]:
+    for m, xi in [(2, XiRat(3)), (2, XiRat(1)), (3, XiRat(0)), (3, XiRat(1, 2))]:
         spec = MarkedGroupSpec(m, xi)
         m_found, digits = recover_parameters(word_problem_oracle(GroupCtx(spec)), 6)
         assert m_found == abs(m)
@@ -284,7 +283,7 @@ def test_criterion_7_parameter_recovery():
 
 def test_criterion_8_wreath_quotient():
     t0 = time.time()
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     rng = random.Random(8)
     for _ in range(1000):
         u = W("".join(rng.choice("aAbB") for _ in range(rng.randrange(9))))
@@ -320,7 +319,7 @@ def test_criterion_9_nk_bounds():
 
 def test_criterion_10_automorphism_suite():
     t0 = time.time()
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     rng = random.Random(10)
     from bslim.lattice import EVec
 
@@ -346,7 +345,7 @@ def test_criterion_10_automorphism_suite():
 
 def test_criterion_11_normal_form_uniqueness():
     t0 = time.time()
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     words = [W(text) for text in freely_reduced_words(5)]
     forms = [normal_form(ctx, w) for w in words]
     checked = 0

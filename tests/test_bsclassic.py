@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from bslim import ParseError, PreconditionViolated, XiInt, XiRat
+from bslim import ParseError, PreconditionViolated, XiRat
 from bslim.bsclassic import (
     BSSpec,
     bs_is_trivial,
@@ -95,7 +95,7 @@ def test_parse_bs_word_reads_shared_letters():
 def test_convergence_to_limit_small():
     # triviality in BS(2, xi_n) with xi_n = 3 mod 8 matches the limit group
     # for short words
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     rng = random.Random(4)
     for xi_n in (19, 35):
         spec = BSSpec(2, xi_n)
@@ -132,7 +132,7 @@ def test_convergence_rational_parameter_m3():
 def test_lem_bi_in_bs():
     # b_2 * b^(-xi * s_1(xi)) is trivial in BS(2, 19)
     xi = 19
-    s1 = s_values(MarkedGroupSpec(2, XiInt(xi)), 1)[0]
+    s1 = s_values(MarkedGroupSpec(2, XiRat(xi)), 1)[0]
     assert s1 == 9
     r1 = 1
     b2 = parse_bs_word(f"aab^2Ab^-{r1}A")  # a (a b^2 a^-1) b^-r1 a^-1

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from bslim import XiInt, XiRat
+from bslim import XiRat
 from bslim.bsclassic import BSSpec, bs_is_trivial
 from bslim.group import are_conjugate, is_trivial, normal_form, parse_word
 from bslim.lattice import (
@@ -46,7 +46,7 @@ def freely_reduced_words(max_len):
 
 def test_random_long_words_against_bs():
     # xi_n = 3 mod 64 with |xi_n| >= 64 agree with xi = 3 up to length 12
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     rng = random.Random(12)
     specs = [BSSpec(2, 67), BSSpec(2, 131)]
     for _ in range(2500):
@@ -76,7 +76,7 @@ def _ball(ctx, w, depth):
 
 
 @pytest.mark.parametrize(
-    "m,xi", [(3, XiRat(1, 2)), (4, XiInt(6)), (2, XiInt(0))]
+    "m,xi", [(3, XiRat(1, 2)), (4, XiRat(6)), (2, XiRat(0))]
 )
 def test_conjugacy_vs_brute_small(m, xi):
     # conjugator of length <= 6 exists iff depth-3 balls intersect
@@ -92,7 +92,7 @@ def test_conjugacy_vs_brute_small(m, xi):
             assert is_trivial(ctx, found * w * found.inverse() * u.inverse())
 
 
-@pytest.mark.parametrize("m,xi", [(3, XiRat(1, 2)), (4, XiInt(6))])
+@pytest.mark.parametrize("m,xi", [(3, XiRat(1, 2)), (4, XiRat(6))])
 def test_normal_form_uniqueness_other_groups(m, xi):
     ctx = GroupCtx(MarkedGroupSpec(m, xi))
     words = [W(t) for t in freely_reduced_words(4)]
@@ -107,7 +107,7 @@ def test_normal_form_uniqueness_other_groups(m, xi):
 def test_mu_equals_two_adic_valuation():
     # for m = 2, xi = 3: the up-shift count of x equals the 2-adic
     # valuation of q(x) evaluated at xi/m (dual route for the band height)
-    ctx = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiRat(3))
     x_val = Fraction(3, 2)
     rng = random.Random(9)
 
@@ -140,7 +140,7 @@ def test_mu_equals_two_adic_valuation():
 
 
 def test_q_poly_matches_p_polys():
-    for m, xi in [(2, XiInt(3)), (3, XiRat(1, 2)), (5, XiInt(7))]:
+    for m, xi in [(2, XiRat(3)), (3, XiRat(1, 2)), (5, XiRat(7))]:
         spec = MarkedGroupSpec(m, xi)
         ctx = GroupCtx(spec)
         ps = p_polys(spec, 6)

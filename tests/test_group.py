@@ -13,14 +13,14 @@ from bslim import (
     ParseError,
     ShapeMismatch,
     WitnessCheckFailed,
-    XiInt,
-    XiSeqFinite,
-    XiSeqPeriodic,
+    XiRat,
+    XiSeq,
 )
 from bslim.lattice import EVec, GroupCtx
 from bslim.group import (
     ALetter,
     BaseLetter,
+    GroupWord,
     ReducedForm,
     are_conjugate,
     base_conjugacy_solve,
@@ -44,12 +44,12 @@ W = parse_word  # compact by default
 
 @pytest.fixture
 def ctx23():
-    return GroupCtx.make(2, XiInt(3))
+    return GroupCtx.make(2, XiRat(3))
 
 
 @pytest.fixture
 def ctx21():
-    return GroupCtx.make(2, XiInt(1))
+    return GroupCtx.make(2, XiRat(1))
 
 
 def random_word(rng, max_len=6):
@@ -127,6 +127,17 @@ def test_inverse_keeps_the_shared_letters():
     # other payloads still get fresh letters
     w = parse_word("e2^3 a e0^-2", "extended")
     assert format_word(w.inverse()) == "e0^2 a^-1 e2^-3"
+
+
+def test_inverse_of_built_letters_shares_b_and_B():
+    """A letter built by hand with payload +-e_0 inverts to the shared B or
+    b letter; a zero payload stays a (new) zero letter."""
+    b, big_b = W("b").letters[0], W("B").letters[0]
+    assert GroupWord((BaseLetter(EVec.basis(0)),)).inverse().letters[0] is big_b
+    assert GroupWord((BaseLetter(EVec.basis(0, -1)),)).inverse().letters[0] is b
+    zero = GroupWord((BaseLetter(EVec.zero()),)).inverse()
+    assert zero.letters == (BaseLetter(EVec.zero()),)
+    assert format_word(zero) == ""
 
 
 # --- Britton reduction ---------------------------------------------------------
@@ -434,16 +445,16 @@ def test_word_digit_budget():
     from bslim import RDigitBudgetExceeded
 
     for text in ("abbA", "aabbABA", "babbABaBBA"):
-        ctx = GroupCtx.make(2, XiInt(3), budget=len(text))
+        ctx = GroupCtx.make(2, XiRat(3), budget=len(text))
         is_trivial(ctx, W(text))  # must not raise
-    ctx = GroupCtx.make(2, XiSeqFinite((1,)))
+    ctx = GroupCtx.make(2, XiSeq((1,)))
     with pytest.raises(RDigitBudgetExceeded):
         is_trivial(ctx, W("aaabbAAA" * 2))
 
 
 def test_works_with_periodic_digit_spec():
-    ctx = GroupCtx.make(2, XiSeqPeriodic((), (1,)))  # same digits as xi=3
-    ctx3 = GroupCtx.make(2, XiInt(3))
+    ctx = GroupCtx.make(2, XiSeq((), (1,)))  # same digits as xi=3
+    ctx3 = GroupCtx.make(2, XiRat(3))
     rng = random.Random(31)
     for _ in range(60):
         w = random_word(rng, max_len=7)
@@ -463,10 +474,10 @@ def test_wrong_witness_is_rejected_under_optimize():
     script = (
         "assert False, 'assert statements are not stripped'\n"
         "import bslim.group as g\n"
-        "from bslim import EVec, GroupCtx, WitnessCheckFailed, XiInt\n"
+        "from bslim import EVec, GroupCtx, WitnessCheckFailed, XiRat\n"
         "g.base_conjugacy_solve = lambda ctx, u, v: EVec.basis(0)\n"
         "try:\n"
-        "    g.are_conjugate(GroupCtx.make(2, XiInt(3)), g.parse_word('a'), g.parse_word('a'))\n"
+        "    g.are_conjugate(GroupCtx.make(2, XiRat(3)), g.parse_word('a'), g.parse_word('a'))\n"
         "except WitnessCheckFailed:\n"
         "    print('rejected')\n"
     )

@@ -142,13 +142,10 @@ from bslim.lattice import (
     q_poly,
 )
 from bslim.madic import (
-    EXACT_KINDS,
     MarkedGroupSpec,
     RDigitStream,
-    XiInt,
     XiRat,
-    XiSeqFinite,
-    XiSeqPeriodic,
+    XiSeq,
     _first_difference,
     _parse_decimal,
     _xi_fraction,
@@ -1565,6 +1562,16 @@ def test_parse_bs_word_agrees():
 # --- the first differing digit ------------------------------------------------------
 
 
+def _exact(xi) -> bool:
+    """An exact parameter: an integer or a rational."""
+    return isinstance(xi, XiRat)
+
+
+def _finite(xi) -> bool:
+    """A finite digit prefix: a sequence with no period."""
+    return isinstance(xi, XiSeq) and not xi.period
+
+
 def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
     """Decide r_i(a) = r_i(b) for every i, for fully described parameters.
 
@@ -1579,12 +1586,12 @@ def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
         return False
     m = a.m_abs
     ka, kb = a.xi_norm, b.xi_norm
-    if isinstance(ka, XiSeqFinite) or isinstance(kb, XiSeqFinite):
+    if _finite(ka) or _finite(kb):
         raise UndecidableSpec("finite digit sequences admit no full comparison")
     da, db = gcd_with_m(a), gcd_with_m(b)
     if da != db:
         return False
-    exact_a, exact_b = isinstance(ka, EXACT_KINDS), isinstance(kb, EXACT_KINDS)
+    exact_a, exact_b = _exact(ka), _exact(kb)
     if exact_a and exact_b:
         if m // da == 1:
             return True
@@ -1616,10 +1623,10 @@ def _first_digit_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int:
     raises SameGroup when there is none, or the scan cannot find one.
     Exact units share h digits exactly when they agree mod |m|^h (the
     congruence law), so their digits are not scanned."""
-    finite = isinstance(a.xi_norm, XiSeqFinite) or isinstance(b.xi_norm, XiSeqFinite)
+    finite = _finite(a.xi_norm) or _finite(b.xi_norm)
     if not finite and _streams_equal_exact(a, b):
         raise SameGroup("the digit streams agree at every index")
-    if isinstance(a.xi_norm, EXACT_KINDS) and isinstance(b.xi_norm, EXACT_KINDS):
+    if _exact(a.xi_norm) and _exact(b.xi_norm):
         diff, i = (_xi_fraction(a) - _xi_fraction(b)).numerator, 1
         while diff % a.m_abs == 0:
             diff, i = diff // a.m_abs, i + 1
@@ -1651,7 +1658,7 @@ def ref_distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBou
 
 
 def ref_isomorphic(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> bool:
-    if isinstance(g1.xi_norm, XiSeqFinite) or isinstance(g2.xi_norm, XiSeqFinite):
+    if _finite(g1.xi_norm) or _finite(g2.xi_norm):
         raise UndecidableSpec("finite digit sequences admit no full comparison")
     return _streams_equal_exact(g1, g2)
 
@@ -1692,7 +1699,7 @@ def unit_xi(rng, m):
 
 def spec_of(m, f, scale=1):
     if f.denominator == 1 and scale == 1:
-        return MarkedGroupSpec(m, XiInt(f.numerator))
+        return MarkedGroupSpec(m, XiRat(f.numerator))
     return MarkedGroupSpec(m, XiRat(f.numerator * scale, f.denominator * scale))
 
 
@@ -1708,14 +1715,14 @@ def exact_xi(rng, m, d=None):
 def cut(rng, digits):
     """A preperiod and a period cut from the front of a digit list."""
     j = rng.randint(0, 3)
-    return XiSeqPeriodic(digits[:j], digits[j : j + rng.randint(1, 6)])
+    return XiSeq(digits[:j], digits[j : j + rng.randint(1, 6)])
 
 
 def unrolled(rng, xi):
     """The same periodic stream written with a longer preperiod and period."""
     pre, per = xi.preperiod, xi.period
     k = rng.randrange(len(per))
-    return XiSeqPeriodic(pre + per[:k], (per[k:] + per[:k]) * rng.randint(1, 2))
+    return XiSeq(pre + per[:k], (per[k:] + per[:k]) * rng.randint(1, 2))
 
 
 def perturbed(rng, m, xi):
@@ -1724,7 +1731,7 @@ def perturbed(rng, m, xi):
     i = rng.randrange(len(digits))
     digits[i] = (digits[i] + rng.randint(1, max(1, m - 1))) % m
     pre = len(xi.preperiod)
-    return XiSeqPeriodic(tuple(digits[:pre]), tuple(digits[pre:]))
+    return XiSeq(tuple(digits[:pre]), tuple(digits[pre:]))
 
 
 def kind_pairs(rng, m, count):
@@ -1753,7 +1760,7 @@ def kind_pairs(rng, m, count):
             other = digits if kind == 3 else tuple(r_digits(spec_of(m, exact_xi(rng, mod)), 12))
             b = MarkedGroupSpec(m, cut(rng, other))
         else:  # finite prefixes of one parameter, against another
-            b = MarkedGroupSpec(m, XiSeqFinite(digits[: rng.randint(0, 8)]))
+            b = MarkedGroupSpec(m, XiSeq(digits[: rng.randint(0, 8)]))
         pairs.append((kind, a, b) if n % 2 else (kind, b, a))
     return pairs
 
@@ -1853,12 +1860,12 @@ def test_fine_wilf_horizon_agrees_with_the_lcm_scan(m):
         if n % 4 < 2:
             length = max(p, q, p + q - math.gcd(p, q) - rng.randint(-1, 2))
             word = two_period_word(rng, m, p, q, length)
-            a, b = XiSeqPeriodic(pre, word[:p]), XiSeqPeriodic(pre, word[:q])
+            a, b = XiSeq(pre, word[:p]), XiSeq(pre, word[:q])
         elif n % 4 == 2:
-            a = XiSeqPeriodic(pre, tuple(rng.randrange(m) for _ in range(p)))
+            a = XiSeq(pre, tuple(rng.randrange(m) for _ in range(p)))
             b = unrolled(rng, a) if n % 8 == 2 else perturbed(rng, m, unrolled(rng, a))
         else:
-            a, b = (XiSeqPeriodic(pre, tuple(rng.randrange(m) for _ in range(k))) for k in (p, q))
+            a, b = (XiSeq(pre, tuple(rng.randrange(m) for _ in range(k))) for k in (p, q))
         a, b = MarkedGroupSpec(m, a), MarkedGroupSpec(m, b)
         ref = ref_periodic_first_difference(a, b)
         assert _first_difference(GroupCtx(a), GroupCtx(b)) == ref, (m, a.xi, b.xi)
@@ -1881,7 +1888,7 @@ def ref_xi_from_prefix(m, prefix):
         n = next(
             lift
             for lift in range(n, n + m * modulus, modulus)
-            if RDigitStream(MarkedGroupSpec(m, XiInt(lift))).digit(k + 1) == prefix[k]
+            if RDigitStream(MarkedGroupSpec(m, XiRat(lift))).digit(k + 1) == prefix[k]
         )
         modulus *= m
     return n, modulus

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bslim import PinchDomainViolation, RDigitStream, XiInt, ZeroElement, ParseError
+from bslim import PinchDomainViolation, RDigitStream, XiRat, ZeroElement, ParseError
 from bslim.lattice import (
     CAP_REACHED,
     EVec,
@@ -29,7 +29,7 @@ E2 = EVec.basis(2)
 @pytest.fixture
 def ctx23():
     # m = 2, xi = 3: digits r = (1, 1, 1, ...)
-    return GroupCtx.make(2, XiInt(3))
+    return GroupCtx.make(2, XiRat(3))
 
 
 # --- EVec ------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_fixed_interval_examples(ctx23):
 
 def test_fixed_interval_cap_reached():
     # xi = 0: q(e_1) = 2X vanishes at xi/m = 0, so up-shifts never stop
-    ctx = GroupCtx.make(2, XiInt(0))
+    ctx = GroupCtx.make(2, XiRat(0))
     mu, nu = fixed_interval(ctx, E1, cap=12)
     assert mu is CAP_REACHED
     assert nu == 1
@@ -233,7 +233,7 @@ def test_digit_budget_rule():
     # an operation touching max support index k reads at most k digits
     from bslim import RDigitBudgetExceeded
 
-    ctx = GroupCtx.make(2, XiInt(3), budget=3)
+    ctx = GroupCtx.make(2, XiRat(3), budget=3)
     v = EVec.from_items({0: 1, 3: 1})
     assert subgroup_membership(ctx, v, "EmXi")  # reads r_1..r_3 only
     assert q_poly(ctx, EVec.basis(3)).degree == 3
@@ -246,7 +246,7 @@ def test_digit_table_grows_in_index_order():
     from bslim import RDigitBudgetExceeded
     from bslim.lattice import _in_emxi
 
-    ctx = GroupCtx.make(2, XiInt(3), budget=3)
+    ctx = GroupCtx.make(2, XiRat(3), budget=3)
     with pytest.raises(RDigitBudgetExceeded) as info:
         _in_emxi(ctx, {6: 1, 4: 1})
     assert info.value.index == 4
@@ -269,7 +269,7 @@ def test_kernels_grow_the_table_on_a_read_past_its_end(kernel, seg, size):
 def test_kernel_budget_names_the_first_missing_index(kernel):
     from bslim import RDigitBudgetExceeded
 
-    ctx = GroupCtx.make(2, XiInt(3), budget=3)
+    ctx = GroupCtx.make(2, XiRat(3), budget=3)
     with pytest.raises(RDigitBudgetExceeded) as info:
         kernel(ctx, {1: 2, 6: 1, 5: 1})
     assert info.value.index == 4
@@ -287,7 +287,7 @@ def test_kernel_redoes_its_pass_after_growing(kernel, answer):
     # summed before a read runs past its end; the pass after the growth
     # starts again from zero, so the answer is the pre-grown table's
     for grown_to in (0, 4, 9):
-        ctx = GroupCtx.make(2, XiInt(3))
+        ctx = GroupCtx.make(2, XiRat(3))
         ctx.table(grown_to)
         assert kernel(ctx, {1: 5, 9: 1}) == answer
 

@@ -11,13 +11,13 @@ from bslim import (
     ParseError,
     RDigitBudgetExceeded,
     RDigitStream,
+    UndecidableSpec,
     UnsupportedSpecKind,
-    XiInt,
     XiRat,
-    XiSeqFinite,
-    XiSeqPeriodic,
+    XiSeq,
     format_xi,
     gcd_with_m,
+    isomorphic,
     p_polys,
     parse_xi,
     project_unit,
@@ -48,11 +48,11 @@ def spec(m, xi):
 # --- r_digits -------------------------------------------------------------
 
 def test_r_digits_int3_m2():
-    assert r_digits(spec(2, XiInt(3)), 5) == [1, 1, 1, 1, 1]
+    assert r_digits(spec(2, XiRat(3)), 5) == [1, 1, 1, 1, 1]
 
 
 def test_r_digits_zero():
-    assert r_digits(spec(2, XiInt(0)), 4) == [0, 0, 0, 0]
+    assert r_digits(spec(2, XiRat(0)), 4) == [0, 0, 0, 0]
 
 
 def test_r_digits_rational():
@@ -63,7 +63,7 @@ def test_r_digits_rational():
 @pytest.mark.parametrize("n", [-9, -2, 0, 1, 7, 30])
 def test_r_digits_match_oracle_int(m, n):
     expect, _ = oracle_digits(Fraction(n), m, 8)
-    assert r_digits(spec(m, XiInt(n)), 8) == expect
+    assert r_digits(spec(m, XiRat(n)), 8) == expect
 
 
 @pytest.mark.parametrize("m,p,q", [(2, 1, 3), (3, -5, 4), (5, 7, 2), (4, 3, 5)])
@@ -75,7 +75,7 @@ def test_r_digits_match_oracle_rat(m, p, q):
 def test_r_digits_int_equals_rat_over_one():
     for m in (2, 3, 6):
         for n in range(-10, 11):
-            assert r_digits(spec(m, XiInt(n)), 6) == r_digits(
+            assert r_digits(spec(m, XiRat(n)), 6) == r_digits(
                 spec(m, XiRat(n, 1)), 6
             )
 
@@ -83,17 +83,17 @@ def test_r_digits_int_equals_rat_over_one():
 def test_digit_range():
     for m in (2, 3, 4, 6, -5):
         for n in (-17, -1, 0, 12, 99):
-            assert all(0 <= r < abs(m) for r in r_digits(spec(m, XiInt(n)), 10))
+            assert all(0 <= r < abs(m) for r in r_digits(spec(m, XiRat(n)), 10))
 
 
 def test_negative_m_normalization():
     # (m, xi) and (-m, -xi) label the same marked group and share digits
-    assert r_digits(spec(-2, XiInt(-3)), 5) == r_digits(spec(2, XiInt(3)), 5)
+    assert r_digits(spec(-2, XiRat(-3)), 5) == r_digits(spec(2, XiRat(3)), 5)
     assert r_digits(spec(-3, XiRat(-1, 2)), 4) == r_digits(spec(3, XiRat(1, 2)), 4)
 
 
 def test_rseq_digits_and_budget():
-    s = spec(2, XiSeqFinite((1, 0, 1)))
+    s = spec(2, XiSeq((1, 0, 1)))
     assert r_digits(s, 3) == [1, 0, 1]
     with pytest.raises(RDigitBudgetExceeded) as info:
         r_digits(s, 4)
@@ -101,29 +101,29 @@ def test_rseq_digits_and_budget():
 
 
 def test_rseq_periodic_indexing():
-    s = spec(3, XiSeqPeriodic((2,), (0, 1)))
+    s = spec(3, XiSeq((2,), (0, 1)))
     assert r_digits(s, 7) == [2, 0, 1, 0, 1, 0, 1]
 
 
 def test_stream_budget_and_determinism():
-    st = RDigitStream(spec(2, XiInt(3)), budget=3)
+    st = RDigitStream(spec(2, XiRat(3)), budget=3)
     assert st.digits(3) == [1, 1, 1]
     with pytest.raises(RDigitBudgetExceeded):
         st.digit(4)
     # memoized digits agree with a fresh stream
-    assert RDigitStream(spec(2, XiInt(3))).digits(3) == st.digits(3)
+    assert RDigitStream(spec(2, XiRat(3))).digits(3) == st.digits(3)
 
 
 def test_direct_reads_name_the_first_missing_index():
     # the one table grows in index order, so a read past the budget or the
     # end of a finite sequence names the first index it could not store
-    st = RDigitStream(spec(2, XiInt(3)), budget=3)
+    st = RDigitStream(spec(2, XiRat(3)), budget=3)
     with pytest.raises(RDigitBudgetExceeded) as info:
         st.digit(6)
     assert info.value.index == 4
     assert st.rs == [1, 1, 1, 1]  # rs[0] = 1 is the weight of e_0
     with pytest.raises(RDigitBudgetExceeded) as info:
-        RDigitStream(spec(2, XiSeqFinite((1, 0)))).digit(5)
+        RDigitStream(spec(2, XiSeq((1, 0)))).digit(5)
     assert info.value.index == 3
 
 
@@ -162,8 +162,8 @@ def test_rat_denominator_must_be_unit():
 # --- s_values -------------------------------------------------------------
 
 def test_s_values_examples():
-    assert s_values(spec(2, XiInt(3)), 3) == [1, 1, 1]
-    assert s_values(spec(2, XiInt(1)), 3) == [0, 0, 0]
+    assert s_values(spec(2, XiRat(3)), 3) == [1, 1, 1]
+    assert s_values(spec(2, XiRat(1)), 3) == [0, 0, 0]
     assert s_values(spec(3, XiRat(1, 2)), 2) == [
         Fraction(-1, 2),
         Fraction(-3, 4),
@@ -182,14 +182,14 @@ def test_s_values_satisfy_recurrence():
 
 def test_s_values_unsupported_for_sequences():
     with pytest.raises(UnsupportedSpecKind):
-        s_values(spec(2, XiSeqFinite((1,))), 1)
+        s_values(spec(2, XiSeq((1,))), 1)
 
 
 # --- gcd ------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "m,xi,expect",
-    [(4, XiInt(6), 2), (2, XiInt(3), 1), (3, XiInt(0), 3), (4, XiInt(0), 4)],
+    [(4, XiRat(6), 2), (2, XiRat(3), 1), (3, XiRat(0), 3), (4, XiRat(0), 4)],
 )
 def test_gcd_with_m(m, xi, expect):
     assert gcd_with_m(spec(m, xi)) == expect
@@ -198,36 +198,36 @@ def test_gcd_with_m(m, xi, expect):
 def test_gcd_matches_integer_gcd_on_units_and_more():
     for m in (2, 3, 4, 6):
         for n in range(0, m**3):
-            d = gcd_with_m(spec(m, XiInt(n)))
+            d = gcd_with_m(spec(m, XiRat(n)))
             # ideal (m, n) in Z_m is generated by the part of gcd(m, n)
             # supported on primes of m, iterated to stability
             g = math.gcd(m, n)
             assert d % g == 0 or g % d == 0  # same prime support side
             # first digit determines it
-            r1 = r_digits(spec(m, XiInt(n)), 1)[0]
+            r1 = r_digits(spec(m, XiRat(n)), 1)[0]
             assert d == math.gcd(m, r1)
 
 
 # --- P polynomials --------------------------------------------------------
 
 def test_p_polys_examples():
-    ps = p_polys(spec(2, XiInt(3)), 2)
+    ps = p_polys(spec(2, XiRat(3)), 2)
     assert [p.coeffs for p in ps] == [(2,), (-1, 2), (-1, -1, 2)]
-    ps = p_polys(spec(5, XiInt(0)), 2)
+    ps = p_polys(spec(5, XiRat(0)), 2)
     assert [p.coeffs for p in ps] == [(5,), (0, 5), (0, 0, 5)]
     ps = p_polys(spec(3, XiRat(1, 2)), 1)
     assert [p.coeffs for p in ps] == [(3,), (-2, 3)]
 
 
 def test_p_poly_str():
-    ps = p_polys(spec(2, XiInt(3)), 2)
+    ps = p_polys(spec(2, XiRat(3)), 2)
     assert str(ps[2]) == "2X^2-X-1"
 
 
 def test_p_poly_identity_s_h():
     # s_h(n) = P_h(n/m) / m for the defining integer itself
     for m, n in [(2, 3), (3, 7), (4, 6), (5, -11)]:
-        sp = spec(m, XiInt(n))
+        sp = spec(m, XiRat(n))
         ss = s_values(sp, 4)
         ps = p_polys(sp, 4)
         x = Fraction(n, m)
@@ -240,30 +240,30 @@ def test_p_poly_identity_across_congruence_class():
     # P built from xi's digits evaluates the s-values of every integer in
     # the congruence class mod m^h (unit case: d = 1)
     m, xi = 3, 5
-    ps = p_polys(spec(m, XiInt(xi)), 3)
+    ps = p_polys(spec(m, XiRat(xi)), 3)
     for h in (1, 2, 3):
         for k in (-2, -1, 1, 2, 7):
             n = xi + k * m**h
             x = Fraction(n, m)
             val = sum(c * x**e for e, c in enumerate(ps[h].coeffs)) / m
-            assert s_values(spec(m, XiInt(n)), h)[-1] == val
+            assert s_values(spec(m, XiRat(n)), h)[-1] == val
 
 
 # --- projection -----------------------------------------------------------
 
 def test_project_unit_examples():
-    assert project_unit(spec(4, XiInt(6))) == MarkedGroupSpec(2, XiInt(3))
-    s = spec(2, XiInt(3))
+    assert project_unit(spec(4, XiRat(6))) == MarkedGroupSpec(2, XiRat(3))
+    s = spec(2, XiRat(3))
     assert project_unit(s) is s
-    assert project_unit(spec(4, XiInt(0))) == MarkedGroupSpec(1, XiInt(0))
+    assert project_unit(spec(4, XiRat(0))) == MarkedGroupSpec(1, XiRat(0))
 
 
 def test_project_unit_rational_and_errors():
     assert project_unit(spec(4, XiRat(6, 5))) == MarkedGroupSpec(2, XiRat(3, 5))
     with pytest.raises(UnsupportedSpecKind):
-        project_unit(spec(4, XiSeqFinite((2, 0))))
+        project_unit(spec(4, XiSeq((2, 0))))
     # gcd 1 sequences pass through
-    s = spec(2, XiSeqFinite((1,)))
+    s = spec(2, XiSeq((1,)))
     assert project_unit(s) is s
 
 
@@ -281,7 +281,7 @@ def test_xi_from_prefix_inverts_digits():
         for n in range(m**3):
             if math.gcd(n, m) != 1:
                 continue
-            prefix = r_digits(spec(m, XiInt(n)), 3)
+            prefix = r_digits(spec(m, XiRat(n)), 3)
             found, modulus = xi_from_prefix(m, prefix)
             assert modulus == m**3
             assert found == n % modulus
@@ -295,7 +295,7 @@ def test_xi_from_prefix_matches_brute_force():
             brute = {}
             for n in range(modulus):
                 if math.gcd(n, m) == 1:
-                    brute[tuple(r_digits(spec(m, XiInt(n)), h))] = n
+                    brute[tuple(r_digits(spec(m, XiRat(n)), h))] = n
             assert len(brute) == (m - 1) * m ** (h - 1)  # m prime: all unit prefixes
             for prefix, n in brute.items():
                 assert xi_from_prefix(m, list(prefix)) == (n, modulus)
@@ -305,10 +305,10 @@ def test_xi_from_prefix_matches_brute_force():
 def test_xi_from_prefix_round_trip_deep():
     h = 40
     for n in (-1, 3, 2**40 - 3, 123456789):
-        prefix = r_digits(spec(2, XiInt(n)), h)
+        prefix = r_digits(spec(2, XiRat(n)), h)
         found, modulus = xi_from_prefix(2, prefix)
         assert modulus == 2**h and found == n % modulus
-        assert r_digits(spec(2, XiInt(found)), h) == prefix
+        assert r_digits(spec(2, XiRat(found)), h) == prefix
 
 
 # --- the integer digit recurrence ------------------------------------------
@@ -328,8 +328,8 @@ def fraction_recurrence(m: int, xi: Fraction, count: int):
 @pytest.mark.parametrize(
     "m,xi",
     [
-        (2, XiInt(3)), (-2, XiInt(3)), (3, XiInt(-7)), (-5, XiInt(12)),
-        (7, XiInt(0)), (1, XiInt(5)), (-1, XiInt(-2)),
+        (2, XiRat(3)), (-2, XiRat(3)), (3, XiRat(-7)), (-5, XiRat(12)),
+        (7, XiRat(0)), (1, XiRat(5)), (-1, XiRat(-2)),
         (3, XiRat(1, 2)), (-3, XiRat(1, 2)), (5, XiRat(-7, 3)),
         (-7, XiRat(22, 9)), (2, XiRat(5, 3)), (6, XiRat(-1, 5)),
     ],
@@ -337,7 +337,7 @@ def fraction_recurrence(m: int, xi: Fraction, count: int):
 def test_integer_recurrence_matches_fraction_recurrence(m, xi):
     count = 300
     sign = 1 if m > 0 else -1
-    value = Fraction(xi.n) if isinstance(xi, XiInt) else Fraction(xi.p, xi.q)
+    value = Fraction(xi.p, xi.q)
     rs, ss = fraction_recurrence(abs(m), sign * value, count)
     assert r_digits(spec(m, xi), count) == rs
     assert s_values(spec(m, xi), count) == ss
@@ -374,8 +374,8 @@ def test_congruence_law_small(m):
     bound = m**4
     data = {}
     for n in range(bound):
-        d = gcd_with_m(spec(m, XiInt(n)))
-        data[n] = (d, r_digits(spec(m, XiInt(n)), 3))
+        d = gcd_with_m(spec(m, XiRat(n)))
+        data[n] = (d, r_digits(spec(m, XiRat(n)), 3))
     for h in (1, 2, 3):
         for n in range(bound):
             d, rn = data[n]
@@ -398,7 +398,7 @@ def test_digit_bijection_small(m):
         if math.gcd(n, m) != 1:
             continue
         count += 1
-        seen.add(tuple(r_digits(spec(m, XiInt(n)), h)))
+        seen.add(tuple(r_digits(spec(m, XiRat(n)), h)))
     phi = sum(1 for k in range(m) if math.gcd(k, m) == 1)
     assert len(seen) == count == phi * m ** (h - 1)
     assert all(math.gcd(t[0], m) == 1 for t in seen)
@@ -409,13 +409,13 @@ def test_digit_bijection_small(m):
 @pytest.mark.parametrize(
     "text,xi",
     [
-        ("int:3", XiInt(3)),
-        ("int:-17", XiInt(-17)),
+        ("int:3", XiRat(3)),
+        ("int:-17", XiRat(-17)),
         ("rat:1/2", XiRat(1, 2)),
         ("rat:-3/7", XiRat(-3, 7)),
-        ("rseq:1,0,1", XiSeqFinite((1, 0, 1))),
-        ("rseq:2;0,1", XiSeqPeriodic((2,), (0, 1))),
-        ("rseq:;1", XiSeqPeriodic((), (1,))),
+        ("rseq:1,0,1", XiSeq((1, 0, 1))),
+        ("rseq:2;0,1", XiSeq((2,), (0, 1))),
+        ("rseq:;1", XiSeq((), (1,))),
     ],
 )
 def test_xi_grammar_roundtrip(text, xi):
@@ -431,7 +431,47 @@ def test_xi_grammar_errors(text):
         parse_xi(text)
 
 
+@pytest.mark.parametrize(
+    "text,offset",
+    [("foo:1", 0), ("int:x", 4), ("rat:1", 4), ("rat:x/2", 4), ("rat:1/x", 6),
+     ("rat:12/+x", 7), ("rseq:", 5), ("rseq:1,x", 7), ("rseq:1;", 7), ("rseq:1,2;3,x", 11)],
+)
+def test_xi_grammar_error_offsets(text, offset):
+    """A parse error names the offset of the piece it could not read."""
+    with pytest.raises(ParseError) as info:
+        parse_xi(text)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("n", [0, 3, -17, 10**30])
+def test_an_integer_is_a_rational_over_one(n):
+    assert parse_xi(f"rat:{n}/1") == parse_xi(f"int:{n}") == XiRat(n) == XiRat(n, 1)
+    assert format_xi(XiRat(n, 1)) == f"int:{n}"
+    assert format_xi(XiRat(n, 2)) == f"rat:{n}/2"
+
+
+@pytest.mark.parametrize("digits", [(1,), (0, 1), (2, 0, 1, 1), (1, 2, 2, 0, 2, 1, 0)])
+def test_a_sequence_with_no_period_is_a_finite_prefix(digits):
+    """XiSeq(d), XiSeq(d, ()) and rseq:<d> are one parameter: the same
+    digits, no digit past them, no full comparison, the same flag."""
+    text = "rseq:" + ",".join(map(str, digits))
+    specs = [spec(3, XiSeq(digits)), spec(3, XiSeq(digits, ())), spec(3, parse_xi(text))]
+    periodic = RDigitStream(spec(3, XiSeq(digits, (1,))))
+    for s in specs:
+        stream = RDigitStream(s)
+        assert stream.digits(len(digits)) == list(digits)
+        with pytest.raises(RDigitBudgetExceeded) as exc:
+            stream.digit(len(digits) + 1)
+        assert exc.value.index == len(digits) + 1
+        for pair in ((stream, periodic), (periodic, stream), (stream, stream)):
+            with pytest.raises(UndecidableSpec):
+                isomorphic(*pair)
+        assert format_xi(s.xi) == text
+    assert len({s.unverified_realizability for s in specs}) == 1
+    assert specs[0].unverified_realizability == (digits[0] == 0)
+
+
 def test_unverified_realizability_flag():
-    assert spec(2, XiSeqFinite((0, 1))).unverified_realizability
-    assert not spec(2, XiSeqFinite((1, 0))).unverified_realizability
-    assert not spec(2, XiInt(4)).unverified_realizability
+    assert spec(2, XiSeq((0, 1))).unverified_realizability
+    assert not spec(2, XiSeq((1, 0))).unverified_realizability
+    assert not spec(2, XiRat(4)).unverified_realizability

@@ -8,10 +8,8 @@ from bslim import (
     RDigitBudgetExceeded,
     SameGroup,
     UndecidableSpec,
-    XiInt,
     XiRat,
-    XiSeqFinite,
-    XiSeqPeriodic,
+    XiSeq,
 )
 from bslim.group import (
     commutator,
@@ -45,7 +43,7 @@ def spec(m, xi):
 
 @pytest.fixture
 def ctx23():
-    return GroupCtx.make(2, XiInt(3))
+    return GroupCtx.make(2, XiRat(3))
 
 
 # --- relators ---------------------------------------------------------------
@@ -58,14 +56,14 @@ def test_b_i_words(ctx23):
 
 
 def test_b_i_across_specs():
-    for s in [spec(2, XiInt(0)), spec(3, XiRat(1, 2)), spec(2, XiSeqPeriodic((), (1, 0)))]:
+    for s in [spec(2, XiRat(0)), spec(3, XiRat(1, 2)), spec(2, XiSeq((), (1, 0)))]:
         ctx = GroupCtx(s)
         for i in range(1, 6):
             assert is_trivial(ctx, commutator(parse_word("b"), b_i_word(ctx, i)))
 
 
 def test_v_k_trivial_iff_m_divides(ctx23):
-    ctx3 = GroupCtx.make(3, XiInt(1))
+    ctx3 = GroupCtx.make(3, XiRat(1))
     for k in range(1, 13):
         assert is_trivial(ctx23, v_k_word(k)) == (k % 2 == 0)
         assert is_trivial(ctx3, v_k_word(k)) == (k % 3 == 0)
@@ -82,7 +80,7 @@ def test_win_e_detects_digits(ctx23):
     assert is_trivial(ctx23, win_e_word(2, [1, 1, 1]))
     assert not is_trivial(ctx23, win_e_word(2, [0]))
     assert not is_trivial(ctx23, win_e_word(2, [1, 0]))
-    ctx1 = GroupCtx.make(2, XiInt(1))
+    ctx1 = GroupCtx.make(2, XiRat(1))
     assert is_trivial(ctx1, win_e_word(2, [1, 0, 0]))
     assert not is_trivial(ctx1, win_e_word(2, [1, 1]))
 
@@ -116,11 +114,11 @@ def test_word_to_compact(ctx23):
 # --- shortest distinguishing word ---------------------------------------------
 
 def test_shortest_distinguishing_identical():
-    assert shortest_distinguishing(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiInt(3)), 8) is None
+    assert shortest_distinguishing(GroupCtx.make(2, XiRat(3)), GroupCtx.make(2, XiRat(3)), 8) is None
 
 
 def test_shortest_distinguishing_cross_m():
-    g1, g2 = spec(2, XiInt(1)), spec(3, XiInt(1))
+    g1, g2 = spec(2, XiRat(1)), spec(3, XiRat(1))
     found = shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 10)
     assert found is not None
     length, word = found
@@ -136,7 +134,7 @@ def test_shortest_distinguishing_cross_m():
 
 def test_shortest_distinguishing_same_m_far_apart():
     # digits differ at index 1: (2, Int(1)) vs the all-zero parameter
-    g1, g2 = spec(2, XiInt(1)), spec(2, XiInt(0))
+    g1, g2 = spec(2, XiRat(1)), spec(2, XiRat(0))
     found = shortest_distinguishing(GroupCtx(g1), GroupCtx(g2), 12)
     if found is not None:
         length, word = found
@@ -160,37 +158,51 @@ def test_wreath_trivial_words_under_cap():
 # --- distance bounds ------------------------------------------------------------
 
 def test_distance_bounds_examples():
-    b = distance_bounds(GroupCtx.make(2, XiInt(1)), GroupCtx.make(2, XiInt(3)))
+    b = distance_bounds(GroupCtx.make(2, XiRat(1)), GroupCtx.make(2, XiRat(3)))
     assert b == DistanceBounds(h=1, lower_exp=22, upper_exp=3)
-    b = distance_bounds(GroupCtx.make(2, XiInt(1)), GroupCtx.make(2, XiInt(5)))
+    b = distance_bounds(GroupCtx.make(2, XiRat(1)), GroupCtx.make(2, XiRat(5)))
     assert b == DistanceBounds(h=2, lower_exp=28, upper_exp=5)
 
 
 def test_distance_bounds_errors():
     with pytest.raises(SameGroup):
-        distance_bounds(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiInt(3)))
+        distance_bounds(GroupCtx.make(2, XiRat(3)), GroupCtx.make(2, XiRat(3)))
     with pytest.raises(GcdMismatch):
-        distance_bounds(GroupCtx.make(2, XiInt(2)), GroupCtx.make(2, XiInt(1)))
+        distance_bounds(GroupCtx.make(2, XiRat(2)), GroupCtx.make(2, XiRat(1)))
     with pytest.raises(GcdMismatch):
-        distance_bounds(GroupCtx.make(2, XiInt(1)), GroupCtx.make(3, XiInt(1)))
+        distance_bounds(GroupCtx.make(2, XiRat(1)), GroupCtx.make(3, XiRat(1)))
     with pytest.raises(SameGroup, match=r"within the available 2 digits$"):
         # finite sequences exhausted without a difference
-        distance_bounds(GroupCtx.make(2, XiSeqFinite((1, 1))), GroupCtx.make(2, XiInt(3)))
+        distance_bounds(GroupCtx.make(2, XiSeq((1, 1))), GroupCtx.make(2, XiRat(3)))
 
 
 def test_distance_bounds_first_digits_differ():
     # h = 0 from the congruence law, from the scan of two sequences and of a mixed pair
     h0 = DistanceBounds(h=0, lower_exp=20, upper_exp=1)
-    pairs = [(XiInt(1), XiRat(1, 2)), (XiSeqPeriodic((1,), (0,)), XiSeqPeriodic((), (2,))),
-             (XiSeqFinite((2, 0)), XiInt(1))]
+    pairs = [(XiRat(1), XiRat(1, 2)), (XiSeq((1,), (0,)), XiSeq((), (2,))),
+             (XiSeq((2, 0)), XiRat(1))]
     for a, b in pairs:
         assert distance_bounds(GroupCtx.make(3, a), GroupCtx.make(3, b)) == h0
         assert distance_bounds(GroupCtx.make(3, b), GroupCtx.make(3, a)) == h0
 
 
 def test_distance_bounds_finite_spec_difference():
-    b = distance_bounds(GroupCtx.make(2, XiSeqFinite((1, 0))), GroupCtx.make(2, XiInt(3)))
+    b = distance_bounds(GroupCtx.make(2, XiSeq((1, 0))), GroupCtx.make(2, XiRat(3)))
     assert b.h == 1
+
+
+def test_distance_bounds_finite_against_another_sequence():
+    """Two sequences, one of them finite, are scanned past their first digit,
+    to the first difference or the end of the finite one."""
+    def ctx(*xi):
+        return GroupCtx.make(2, XiSeq(*xi))
+
+    for other in (ctx((1, 1)), ctx((), (1,)), ctx((1,), (1, 0))):
+        for pair in ((ctx((1, 0)), other), (other, ctx((1, 0)))):
+            assert distance_bounds(*pair).h == 1
+        for pair in ((ctx((1,)), other), (other, ctx((1,)))):
+            with pytest.raises(SameGroup, match=r"within the available 1 digits$"):
+                distance_bounds(*pair)
 
 
 def test_distance_bounds_budget_stop_is_not_same_group():
@@ -202,37 +214,37 @@ def test_distance_bounds_budget_stop_is_not_same_group():
     assert info.value.index == 5
     assert distance_bounds(*(GroupCtx.make(2, xi, 7) for xi in agree)).h == 6
     with pytest.raises(SameGroup, match=r"within the available 2 digits$"):
-        distance_bounds(GroupCtx.make(2, XiSeqFinite((1, 1)), 4), GroupCtx.make(2, XiInt(3), 4))
+        distance_bounds(GroupCtx.make(2, XiSeq((1, 1)), 4), GroupCtx.make(2, XiRat(3), 4))
 
 
 # --- isomorphism -------------------------------------------------------------------
 
 def test_isomorphic_examples():
-    assert isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiRat(3, 1)))
-    assert not isomorphic(GroupCtx.make(2, XiInt(1)), GroupCtx.make(2, XiInt(3)))
-    assert isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(-2, XiInt(-3)))
-    assert not isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(-2, XiInt(3)))
-    assert not isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(3, XiInt(3)))
+    assert isomorphic(GroupCtx.make(2, XiRat(3)), GroupCtx.make(2, XiRat(3, 1)))
+    assert not isomorphic(GroupCtx.make(2, XiRat(1)), GroupCtx.make(2, XiRat(3)))
+    assert isomorphic(GroupCtx.make(2, XiRat(3)), GroupCtx.make(-2, XiRat(-3)))
+    assert not isomorphic(GroupCtx.make(2, XiRat(3)), GroupCtx.make(-2, XiRat(3)))
+    assert not isomorphic(GroupCtx.make(2, XiRat(3)), GroupCtx.make(3, XiRat(3)))
 
 
 def test_isomorphic_gcd_and_zero_ring_cases():
     # gcd m forces the all-zero digit stream: both are the m-adic zero group
-    assert isomorphic(GroupCtx.make(2, XiInt(2)), GroupCtx.make(2, XiInt(4)))
-    assert isomorphic(GroupCtx.make(4, XiInt(2)), GroupCtx.make(4, XiInt(2)))
-    assert not isomorphic(GroupCtx.make(4, XiInt(2)), GroupCtx.make(4, XiInt(6)))
-    assert not isomorphic(GroupCtx.make(4, XiInt(2)), GroupCtx.make(4, XiInt(1)))
+    assert isomorphic(GroupCtx.make(2, XiRat(2)), GroupCtx.make(2, XiRat(4)))
+    assert isomorphic(GroupCtx.make(4, XiRat(2)), GroupCtx.make(4, XiRat(2)))
+    assert not isomorphic(GroupCtx.make(4, XiRat(2)), GroupCtx.make(4, XiRat(6)))
+    assert not isomorphic(GroupCtx.make(4, XiRat(2)), GroupCtx.make(4, XiRat(1)))
 
 
 def test_isomorphic_periodic_sequences():
-    assert isomorphic(GroupCtx.make(2, XiSeqPeriodic((), (1,))), GroupCtx.make(2, XiInt(3)))
-    assert isomorphic(GroupCtx.make(2, XiInt(3)), GroupCtx.make(2, XiSeqPeriodic((), (1, 1))))
-    assert not isomorphic(GroupCtx.make(2, XiSeqPeriodic((), (1, 0))), GroupCtx.make(2, XiInt(1)))
-    assert isomorphic(GroupCtx.make(2, XiSeqPeriodic((1,), (0,))), GroupCtx.make(2, XiInt(1)))
+    assert isomorphic(GroupCtx.make(2, XiSeq((), (1,))), GroupCtx.make(2, XiRat(3)))
+    assert isomorphic(GroupCtx.make(2, XiRat(3)), GroupCtx.make(2, XiSeq((), (1, 1))))
+    assert not isomorphic(GroupCtx.make(2, XiSeq((), (1, 0))), GroupCtx.make(2, XiRat(1)))
+    assert isomorphic(GroupCtx.make(2, XiSeq((1,), (0,))), GroupCtx.make(2, XiRat(1)))
     assert isomorphic(
-        GroupCtx.make(3, XiSeqPeriodic((1,), (2, 0))), GroupCtx.make(3, XiSeqPeriodic((1, 2), (0, 2)))
+        GroupCtx.make(3, XiSeq((1,), (2, 0))), GroupCtx.make(3, XiSeq((1, 2), (0, 2)))
     )
     assert not isomorphic(
-        GroupCtx.make(3, XiSeqPeriodic((1,), (2, 0))), GroupCtx.make(3, XiSeqPeriodic((1, 2), (0, 1)))
+        GroupCtx.make(3, XiSeq((1,), (2, 0))), GroupCtx.make(3, XiSeq((1, 2), (0, 1)))
     )
 
 
@@ -254,8 +266,8 @@ def test_fine_wilf_horizon_is_exact():
 def test_long_equal_periods_answer_at_once():
     """Periods of 3,001 and 3,002 ones are decided on 6,002 digits; their
     lcm would be 9,006,002."""
-    a = GroupCtx.make(2, XiSeqPeriodic((), (1,) * 3001))
-    b = GroupCtx.make(2, XiSeqPeriodic((), (1,) * 3002))
+    a = GroupCtx.make(2, XiSeq((), (1,) * 3001))
+    b = GroupCtx.make(2, XiSeq((), (1,) * 3002))
     start = time.process_time()
     assert isomorphic(a, b)
     assert time.process_time() - start < 1.0
@@ -263,14 +275,14 @@ def test_long_equal_periods_answer_at_once():
 
 def test_isomorphic_undecidable_for_finite():
     with pytest.raises(UndecidableSpec):
-        isomorphic(GroupCtx.make(2, XiSeqFinite((1,))), GroupCtx.make(2, XiInt(3)))
+        isomorphic(GroupCtx.make(2, XiSeq((1,))), GroupCtx.make(2, XiRat(3)))
 
 
 def test_isomorphic_consistent_with_digit_prefixes():
     # whenever the decision says yes, long digit prefixes agree
     pairs = [
-        (spec(2, XiInt(3)), spec(2, XiSeqPeriodic((), (1,)))),
-        (spec(2, XiInt(2)), spec(2, XiInt(4))),
+        (spec(2, XiRat(3)), spec(2, XiSeq((), (1,)))),
+        (spec(2, XiRat(2)), spec(2, XiRat(4))),
         (spec(3, XiRat(1, 2)), spec(3, XiRat(2, 4))),
     ]
     for a, b in pairs:
@@ -282,7 +294,7 @@ def test_isomorphic_consistent_with_digit_prefixes():
 
 @pytest.mark.parametrize(
     "m,xi",
-    [(2, XiInt(3)), (2, XiInt(1)), (3, XiInt(0)), (3, XiRat(1, 2)), (1, XiInt(0))],
+    [(2, XiRat(3)), (2, XiRat(1)), (3, XiRat(0)), (3, XiRat(1, 2)), (1, XiRat(0))],
 )
 def test_recover_parameters(m, xi):
     s = spec(m, xi)
@@ -302,7 +314,7 @@ def test_isomorphic_randomized_against_digit_prefixes():
     def random_spec(m):
         kind = rng.randrange(3)
         if kind == 0:
-            return spec(m, XiInt(rng.randrange(-30, 31)))
+            return spec(m, XiRat(rng.randrange(-30, 31)))
         if kind == 1:
             while True:
                 q = rng.randrange(1, 12)
@@ -311,7 +323,7 @@ def test_isomorphic_randomized_against_digit_prefixes():
             return spec(m, XiRat(rng.randrange(-30, 31), q))
         pre = tuple(rng.randrange(abs(m)) for _ in range(rng.randrange(3)))
         per = tuple(rng.randrange(abs(m)) for _ in range(rng.randrange(1, 4)))
-        return spec(m, XiSeqPeriodic(pre, per))
+        return spec(m, XiSeq(pre, per))
 
     for _ in range(800):
         m = rng.choice([2, 3, 4, 5, 6, -2, -3])
@@ -321,7 +333,7 @@ def test_isomorphic_randomized_against_digit_prefixes():
 
 def test_recover_parameters_nonunit_specs():
     # probe words characterize digits for every parameter, units or not
-    for m, xi in [(4, XiInt(6)), (6, XiInt(21)), (4, XiSeqPeriodic((2,), (0, 2)))]:
+    for m, xi in [(4, XiRat(6)), (6, XiRat(21)), (4, XiSeq((2,), (0, 2)))]:
         s = spec(m, xi)
         assert recover_parameters(word_problem_oracle(GroupCtx(s)), 5) == (
             abs(m),
@@ -332,8 +344,8 @@ def test_recover_parameters_nonunit_specs():
 def test_recover_rejects_negative_count():
     # as r_digits does
     with pytest.raises(ValueError, match="count must be nonnegative"):
-        recover_parameters(word_problem_oracle(GroupCtx.make(2, XiInt(3))), -1)
-    assert recover_parameters(word_problem_oracle(GroupCtx.make(2, XiInt(3))), 0) == (2, [])
+        recover_parameters(word_problem_oracle(GroupCtx.make(2, XiRat(3))), -1)
+    assert recover_parameters(word_problem_oracle(GroupCtx.make(2, XiRat(3))), 0) == (2, [])
 
 
 def test_recover_inconsistent_oracle():
@@ -351,4 +363,4 @@ def test_recover_inconsistent_oracle():
     with pytest.raises(OracleInconsistent):
         recover_parameters(never, 1, max_m=8)
     with pytest.raises(OracleInconsistent):  # |m| = 1..64 by default
-        recover_parameters(word_problem_oracle(GroupCtx.make(65, XiInt(1))), 1)
+        recover_parameters(word_problem_oracle(GroupCtx.make(65, XiRat(1))), 1)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from bslim import InvalidAutSpec, XiInt
+from bslim import InvalidAutSpec, XiRat
 from bslim.group import (
+    BaseLetter,
+    GroupWord,
     britton_reduce,
     is_trivial,
     parse_word,
@@ -29,7 +31,7 @@ W = parse_word
 
 @pytest.fixture
 def ctx23():
-    return GroupCtx.make(2, XiInt(3))
+    return GroupCtx.make(2, XiRat(3))
 
 
 def random_word(rng, max_len=8):
@@ -116,6 +118,25 @@ def test_automorphism_examples(ctx23):
     assert img.letters[0].vec == 3 * EVec.basis(0)
 
 
+def test_automorphism_images_share_b_and_B(ctx23):
+    """J, PhiE(+-e_0) and ThetaK(+-1) send b and B to the shared letters,
+    as the parser does; other payloads and zero letters print as before."""
+    b, big_b = W("b").letters[0], W("B").letters[0]
+    img = apply_automorphism(ctx23, J(), W("abAB"))
+    assert img == W("aBAb") and img.letters[1] is big_b and img.letters[3] is b
+    for k, (x, y) in ((1, (b, big_b)), (-1, (big_b, b))):
+        img = apply_automorphism(ctx23, ThetaK(k), W("abAB"))
+        assert img.letters[1] is x and img.letters[3] is y
+    for sign, x in ((1, b), (-1, big_b)):
+        img = apply_automorphism(ctx23, PhiE(EVec.basis(0, sign)), W("ab"))
+        assert img.letters[1] is x and img.letters[2] is b
+    zero = GroupWord((BaseLetter(EVec.zero()), BaseLetter(EVec.basis(2, 3))))
+    assert apply_automorphism(ctx23, J(), zero) == GroupWord(
+        (BaseLetter(EVec.zero()), BaseLetter(EVec.basis(2, -3))))
+    assert apply_automorphism(ctx23, ThetaK(3), zero) == GroupWord(
+        (BaseLetter(EVec.basis(2, 9)),))
+
+
 def test_j_and_phi_are_involutive_inverses(ctx23):
     rng = random.Random(4)
     e = EVec.from_items({0: 1, 2: -1})
@@ -160,8 +181,8 @@ def test_embed_d_rewrites(ctx23):
 
 def test_embed_d_preserves_triviality_into_bigger_group():
     # the unit group of (4, 6) is (2, 3); b -> b^2 embeds it
-    small = GroupCtx.make(2, XiInt(3))
-    big = GroupCtx.make(4, XiInt(6))
+    small = GroupCtx.make(2, XiRat(3))
+    big = GroupCtx.make(4, XiRat(6))
     rng = random.Random(7)
     for _ in range(150):
         w = random_word(rng, max_len=6)
@@ -179,27 +200,27 @@ def test_theta_invalid_specs(ctx23):
 # --- hom_check ---------------------------------------------------------------------
 
 def test_hom_check_identity():
-    s = MarkedGroupSpec(2, XiInt(3))
+    s = MarkedGroupSpec(2, XiRat(3))
     res = hom_check(GroupCtx(s), GroupCtx(s), W("a"), W("b"), depth=5)
     assert res == HomCheckResult(ok=True, depth=5)
 
 
 def test_hom_check_digit_mismatch():
-    src = MarkedGroupSpec(2, XiInt(1))
-    dst = MarkedGroupSpec(2, XiInt(3))
+    src = MarkedGroupSpec(2, XiRat(1))
+    dst = MarkedGroupSpec(2, XiRat(3))
     res = hom_check(GroupCtx(src), GroupCtx(dst), W("a"), W("b"), depth=3)
     assert not res.ok
     assert res.first_failing == 3
 
 
 def test_hom_check_wreath_target():
-    src = MarkedGroupSpec(2, XiInt(3))
-    dst = MarkedGroupSpec(1, XiInt(0))  # the wreath product Z wr Z
+    src = MarkedGroupSpec(2, XiRat(3))
+    dst = MarkedGroupSpec(1, XiRat(0))  # the wreath product Z wr Z
     res = hom_check(GroupCtx(src), GroupCtx(dst), W("a"), W("b"), depth=5)
     assert res.ok
 
 
 def test_hom_check_rejects_non_homomorphism():
-    s = MarkedGroupSpec(2, XiInt(3))
+    s = MarkedGroupSpec(2, XiRat(3))
     res = hom_check(GroupCtx(s), GroupCtx(s), W("b"), W("a"), depth=4)
     assert not res.ok and res.first_failing == 1

@@ -42,11 +42,11 @@ from bslim import (
     MarkedGroupSpec,
     RDigitStream,
     UndecidableSpec,
-    XiInt,
     XiRat,
-    XiSeqFinite,
-    XiSeqPeriodic,
+    XiSeq,
+    format_xi,
     group,
+    parse_xi,
     r_digits,
 )
 from bslim.bsclassic import BSSpec, bs_is_trivial
@@ -118,7 +118,7 @@ BS_CTXS = {case: GroupCtx.make(*case) for case in BS_CASES}
 def realizing_n(ctx, h):
     """n >= |m|^h with n = xi mod |m|^h, xi negated for m < 0."""
     xi, mod = ctx.spec.xi, ctx.m_abs**h
-    p, q = (xi.n, 1) if isinstance(xi, XiInt) else (xi.p, xi.q)
+    p, q = xi.p, xi.q
     return (p if ctx.spec.m > 0 else -p) * pow(q, -1, mod) % mod + mod
 
 
@@ -145,13 +145,13 @@ def group_specs(draw, m_abs=None):
     m = (m_abs or draw(st.sampled_from((2, 3, 4, 5, 6)))) * draw(st.sampled_from((1, -1)))
     kind = draw(st.sampled_from(("int", "rat", "rseq")))
     if kind == "int":
-        return MarkedGroupSpec(m, XiInt(draw(st.integers(-40, 40))))
+        return MarkedGroupSpec(m, XiRat(draw(st.integers(-40, 40))))
     if kind == "rat":
         q = draw(st.sampled_from([q for q in range(2, 16) if math.gcd(q, m) == 1]))
         return MarkedGroupSpec(m, XiRat(draw(st.integers(-40, 40)), q))
     digit = st.integers(0, abs(m) - 1)
     pre, per = draw(st.lists(digit, max_size=3)), draw(st.lists(digit, min_size=1, max_size=3))
-    return MarkedGroupSpec(m, XiSeqPeriodic(pre, per))
+    return MarkedGroupSpec(m, XiSeq(pre, per))
 
 
 def as_periodic_sequence(spec):
@@ -162,7 +162,7 @@ def as_periodic_sequence(spec):
         s = stream.s_value(i)
         if s in seen:
             digits = stream.digits(i)
-            return MarkedGroupSpec(spec.m_abs, XiSeqPeriodic(digits[: seen[s]], digits[seen[s] :]))
+            return MarkedGroupSpec(spec.m_abs, XiSeq(digits[: seen[s]], digits[seen[s] :]))
         seen[s] = i
     return None
 
@@ -171,12 +171,10 @@ def same_group(spec, how, f):
     """Another label of the group of ``spec``, or None if ``how`` does not apply."""
     m, xi = spec.m, spec.xi
     if how == "negated":  # digit sequences already name the normalized parameter
-        if isinstance(xi, XiInt):
-            return MarkedGroupSpec(-m, XiInt(-xi.n))
         return MarkedGroupSpec(-m, XiRat(-xi.p, xi.q) if isinstance(xi, XiRat) else xi)
-    if isinstance(xi, XiSeqPeriodic):
+    if isinstance(xi, XiSeq):
         return None
-    p, q = (xi.n, 1) if isinstance(xi, XiInt) else (xi.p, xi.q)
+    p, q = xi.p, xi.q
     if how == "scaled":
         return MarkedGroupSpec(m, XiRat(f * p, f * q)) if math.gcd(f, m) == 1 else None
     return as_periodic_sequence(spec)
@@ -203,10 +201,10 @@ def test_isomorphic_agrees_with_digit_prefixes(g1, how, f, data):
     elif how == "shared prefix":
         prefix = r_digits(g1, data.draw(st.integers(0, 8)))
         period = data.draw(st.lists(st.integers(0, g1.m_abs - 1), min_size=1, max_size=3))
-        g2 = MarkedGroupSpec(g1.m, XiSeqPeriodic(prefix, period))
+        g2 = MarkedGroupSpec(g1.m, XiSeq(prefix, period))
     else:
         if how == "as rseq":  # small integers have a periodic state s_i
-            g1 = MarkedGroupSpec(g1.m, XiInt(data.draw(st.integers(-g1.m_abs, g1.m_abs))))
+            g1 = MarkedGroupSpec(g1.m, XiRat(data.draw(st.integers(-g1.m_abs, g1.m_abs))))
         g2 = same_group(g1, how, f) or g1
     expect = g1.m_abs == g2.m_abs and r_digits(g1, ISO_HORIZON) == r_digits(g2, ISO_HORIZON)
     assert isomorphic(GroupCtx(g1), GroupCtx(g2)) == isomorphic(GroupCtx(g2), GroupCtx(g1)) == expect
@@ -214,9 +212,14 @@ def test_isomorphic_agrees_with_digit_prefixes(g1, how, f, data):
         assert expect
 
 
+@given(g=group_specs())
+def test_parameter_text_round_trips(g):
+    assert parse_xi(format_xi(g.xi)) == g.xi
+
+
 @given(g=group_specs(), digits=st.lists(st.integers(0, 1), min_size=1, max_size=4))
 def test_isomorphic_rejects_finite_sequences(g, digits):
-    finite = MarkedGroupSpec(g.m, XiSeqFinite(digits))
+    finite = MarkedGroupSpec(g.m, XiSeq(digits))
     for pair in ((g, finite), (finite, g), (finite, finite)):
         with pytest.raises(UndecidableSpec):
             isomorphic(*map(GroupCtx, pair))

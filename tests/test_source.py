@@ -139,6 +139,27 @@ def test_only_the_shared_constants_build_a_letters():
     assert found == []
 
 
+def test_only_the_builder_and_shared_constants_build_base_letters():
+    """Every base letter the package builds comes from ``group._base_letter``,
+    which hands out the shared b and B letters for +-e_0: ``BaseLetter(...)``
+    is called only there and to define ``_B_POS`` and ``_B_NEG``."""
+    defining, building, found = [], [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shared = {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+                  and [ast.unparse(t) for t in assign.targets] == ["(_B_POS, _B_NEG)"]
+                  for node in ast.walk(assign.value)}
+        builder = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   and fn.name == "_base_letter" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "BaseLetter":
+                where = defining if id(node) in shared else building if id(node) in builder else found
+                where.append(f"{path.name}:{node.lineno}")
+    assert len(defining) == 2
+    assert len(building) == 1
+    assert found == []
+
+
 def test_b_i_word_is_linear_in_i():
     """b_i unfolds to w(|m|; r_1..r_{i-1}) in one pass over the digits;
     nesting b_{i-1} inside b_i would copy the word i times."""

@@ -10,7 +10,11 @@ it passes; every survivor is either a gap in the tests or an equivalent
 mutant.
 
     python tools/mutate.py src/bslim/madic.py:_first_difference \\
+        src/bslim/madic.py:MarkedGroupSpec.__post_init__ \\
         src/bslim/markedspace.py:isomorphic -- tests/test_markedspace.py
+
+A target names a function by its name, or a method as CLASS.METHOD when
+the name alone is not unique.
 
 Without a selection the whole suite runs.  ``--seed`` fixes the hash seed
 and hypothesis' seed of every run, so a sweep repeats exactly.  The
@@ -63,11 +67,15 @@ def mutations(node: ast.AST):
 
 def mutants(path: Path, name: str):
     """(line, label, before, after, source) for each mutant of the named
-    function; the function's lines are replaced by its mutated unparse."""
+    function (FUNCTION or CLASS.METHOD); the function's lines are replaced
+    by its mutated unparse."""
     text = path.read_text()
     tree = ast.parse(text)
-    defs = [n for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == name]
+    cls, _, fn_name = name.rpartition(".")
+    scopes = ([n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls]
+              if cls else [tree])
+    defs = [n for scope in scopes for n in ast.walk(scope)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == fn_name]
     if len(defs) != 1:
         raise SystemExit(f"{path}: {len(defs)} functions named {name!r}")
     fn = defs[0]
@@ -110,7 +118,8 @@ def run_tests(copy_root: Path, selection: list[str], seed: int, timeout: float |
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("targets", nargs="+", help="FILE:FUNCTION, FILE relative to the repo")
+    parser.add_argument("targets", nargs="+",
+                        help="FILE:FUNCTION or FILE:CLASS.METHOD, FILE relative to the repo")
     parser.add_argument("--seed", type=int, default=0, help="hash and hypothesis seed (default 0)")
     argv = sys.argv[1:] if argv is None else argv
     split = argv.index("--") if "--" in argv else len(argv)
