@@ -35,12 +35,9 @@ from .madic import (
     XiSeq,
     XiSpec,
     format_xi,
-    gcd_with_m,
     p_polys,
     parse_xi,
     project_unit,
-    r_digits,
-    s_values,
     xi_from_prefix,
 )
 from .lattice import (

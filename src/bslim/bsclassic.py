@@ -111,15 +111,3 @@ def bs_n_of_k(m: int, n: int, k: int) -> tuple[int, int]:
         if rem:
             return count, alpha
         alpha, count = quo * m, count + 1
-
-
-def mu_max_exponent(m: int) -> int:
-    """The largest exponent in the prime factorization of m (trial division;
-    fine at desk scale)."""
-    m, d, top = abs(m), 2, 0
-    while d * d <= m:
-        k = 0
-        while m % d == 0:
-            m, k = m // d, k + 1
-        top, d = max(top, k), d + 1
-    return max(top, int(m > 1))

@@ -25,14 +25,7 @@ from .group import (
     parse_word,
 )
 from .lattice import GroupCtx, parse_evec
-from .madic import (
-    MarkedGroupSpec,
-    XiSeq,
-    _parse_decimal,
-    _parse_digit_list,
-    parse_xi,
-    r_digits,
-)
+from .madic import MarkedGroupSpec, XiSeq, _parse_decimal, _parse_digit_list
 from .markedspace import (
     distance_bounds,
     isomorphic,
@@ -52,16 +45,10 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
 
 
-def _spec(args, second: bool = False) -> MarkedGroupSpec:
-    if second:
-        m = args.m2 if args.m2 is not None else args.m
-        return MarkedGroupSpec(m, parse_xi(args.xi2))
-    return MarkedGroupSpec(args.m, parse_xi(args.xi))
-
-
 def _ctx(args, second: bool = False) -> GroupCtx:
     """The group of --m/--xi, or --m2/--xi2; it reads no digit past the ``rdigits`` limit."""
-    return GroupCtx(_spec(args, second), SIZE_LIMITS["rdigits"])
+    m, xi = (args.m if args.m2 is None else args.m2, args.xi2) if second else (args.m, args.xi)
+    return GroupCtx.make(m, xi, SIZE_LIMITS["rdigits"])
 
 
 def _word(args, attr: str = "word") -> GroupWord:
@@ -99,7 +86,7 @@ def _sized(args, flag: str) -> Optional[int]:
 
 
 def _rdigits(args):
-    digits = r_digits(_spec(args), _sized(args, "count"))
+    digits = _ctx(args).digits(_sized(args, "count"))
     return " ".join(map(str, digits)), {"digits": digits}
 
 
@@ -165,7 +152,8 @@ def _relator(args):
         ctx = _ctx(args)
     digits = None if args.digits is None else _parse_digit_list(args.digits, 0)
     if digits is not None and args.m is not None:
-        MarkedGroupSpec(args.m, XiSeq(digits))  # digits in [0, |m|), as for rseq:
+        # digits in [0, |m|), as for rseq:; the period 0 lets an empty list through
+        MarkedGroupSpec(args.m, XiSeq(digits, (0,)))
     w = relator(args.kind, ctx=ctx, index=index, m=args.m, digits=digits)
     text = format_word(w, "compact")
     return text, {"word": text}

@@ -148,11 +148,6 @@ def _substitute(
     )))
 
 
-def compact_length(w: GroupWord) -> int:
-    """Free-group length over {a, b}; payloads must be multiples of e_0."""
-    return len(format_word(w, "compact"))
-
-
 _B_POS, _B_NEG = BaseLetter(EVec.basis(0)), BaseLetter(EVec.basis(0, -1))
 _SHARED_B = {(0, 1): _B_POS, (0, -1): _B_NEG}
 _COMPACT = {"a": A_POS, "A": A_NEG, "b": _B_POS, "B": _B_NEG}

@@ -56,6 +56,8 @@ class XiSeq:
     def __post_init__(self):
         object.__setattr__(self, "preperiod", tuple(self.preperiod))
         object.__setattr__(self, "period", tuple(self.period))
+        if not self.preperiod + self.period:
+            raise ValueError("a digit sequence needs at least one digit")
 
 
 XiSpec = Union[XiRat, XiSeq]
@@ -111,7 +113,7 @@ class MarkedGroupSpec:
         xi = self.xi
         if not isinstance(xi, XiSeq):
             return False
-        return math.gcd(next(iter(xi.preperiod + xi.period), 0), self.m_abs) != 1
+        return math.gcd((xi.preperiod + xi.period)[0], self.m_abs) != 1
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,10 @@ class RDigitStream:
         return self.rs[i]
 
     def digits(self, count: int) -> list[int]:
-        if count > 0:
+        """The first ``count`` digits [r_1, ..., r_count]."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        if count:
             self.digit(count)
         return self.rs[1 : count + 1]
 
@@ -297,18 +302,20 @@ class RDigitStream:
             self.digit(k)
         return self.rs
 
-    def s_value(self, i: int) -> Fraction:
-        """Return s_i (0-based; s_0 = 1) as an exact rational."""
-        t = qk = 1
-        for _, t, qk in self._replay(i):
-            pass
-        return Fraction(t, qk)
+    def s_values(self, count: int) -> list[Fraction]:
+        """The exact rationals [s_1, ..., s_count]; exact parameters only."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        return [Fraction(t, qk) for _, t, qk in self._replay(count)]
+
+    def gcd_with_m(self) -> int:
+        """gcd(|m|, r_1), with gcd(|m|, 0) = |m|: the positive generator d of
+        the ideal generated by m and xi in the m-adic integers."""
+        return math.gcd(self.m_abs, self.digit(1))
 
     def _replay(self, count: int):
         """(r_k, t_k, q^k) for k = 1..count, under the stream's budget."""
         xi = _xi_fraction(self.spec)  # exact parameters only
-        if count < 0:
-            raise ValueError("s indices start at 0")
         self.digits(count)
         return islice(_t_steps(xi, self.m_abs), count)
 
@@ -325,50 +332,25 @@ class RDigitStream:
                 rs.append(r)
 
 
-def r_digits(spec: MarkedGroupSpec, count: int) -> list[int]:
-    """The first ``count`` digits [r_1, ..., r_count] of the parameter."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return RDigitStream(spec).digits(count)
-
-
-def s_values(spec: MarkedGroupSpec, count: int) -> list[Fraction]:
-    """The exact rationals [s_1, ..., s_count]; integer/rational specs only."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return [Fraction(t, qk) for _, t, qk in RDigitStream(spec)._replay(count)]
-
-
-def gcd_with_m(spec: MarkedGroupSpec) -> int:
-    """gcd(|m|, r_1), with gcd(|m|, 0) = |m|.
-
-    This equals the positive generator d of the ideal generated by m and
-    xi in the m-adic integers.
-    """
-    return math.gcd(spec.m_abs, RDigitStream(spec).digit(1))
-
-
-def p_polys(spec: MarkedGroupSpec, h: int) -> list[IntPoly]:
+def p_polys(ctx: RDigitStream, h: int) -> list[IntPoly]:
     """[P_0, ..., P_h] with P_0 = m and P_k = X*P_{k-1} - r_k, so P_k has
     degree k and leading coefficient m."""
     if h < 0:
         raise ValueError("h must be nonnegative")
-    stream = RDigitStream(spec)
-    polys = [IntPoly((spec.m_abs,))]
-    for k in range(1, h + 1):
-        prev = polys[-1].coeffs
-        polys.append(IntPoly((-stream.digit(k),) + prev))
+    polys = [IntPoly((ctx.m_abs,))]
+    for r in ctx.digits(h):
+        polys.append(IntPoly((-r,) + polys[-1].coeffs))
     return polys
 
 
-def project_unit(spec: MarkedGroupSpec) -> MarkedGroupSpec:
+def project_unit(ctx: RDigitStream) -> MarkedGroupSpec:
     """Divide out d = gcd(m, xi): the parameter (m/d, xi/d) of the unit
     group embedded via b -> b^d.
 
-    Returns the input unchanged when d = 1, and the canonical zero spec
+    Returns the context's own spec when d = 1, and the canonical zero spec
     (1, 0) when m/d = 1.
     """
-    d = gcd_with_m(spec)
+    spec, d = ctx.spec, ctx.gcd_with_m()
     if d == 1:
         return spec
     xi = spec.xi_norm
@@ -399,8 +381,8 @@ def _first_difference(sa: RDigitStream, sb: RDigitStream) -> int | None:
     stream's budget raises RDigitBudgetExceeded where it stops.
     """
     m, a, b = sa.m_abs, sa.spec, sb.spec
-    d = math.gcd(m, sa.digit(1))
-    if math.gcd(m, sb.digit(1)) != d:
+    d = sa.gcd_with_m()
+    if sb.gcd_with_m() != d:
         return 1
     xa, xb = a.xi_norm, b.xi_norm
     if isinstance(xa, XiRat) and isinstance(xb, XiRat):

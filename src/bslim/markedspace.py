@@ -8,7 +8,6 @@ handled through integer exponents only; no floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -243,7 +242,7 @@ def distance_bounds(ctx1: GroupCtx, ctx2: GroupCtx) -> DistanceBounds:
     m = ctx1.m_abs
     if m != ctx2.m_abs:
         raise GcdMismatch("parameters live over different moduli")
-    if math.gcd(m, ctx1.digit(1)) != 1 or math.gcd(m, ctx2.digit(1)) != 1:
+    if ctx1.gcd_with_m() != 1 or ctx2.gcd_with_m() != 1:
         raise GcdMismatch("distance bounds need unit parameters")
     try:
         i = _first_difference(ctx1, ctx2)

@@ -11,19 +11,11 @@ import time
 
 import pytest
 
-from bslim import (
-    MarkedGroupSpec,
-    XiRat,
-    XiSeq,
-    gcd_with_m,
-    r_digits,
-    s_values,
-)
-from bslim.bsclassic import BSSpec, bs_is_trivial, bs_n_of_k, mu_max_exponent
+from bslim import MarkedGroupSpec, XiRat, XiSeq
+from bslim.bsclassic import BSSpec, bs_is_trivial, bs_n_of_k
 from bslim.group import (
     are_conjugate,
     commutator,
-    compact_length,
     is_trivial,
     normal_form,
     parse_word,
@@ -47,6 +39,9 @@ from bslim.morphisms import (
     apply_automorphism,
     wreath_image,
 )
+
+from test_bsclassic import mu_max_exponent
+from test_group import compact_length
 
 W = parse_word
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -81,7 +76,7 @@ def test_criterion_1_digit_bijection():
                 if math.gcd(n, m) != 1:
                     continue
                 count += 1
-                seen.add(tuple(r_digits(MarkedGroupSpec(m, XiRat(n)), h)))
+                seen.add(tuple(GroupCtx(MarkedGroupSpec(m, XiRat(n))).digits(h)))
             phi = sum(1 for k in range(m) if math.gcd(k, m) == 1)
             expect = phi * m ** (h - 1)
             assert count == expect
@@ -100,7 +95,7 @@ def test_criterion_2_congruence_law():
         info = {}
         for n in range(bound):
             spec = MarkedGroupSpec(m, XiRat(n))
-            info[n] = (gcd_with_m(spec), tuple(r_digits(spec, 4)))
+            info[n] = (GroupCtx(spec).gcd_with_m(), tuple(GroupCtx(spec).digits(4)))
         for h in (1, 2, 3, 4):
             # two equivalence relations on each gcd class must coincide:
             # same h-prefix, and congruence mod (m/d)^h * d.  Partition
@@ -153,7 +148,7 @@ def test_criterion_4_metric_sandwich(xi2, h, bound):
         w = W(text)
         assert is_trivial(ctx1, w) == is_trivial(ctx2, w), text
     # (b) the explicit certificate at depth h+1 distinguishes within bound
-    prefix = r_digits(g1, h + 1)
+    prefix = GroupCtx(g1).digits(h + 1)
     cert = win_e_word(2, prefix)
     assert is_trivial(ctx1, cert) and not is_trivial(ctx2, cert)
     assert compact_length(cert) <= bound
@@ -206,7 +201,7 @@ def test_criterion_5_relator_suite():
             assert is_trivial(ctx, v_k_word(k)) == (k % spec.m_abs == 0), (spec, k)
     # b_2 b^(-xi s_1(xi)) dies in BS(2, 19)
     xi = 19
-    s1 = s_values(MarkedGroupSpec(2, XiRat(xi)), 1)[0]
+    s1 = GroupCtx(MarkedGroupSpec(2, XiRat(xi))).s_values(1)[0]
     exp = xi * s1
     assert exp.denominator == 1
     exp = int(exp)
@@ -277,7 +272,7 @@ def test_criterion_7_parameter_recovery():
         spec = MarkedGroupSpec(m, xi)
         m_found, digits = recover_parameters(word_problem_oracle(GroupCtx(spec)), 6)
         assert m_found == abs(m)
-        assert digits == r_digits(spec, 6)
+        assert digits == GroupCtx(spec).digits(6)
     report(7, "parameter recovery", t0)
 
 
@@ -294,7 +289,7 @@ def test_criterion_8_wreath_quotient():
             1 for l in (u * v).letters if getattr(l, "exp", 0) == -1
         )
         assert left.shift == sigma
-    ps = p_polys(ctx.spec, 8)
+    ps = p_polys(ctx, 8)
     for i in range(1, 9):
         img = wreath_image(ctx, b_i_word(ctx, i))
         expect = LaurentPoly(1, ps[i - 1].coeffs)  # X * P_{i-1}

@@ -9,12 +9,23 @@ from bslim.bsclassic import (
     BSSpec,
     bs_is_trivial,
     bs_n_of_k,
-    mu_max_exponent,
     parse_bs_word,
 )
 from bslim.group import GroupWord, commutator, is_trivial, parse_word
 from bslim.lattice import GroupCtx
-from bslim.madic import MarkedGroupSpec, s_values
+from bslim.madic import MarkedGroupSpec
+
+
+def mu_max_exponent(m: int) -> int:
+    """The largest exponent in the prime factorization of m (trial division;
+    fine at desk scale)."""
+    m, d, top = abs(m), 2, 0
+    while d * d <= m:
+        k = 0
+        while m % d == 0:
+            m, k = m // d, k + 1
+        top, d = max(top, k), d + 1
+    return max(top, int(m > 1))
 
 
 def test_parse_bs_word():
@@ -132,7 +143,7 @@ def test_convergence_rational_parameter_m3():
 def test_lem_bi_in_bs():
     # b_2 * b^(-xi * s_1(xi)) is trivial in BS(2, 19)
     xi = 19
-    s1 = s_values(MarkedGroupSpec(2, XiRat(xi)), 1)[0]
+    s1 = GroupCtx(MarkedGroupSpec(2, XiRat(xi))).s_values(1)[0]
     assert s1 == 9
     r1 = 1
     b2 = parse_bs_word(f"aab^2Ab^-{r1}A")  # a (a b^2 a^-1) b^-r1 a^-1

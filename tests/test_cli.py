@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -133,6 +136,16 @@ def test_relator(capsys):
     assert code == 0 and out == "abbA"
     code, out, _ = run(capsys, "relator", "--kind", "w", "--m", "2", "--digits", "1")
     assert code == 0 and out == "aabbABA"
+
+
+def test_relator_with_no_digits(capsys):
+    # w(m; ) = a b^m a^-1; the modulus is still checked
+    code, out, _ = run(capsys, "relator", "--kind", "w", "--m", "2", "--digits", "")
+    assert code == 0 and out == "abbA"
+    code, out, _ = run(capsys, "relator", "--kind", "wine", "--m", "2", "--digits", "")
+    assert code == 0 and out == "abbAbaBBAB"
+    code, out, err = run(capsys, "relator", "--kind", "w", "--m", "0", "--digits", "")
+    assert code == 1 and out == "" and err == "error: ValueError: m must be a nonzero integer\n"
 
 
 def test_wreath_json(capsys):
@@ -453,3 +466,23 @@ def test_readme_commands_run(capsys):
         assert code == 0, (line, err)
         if expected:
             assert out == expected.strip(), line
+
+
+def test_the_module_runs_as_a_process():
+    """``python -m bslim.cli`` exits with main()'s code: 0 on success, 1 on
+    a domain error, 2 on a usage error."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def bsl(*argv):
+        return subprocess.run([sys.executable, "-X", "dev", "-m", "bslim.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    group = ("rdigits", "--m", "2", "--xi", "int:3")
+    proc = bsl(*group, "--count", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1 1 1 1\n", "")
+    proc = bsl(*group, "--count", "-2")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ValueError: count must be nonnegative")
+    proc = bsl(*group)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "the following arguments are required: --count" in proc.stderr

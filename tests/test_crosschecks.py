@@ -24,7 +24,7 @@ from bslim.lattice import (
     fixed_interval,
     q_poly,
 )
-from bslim.madic import MarkedGroupSpec, p_polys, r_digits
+from bslim.madic import MarkedGroupSpec, p_polys
 
 W = parse_word
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -143,7 +143,7 @@ def test_q_poly_matches_p_polys():
     for m, xi in [(2, XiRat(3)), (3, XiRat(1, 2)), (5, XiRat(7))]:
         spec = MarkedGroupSpec(m, xi)
         ctx = GroupCtx(spec)
-        ps = p_polys(spec, 6)
+        ps = p_polys(GroupCtx(spec), 6)
         for i in range(1, 7):
             q = q_poly(ctx, EVec.basis(i))
             assert q.coeffs == (0,) + ps[i - 1].coeffs  # X * P_{i-1}
@@ -176,7 +176,7 @@ def test_digit_stream_thread_safety():
 def test_digit_table_growth_under_thread_switching():
     # many threads grow one shared table and stream at once; a lost or
     # doubled append would shift every later digit
-    expect = [1] + r_digits(MarkedGroupSpec(3, XiRat(5, 7)), 400)
+    expect = [1] + GroupCtx(MarkedGroupSpec(3, XiRat(5, 7))).digits(400)
     ctx = GroupCtx.make(3, XiRat(5, 7))
     errors = []
 
@@ -210,7 +210,7 @@ def test_fresh_tables_grow_once_under_a_barrier_start():
     # six threads released at once all grow the same fresh table; without
     # the stream's lock two of them store the same index and shift the rest
     spec = MarkedGroupSpec(3, XiRat(5, 7))
-    expect = [1] + r_digits(spec, 300)
+    expect = [1] + GroupCtx(spec).digits(300)
     errors = []
 
     def worker(ctx, barrier):

@@ -26,7 +26,6 @@ from bslim.group import (
     base_conjugacy_solve,
     britton_reduce,
     commutator,
-    compact_length,
     cyclic_reduce,
     format_word,
     is_trivial,
@@ -40,6 +39,11 @@ E0 = EVec.basis(0)
 E1 = EVec.basis(1)
 
 W = parse_word  # compact by default
+
+
+def compact_length(w: GroupWord) -> int:
+    """Free-group length over {a, b}; payloads must be multiples of e_0."""
+    return len(format_word(w, "compact"))
 
 
 @pytest.fixture

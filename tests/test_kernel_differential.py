@@ -120,7 +120,6 @@ from bslim.group import (
     base_conjugacy_solve,
     britton_reduce,
     commutator,
-    compact_length,
     cyclic_reduce,
     format_word,
     is_trivial,
@@ -149,9 +148,7 @@ from bslim.madic import (
     _first_difference,
     _parse_decimal,
     _xi_fraction,
-    gcd_with_m,
     parse_xi,
-    r_digits,
     xi_from_prefix,
 )
 from bslim.markedspace import (
@@ -177,6 +174,8 @@ from bslim.morphisms import (
     hom_check,
     wreath_image,
 )
+
+from test_group import compact_length
 
 # --- reference kernels ----------------------------------------------------------
 
@@ -1588,7 +1587,7 @@ def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
     ka, kb = a.xi_norm, b.xi_norm
     if _finite(ka) or _finite(kb):
         raise UndecidableSpec("finite digit sequences admit no full comparison")
-    da, db = gcd_with_m(a), gcd_with_m(b)
+    da, db = RDigitStream(a).gcd_with_m(), RDigitStream(b).gcd_with_m()
     if da != db:
         return False
     exact_a, exact_b = _exact(ka), _exact(kb)
@@ -1615,7 +1614,8 @@ def _streams_equal_exact(a: MarkedGroupSpec, b: MarkedGroupSpec) -> bool:
     # digits of a rational are periodic from len(pre) on exactly when the
     # s-state is fixed by one period step (denominators are coprime to m,
     # so any drift would force unbounded m-powers into them)
-    return rs.s_value(len(pre)) == rs.s_value(len(pre) + len(per))
+    s = [Fraction(1)] + rs.s_values(horizon)
+    return s[len(pre)] == s[horizon]
 
 
 def _first_digit_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int:
@@ -1646,7 +1646,7 @@ def _first_digit_difference(a: MarkedGroupSpec, b: MarkedGroupSpec) -> int:
 def ref_distance_bounds(g1: MarkedGroupSpec, g2: MarkedGroupSpec) -> DistanceBounds:
     if g1.m_abs != g2.m_abs:
         raise GcdMismatch("parameters live over different moduli")
-    if gcd_with_m(g1) != 1 or gcd_with_m(g2) != 1:
+    if RDigitStream(g1).gcd_with_m() != 1 or RDigitStream(g2).gcd_with_m() != 1:
         raise GcdMismatch("distance bounds need unit parameters")
     m = g1.m_abs
     h = _first_digit_difference(g1, g2) - 1
@@ -1745,7 +1745,7 @@ def kind_pairs(rng, m, count):
         kind = n % 6
         fa = exact_xi(rng, mod, rng.choice(ds) if kind == 1 else None)
         a = spec_of(m, fa)
-        digits = tuple(r_digits(a, 12))
+        digits = tuple(RDigitStream(a).digits(12))
         if kind == 0:  # exact pairs, some equal in other terms
             fb = fa + mod ** rng.randint(0, 6) * exact_xi(rng, mod)
             b = spec_of(m, fa, 7) if n % 4 == 0 else spec_of(m, fb)
@@ -1757,10 +1757,11 @@ def kind_pairs(rng, m, count):
             same = unrolled(rng, a.xi)
             b = MarkedGroupSpec(m, same if n % 4 else perturbed(rng, mod, same))
         elif kind in (3, 4):  # a rational against digits cut from its own or another's
-            other = digits if kind == 3 else tuple(r_digits(spec_of(m, exact_xi(rng, mod)), 12))
+            other = digits if kind == 3 else tuple(
+                RDigitStream(spec_of(m, exact_xi(rng, mod))).digits(12))
             b = MarkedGroupSpec(m, cut(rng, other))
-        else:  # finite prefixes of one parameter, against another
-            b = MarkedGroupSpec(m, XiSeq(digits[: rng.randint(0, 8)]))
+        else:  # finite prefixes of one parameter, against another; a sequence has a digit
+            b = MarkedGroupSpec(m, XiSeq(digits[: max(1, rng.randint(0, 8))]))
         pairs.append((kind, a, b) if n % 2 else (kind, b, a))
     return pairs
 
@@ -1816,7 +1817,8 @@ def test_non_unit_index_agrees_with_a_digit_scan(m):
         fa = exact_xi(rng, mod, d)
         fb = fa + d * (mod // d) ** rng.randint(0, 12) * exact_xi(rng, mod)
         a, b = spec_of(m, fa), spec_of(m, fb)
-        scan = next((i for i, (x, y) in enumerate(zip(r_digits(a, 400), r_digits(b, 400)), 1)
+        scan = next((i for i, (x, y) in enumerate(zip(RDigitStream(a).digits(400),
+                                                   RDigitStream(b).digits(400)), 1)
                      if x != y), None)
         assert _first_difference(GroupCtx(a), GroupCtx(b)) == scan, (m, fa, fb)
         found += scan is not None and scan > 1

@@ -16,13 +16,10 @@ from bslim import (
     XiRat,
     XiSeq,
     format_xi,
-    gcd_with_m,
     isomorphic,
     p_polys,
     parse_xi,
     project_unit,
-    r_digits,
-    s_values,
     xi_from_prefix,
 )
 from bslim.madic import _first_difference, _s_returns
@@ -45,64 +42,77 @@ def spec(m, xi):
     return MarkedGroupSpec(m, xi)
 
 
-# --- r_digits -------------------------------------------------------------
+# --- digits ---------------------------------------------------------------
 
 def test_r_digits_int3_m2():
-    assert r_digits(spec(2, XiRat(3)), 5) == [1, 1, 1, 1, 1]
+    assert RDigitStream(spec(2, XiRat(3))).digits(5) == [1, 1, 1, 1, 1]
 
 
 def test_r_digits_zero():
-    assert r_digits(spec(2, XiRat(0)), 4) == [0, 0, 0, 0]
+    assert RDigitStream(spec(2, XiRat(0))).digits(4) == [0, 0, 0, 0]
 
 
 def test_r_digits_rational():
-    assert r_digits(spec(3, XiRat(1, 2)), 3) == [2, 2, 0]
+    assert RDigitStream(spec(3, XiRat(1, 2))).digits(3) == [2, 2, 0]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n", [-9, -2, 0, 1, 7, 30])
 def test_r_digits_match_oracle_int(m, n):
     expect, _ = oracle_digits(Fraction(n), m, 8)
-    assert r_digits(spec(m, XiRat(n)), 8) == expect
+    assert RDigitStream(spec(m, XiRat(n))).digits(8) == expect
 
 
 @pytest.mark.parametrize("m,p,q", [(2, 1, 3), (3, -5, 4), (5, 7, 2), (4, 3, 5)])
 def test_r_digits_match_oracle_rat(m, p, q):
     expect, _ = oracle_digits(Fraction(p, q), m, 8)
-    assert r_digits(spec(m, XiRat(p, q)), 8) == expect
+    assert RDigitStream(spec(m, XiRat(p, q))).digits(8) == expect
 
 
 def test_r_digits_int_equals_rat_over_one():
     for m in (2, 3, 6):
         for n in range(-10, 11):
-            assert r_digits(spec(m, XiRat(n)), 6) == r_digits(
-                spec(m, XiRat(n, 1)), 6
-            )
+            assert RDigitStream(spec(m, XiRat(n))).digits(6) == RDigitStream(
+                spec(m, XiRat(n, 1))
+            ).digits(6)
 
 
 def test_digit_range():
     for m in (2, 3, 4, 6, -5):
         for n in (-17, -1, 0, 12, 99):
-            assert all(0 <= r < abs(m) for r in r_digits(spec(m, XiRat(n)), 10))
+            assert all(0 <= r < abs(m) for r in RDigitStream(spec(m, XiRat(n))).digits(10))
 
 
 def test_negative_m_normalization():
     # (m, xi) and (-m, -xi) label the same marked group and share digits
-    assert r_digits(spec(-2, XiRat(-3)), 5) == r_digits(spec(2, XiRat(3)), 5)
-    assert r_digits(spec(-3, XiRat(-1, 2)), 4) == r_digits(spec(3, XiRat(1, 2)), 4)
+    assert RDigitStream(spec(-2, XiRat(-3))).digits(5) == RDigitStream(
+        spec(2, XiRat(3))).digits(5)
+    assert RDigitStream(spec(-3, XiRat(-1, 2))).digits(4) == RDigitStream(
+        spec(3, XiRat(1, 2))).digits(4)
 
 
 def test_rseq_digits_and_budget():
     s = spec(2, XiSeq((1, 0, 1)))
-    assert r_digits(s, 3) == [1, 0, 1]
+    assert RDigitStream(s).digits(3) == [1, 0, 1]
     with pytest.raises(RDigitBudgetExceeded) as info:
-        r_digits(s, 4)
+        RDigitStream(s).digits(4)
     assert info.value.index == 4
 
 
 def test_rseq_periodic_indexing():
     s = spec(3, XiSeq((2,), (0, 1)))
-    assert r_digits(s, 7) == [2, 0, 1, 0, 1, 0, 1]
+    assert RDigitStream(s).digits(7) == [2, 0, 1, 0, 1, 0, 1]
+
+
+def test_a_negative_count_raises_before_and_after_the_table_grows():
+    # the slice rs[1 : count + 1] would hand back stored digits for count < 0
+    ctx = RDigitStream.make(3, "rat:5/7")
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        ctx.digits(-3)
+    assert ctx.digits(10) == [2, 0, 2, 0, 2, 1, 2, 2, 1, 1]
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        ctx.digits(-3)
+    assert ctx.digits(0) == []
 
 
 def test_stream_budget_and_determinism():
@@ -132,10 +142,10 @@ def test_s_value_past_the_budget_names_the_first_missing_index():
     # budget allows and stops at the first digit it may not store
     st = RDigitStream(spec(3, XiRat(5, 7)), budget=4)
     with pytest.raises(RDigitBudgetExceeded) as info:
-        st.s_value(9)
+        st.s_values(9)
     assert info.value.index == 5
-    assert st.rs == [1] + r_digits(spec(3, XiRat(5, 7)), 4)
-    assert st.s_value(4) == s_values(spec(3, XiRat(5, 7)), 4)[-1]
+    assert st.rs == [1] + RDigitStream(spec(3, XiRat(5, 7))).digits(4)
+    assert st.s_values(4)[-1] == RDigitStream(spec(3, XiRat(5, 7))).s_values(4)[-1]
 
 
 def test_rational_digits_keep_linear_memory():
@@ -162,9 +172,9 @@ def test_rat_denominator_must_be_unit():
 # --- s_values -------------------------------------------------------------
 
 def test_s_values_examples():
-    assert s_values(spec(2, XiRat(3)), 3) == [1, 1, 1]
-    assert s_values(spec(2, XiRat(1)), 3) == [0, 0, 0]
-    assert s_values(spec(3, XiRat(1, 2)), 2) == [
+    assert RDigitStream(spec(2, XiRat(3))).s_values(3) == [1, 1, 1]
+    assert RDigitStream(spec(2, XiRat(1))).s_values(3) == [0, 0, 0]
+    assert RDigitStream(spec(3, XiRat(1, 2))).s_values(2) == [
         Fraction(-1, 2),
         Fraction(-3, 4),
     ]
@@ -172,8 +182,8 @@ def test_s_values_examples():
 
 def test_s_values_satisfy_recurrence():
     m, xi = 5, Fraction(-7, 3)
-    ss = s_values(spec(m, XiRat(-7, 3)), 6)
-    rs = r_digits(spec(m, XiRat(-7, 3)), 6)
+    ss = RDigitStream(spec(m, XiRat(-7, 3))).s_values(6)
+    rs = RDigitStream(spec(m, XiRat(-7, 3))).digits(6)
     prev = Fraction(1)
     for r, s in zip(rs, ss):
         assert xi * prev == m * s + r
@@ -182,7 +192,22 @@ def test_s_values_satisfy_recurrence():
 
 def test_s_values_unsupported_for_sequences():
     with pytest.raises(UnsupportedSpecKind):
-        s_values(spec(2, XiSeq((1,))), 1)
+        RDigitStream(spec(2, XiSeq((1,)))).s_values(1)
+
+
+def test_s_values_check_the_count_then_the_kind_then_the_budget():
+    seq = RDigitStream.make(2, "rseq:1")
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        seq.s_values(-1)
+    with pytest.raises(UnsupportedSpecKind):
+        seq.s_values(2)  # past the sequence's end, but it has no s-values at all
+    rat = RDigitStream.make(3, "rat:5/7", budget=2)
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        rat.s_values(-1)
+    assert rat.s_values(0) == []
+    with pytest.raises(RDigitBudgetExceeded) as info:
+        rat.s_values(3)
+    assert info.value.index == 3
 
 
 # --- gcd ------------------------------------------------------------------
@@ -192,35 +217,42 @@ def test_s_values_unsupported_for_sequences():
     [(4, XiRat(6), 2), (2, XiRat(3), 1), (3, XiRat(0), 3), (4, XiRat(0), 4)],
 )
 def test_gcd_with_m(m, xi, expect):
-    assert gcd_with_m(spec(m, xi)) == expect
+    assert RDigitStream(spec(m, xi)).gcd_with_m() == expect
 
 
 def test_gcd_matches_integer_gcd_on_units_and_more():
     for m in (2, 3, 4, 6):
         for n in range(0, m**3):
-            d = gcd_with_m(spec(m, XiRat(n)))
+            d = RDigitStream(spec(m, XiRat(n))).gcd_with_m()
             # ideal (m, n) in Z_m is generated by the part of gcd(m, n)
             # supported on primes of m, iterated to stability
             g = math.gcd(m, n)
             assert d % g == 0 or g % d == 0  # same prime support side
             # first digit determines it
-            r1 = r_digits(spec(m, XiRat(n)), 1)[0]
+            r1 = RDigitStream(spec(m, XiRat(n))).digits(1)[0]
             assert d == math.gcd(m, r1)
 
 
 # --- P polynomials --------------------------------------------------------
 
 def test_p_polys_examples():
-    ps = p_polys(spec(2, XiRat(3)), 2)
+    ps = p_polys(RDigitStream(spec(2, XiRat(3))), 2)
     assert [p.coeffs for p in ps] == [(2,), (-1, 2), (-1, -1, 2)]
-    ps = p_polys(spec(5, XiRat(0)), 2)
+    ps = p_polys(RDigitStream(spec(5, XiRat(0))), 2)
     assert [p.coeffs for p in ps] == [(5,), (0, 5), (0, 0, 5)]
-    ps = p_polys(spec(3, XiRat(1, 2)), 1)
+    ps = p_polys(RDigitStream(spec(3, XiRat(1, 2))), 1)
     assert [p.coeffs for p in ps] == [(3,), (-2, 3)]
 
 
+def test_p_polys_from_h_zero():
+    ctx = RDigitStream(spec(3, XiRat(5, 7)))
+    assert [p.coeffs for p in p_polys(ctx, 0)] == [(3,)]
+    with pytest.raises(ValueError, match="^h must be nonnegative$"):
+        p_polys(ctx, -1)
+
+
 def test_p_poly_str():
-    ps = p_polys(spec(2, XiRat(3)), 2)
+    ps = p_polys(RDigitStream(spec(2, XiRat(3))), 2)
     assert str(ps[2]) == "2X^2-X-1"
 
 
@@ -228,8 +260,8 @@ def test_p_poly_identity_s_h():
     # s_h(n) = P_h(n/m) / m for the defining integer itself
     for m, n in [(2, 3), (3, 7), (4, 6), (5, -11)]:
         sp = spec(m, XiRat(n))
-        ss = s_values(sp, 4)
-        ps = p_polys(sp, 4)
+        ss = RDigitStream(sp).s_values(4)
+        ps = p_polys(RDigitStream(sp), 4)
         x = Fraction(n, m)
         for h in range(1, 5):
             val = sum(c * x**e for e, c in enumerate(ps[h].coeffs))
@@ -240,31 +272,31 @@ def test_p_poly_identity_across_congruence_class():
     # P built from xi's digits evaluates the s-values of every integer in
     # the congruence class mod m^h (unit case: d = 1)
     m, xi = 3, 5
-    ps = p_polys(spec(m, XiRat(xi)), 3)
+    ps = p_polys(RDigitStream(spec(m, XiRat(xi))), 3)
     for h in (1, 2, 3):
         for k in (-2, -1, 1, 2, 7):
             n = xi + k * m**h
             x = Fraction(n, m)
             val = sum(c * x**e for e, c in enumerate(ps[h].coeffs)) / m
-            assert s_values(spec(m, XiRat(n)), h)[-1] == val
+            assert RDigitStream(spec(m, XiRat(n))).s_values(h)[-1] == val
 
 
 # --- projection -----------------------------------------------------------
 
 def test_project_unit_examples():
-    assert project_unit(spec(4, XiRat(6))) == MarkedGroupSpec(2, XiRat(3))
+    assert project_unit(RDigitStream(spec(4, XiRat(6)))) == MarkedGroupSpec(2, XiRat(3))
     s = spec(2, XiRat(3))
-    assert project_unit(s) is s
-    assert project_unit(spec(4, XiRat(0))) == MarkedGroupSpec(1, XiRat(0))
+    assert project_unit(RDigitStream(s)) is s
+    assert project_unit(RDigitStream(spec(4, XiRat(0)))) == MarkedGroupSpec(1, XiRat(0))
 
 
 def test_project_unit_rational_and_errors():
-    assert project_unit(spec(4, XiRat(6, 5))) == MarkedGroupSpec(2, XiRat(3, 5))
+    assert project_unit(RDigitStream(spec(4, XiRat(6, 5)))) == MarkedGroupSpec(2, XiRat(3, 5))
     with pytest.raises(UnsupportedSpecKind):
-        project_unit(spec(4, XiSeq((2, 0))))
+        project_unit(RDigitStream(spec(4, XiSeq((2, 0)))))
     # gcd 1 sequences pass through
     s = spec(2, XiSeq((1,)))
-    assert project_unit(s) is s
+    assert project_unit(RDigitStream(s)) is s
 
 
 # --- prefix realization ----------------------------------------------------
@@ -281,7 +313,7 @@ def test_xi_from_prefix_inverts_digits():
         for n in range(m**3):
             if math.gcd(n, m) != 1:
                 continue
-            prefix = r_digits(spec(m, XiRat(n)), 3)
+            prefix = RDigitStream(spec(m, XiRat(n))).digits(3)
             found, modulus = xi_from_prefix(m, prefix)
             assert modulus == m**3
             assert found == n % modulus
@@ -295,7 +327,7 @@ def test_xi_from_prefix_matches_brute_force():
             brute = {}
             for n in range(modulus):
                 if math.gcd(n, m) == 1:
-                    brute[tuple(r_digits(spec(m, XiRat(n)), h))] = n
+                    brute[tuple(RDigitStream(spec(m, XiRat(n))).digits(h))] = n
             assert len(brute) == (m - 1) * m ** (h - 1)  # m prime: all unit prefixes
             for prefix, n in brute.items():
                 assert xi_from_prefix(m, list(prefix)) == (n, modulus)
@@ -305,10 +337,10 @@ def test_xi_from_prefix_matches_brute_force():
 def test_xi_from_prefix_round_trip_deep():
     h = 40
     for n in (-1, 3, 2**40 - 3, 123456789):
-        prefix = r_digits(spec(2, XiRat(n)), h)
+        prefix = RDigitStream(spec(2, XiRat(n))).digits(h)
         found, modulus = xi_from_prefix(2, prefix)
         assert modulus == 2**h and found == n % modulus
-        assert r_digits(spec(2, XiRat(found)), h) == prefix
+        assert RDigitStream(spec(2, XiRat(found))).digits(h) == prefix
 
 
 # --- the integer digit recurrence ------------------------------------------
@@ -339,11 +371,11 @@ def test_integer_recurrence_matches_fraction_recurrence(m, xi):
     sign = 1 if m > 0 else -1
     value = Fraction(xi.p, xi.q)
     rs, ss = fraction_recurrence(abs(m), sign * value, count)
-    assert r_digits(spec(m, xi), count) == rs
-    assert s_values(spec(m, xi), count) == ss
+    assert RDigitStream(spec(m, xi)).digits(count) == rs
+    assert RDigitStream(spec(m, xi)).s_values(count) == ss
     # reading s before r, out of order, gives the same values
     stream = RDigitStream(spec(m, xi))
-    assert stream.s_value(count) == ss[-1] and stream.s_value(0) == 1
+    assert stream.s_values(count) == ss and stream.s_values(0) == []
     assert stream.digits(count) == rs
 
 
@@ -360,7 +392,7 @@ def test_s_state_check_of_a_rational_against_a_periodic_sequence(m, xi, seq, fir
     rat, per = RDigitStream.make(m, xi), RDigitStream.make(m, seq)
     pre = len(per.spec.xi.preperiod)
     horizon = pre + len(per.spec.xi.period)
-    ss = [Fraction(1)] + s_values(rat.spec, horizon)
+    ss = [Fraction(1)] + rat.s_values(horizon)
     assert rat.digits(horizon) == per.digits(horizon)
     assert _s_returns(rat, pre, horizon) == (ss[pre] == ss[horizon]) == (first is None)
     assert _first_difference(rat, per) == _first_difference(per, rat) == first
@@ -374,8 +406,8 @@ def test_congruence_law_small(m):
     bound = m**4
     data = {}
     for n in range(bound):
-        d = gcd_with_m(spec(m, XiRat(n)))
-        data[n] = (d, r_digits(spec(m, XiRat(n)), 3))
+        d = RDigitStream(spec(m, XiRat(n))).gcd_with_m()
+        data[n] = (d, RDigitStream(spec(m, XiRat(n))).digits(3))
     for h in (1, 2, 3):
         for n in range(bound):
             d, rn = data[n]
@@ -398,7 +430,7 @@ def test_digit_bijection_small(m):
         if math.gcd(n, m) != 1:
             continue
         count += 1
-        seen.add(tuple(r_digits(spec(m, XiRat(n)), h)))
+        seen.add(tuple(RDigitStream(spec(m, XiRat(n))).digits(h)))
     phi = sum(1 for k in range(m) if math.gcd(k, m) == 1)
     assert len(seen) == count == phi * m ** (h - 1)
     assert all(math.gcd(t[0], m) == 1 for t in seen)
@@ -475,3 +507,14 @@ def test_unverified_realizability_flag():
     assert spec(2, XiSeq((0, 1))).unverified_realizability
     assert not spec(2, XiSeq((1, 0))).unverified_realizability
     assert not spec(2, XiRat(4)).unverified_realizability
+    # with no preperiod, the first digit is the period's
+    assert spec(2, XiSeq((), (0, 1))).unverified_realizability
+    assert not spec(2, XiSeq((), (1, 0))).unverified_realizability
+
+
+def test_a_digit_sequence_needs_a_digit():
+    """An empty sequence has no first digit, and ``rseq:`` cannot write it."""
+    with pytest.raises(ValueError, match="^a digit sequence needs at least one digit$"):
+        XiSeq(())
+    with pytest.raises(ValueError, match="^a digit sequence needs at least one digit$"):
+        XiSeq([], [])

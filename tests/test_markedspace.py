@@ -13,13 +13,12 @@ from bslim import (
 )
 from bslim.group import (
     commutator,
-    compact_length,
     format_word,
     is_trivial,
     parse_word,
 )
 from bslim.lattice import GroupCtx
-from bslim.madic import MarkedGroupSpec, r_digits
+from bslim.madic import MarkedGroupSpec
 from bslim.markedspace import (
     DistanceBounds,
     _wreath_trivial_words,
@@ -35,6 +34,8 @@ from bslim.markedspace import (
     word_problem_oracle,
     word_to_compact,
 )
+
+from test_group import compact_length
 
 
 def spec(m, xi):
@@ -287,7 +288,7 @@ def test_isomorphic_consistent_with_digit_prefixes():
     ]
     for a, b in pairs:
         assert isomorphic(GroupCtx(a), GroupCtx(b))
-        assert r_digits(a, 12) == r_digits(b, 12)
+        assert GroupCtx(a).digits(12) == GroupCtx(b).digits(12)
 
 
 # --- parameter recovery ---------------------------------------------------------
@@ -300,7 +301,7 @@ def test_recover_parameters(m, xi):
     s = spec(m, xi)
     m_found, digits = recover_parameters(word_problem_oracle(GroupCtx(s)), 4)
     assert m_found == abs(m)
-    assert digits == r_digits(s, 4)
+    assert digits == GroupCtx(s).digits(4)
 
 
 def test_isomorphic_randomized_against_digit_prefixes():
@@ -328,7 +329,8 @@ def test_isomorphic_randomized_against_digit_prefixes():
     for _ in range(800):
         m = rng.choice([2, 3, 4, 5, 6, -2, -3])
         a, b = random_spec(m), random_spec(m)
-        assert isomorphic(GroupCtx(a), GroupCtx(b)) == (r_digits(a, 40) == r_digits(b, 40)), (a, b)
+        assert isomorphic(GroupCtx(a), GroupCtx(b)) == (
+            GroupCtx(a).digits(40) == GroupCtx(b).digits(40)), (a, b)
 
 
 def test_recover_parameters_nonunit_specs():
@@ -337,12 +339,12 @@ def test_recover_parameters_nonunit_specs():
         s = spec(m, xi)
         assert recover_parameters(word_problem_oracle(GroupCtx(s)), 5) == (
             abs(m),
-            r_digits(s, 5),
+            GroupCtx(s).digits(5),
         )
 
 
 def test_recover_rejects_negative_count():
-    # as r_digits does
+    # as RDigitStream.digits does
     with pytest.raises(ValueError, match="count must be nonnegative"):
         recover_parameters(word_problem_oracle(GroupCtx.make(2, XiRat(3))), -1)
     assert recover_parameters(word_problem_oracle(GroupCtx.make(2, XiRat(3))), 0) == (2, [])

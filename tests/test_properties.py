@@ -47,7 +47,6 @@ from bslim import (
     format_xi,
     group,
     parse_xi,
-    r_digits,
 )
 from bslim.bsclassic import BSSpec, bs_is_trivial
 from bslim.group import GroupWord, are_conjugate, commutator, is_trivial, normal_form, parse_word
@@ -158,8 +157,7 @@ def as_periodic_sequence(spec):
     """The digits of an integer or rational parameter as preperiod and
     period, from the first repeat of the state s_i; None if none by s_80."""
     stream, seen = RDigitStream(spec), {}
-    for i in range(81):
-        s = stream.s_value(i)
+    for i, s in enumerate([1, *stream.s_values(80)]):  # s_0 = 1
         if s in seen:
             digits = stream.digits(i)
             return MarkedGroupSpec(spec.m_abs, XiSeq(digits[: seen[s]], digits[seen[s] :]))
@@ -199,14 +197,15 @@ def test_isomorphic_agrees_with_digit_prefixes(g1, how, f, data):
     elif how == "xi negated":
         g2 = same_group(MarkedGroupSpec(-g1.m, g1.xi), "negated", f)
     elif how == "shared prefix":
-        prefix = r_digits(g1, data.draw(st.integers(0, 8)))
+        prefix = GroupCtx(g1).digits(data.draw(st.integers(0, 8)))
         period = data.draw(st.lists(st.integers(0, g1.m_abs - 1), min_size=1, max_size=3))
         g2 = MarkedGroupSpec(g1.m, XiSeq(prefix, period))
     else:
         if how == "as rseq":  # small integers have a periodic state s_i
             g1 = MarkedGroupSpec(g1.m, XiRat(data.draw(st.integers(-g1.m_abs, g1.m_abs))))
         g2 = same_group(g1, how, f) or g1
-    expect = g1.m_abs == g2.m_abs and r_digits(g1, ISO_HORIZON) == r_digits(g2, ISO_HORIZON)
+    expect = g1.m_abs == g2.m_abs and (
+        GroupCtx(g1).digits(ISO_HORIZON) == GroupCtx(g2).digits(ISO_HORIZON))
     assert isomorphic(GroupCtx(g1), GroupCtx(g2)) == isomorphic(GroupCtx(g2), GroupCtx(g1)) == expect
     if how in SAME_GROUP:
         assert expect

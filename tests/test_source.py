@@ -116,11 +116,10 @@ def _context_builds(path):
 
 def test_the_caller_builds_every_context():
     """Every marked-group function takes its contexts from the caller, whose
-    budget they keep.  Only ``madic``'s spec helpers build their own, and
-    in the CLI, ``_ctx``; ``madic._first_difference`` builds none."""
+    budget they keep.  Only ``RDigitStream.make`` and, in the CLI, ``_ctx``
+    build one; ``madic._first_difference`` builds none."""
     found = {(path.stem, fn) for path in SOURCES for fn in _context_builds(path)}
-    helpers = ("make", "r_digits", "s_values", "gcd_with_m", "p_polys")
-    assert found == {("madic", fn) for fn in helpers} | {("cli", "_ctx")}
+    assert found == {("madic", "make"), ("cli", "_ctx")}
 
 
 def test_only_the_shared_constants_build_a_letters():
