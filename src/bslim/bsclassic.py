@@ -67,7 +67,7 @@ def parse_bs_word(text: str) -> GroupWord:
 
 
 def bs_is_trivial(spec: BSSpec, w: GroupWord) -> bool:
-    """Word problem in BS(p, q) by the stack pass of :func:`group._reduce_alt`
+    """Word problem in BS(p, q) by the one pass of :func:`group._reduce_letters`
     on integer b-exponents: the stacked prefix is always reduced, so a pinch
     can only form around the top segment, when the letter read is opposite
     to the top one; free cancellation is the beta = 0 case."""

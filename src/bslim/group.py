@@ -96,7 +96,7 @@ class GroupWord:
         return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        shared = _SHARED_INVERSE.get  # keeps the letters _letters_to_alt knows by identity
+        shared = _SHARED_INVERSE.get  # keeps the letters _reduce_letters knows by identity
         return GroupWord([  # a list: a tuple grown from an iterator keeps slack
             shared(id(x)) or (_A_POWER[-x.exp] if isinstance(x, ALetter) else _base_letter(-x.vec))
             for x in reversed(self.letters)
@@ -243,35 +243,6 @@ class NormalForm(ReducedForm):
 # --- the reduction engine (dict-based hot path) -------------------------------
 
 
-def _letters_to_alt(letters) -> tuple[list[dict[int, int]], list[int]]:
-    """Each segment's e_0 part is summed in ``e0`` and stored once, at its close;
-    the b and B letters that every builder shares are recognised by identity."""
-    segs, deltas, seg, e0 = [], [], {}, 0
-    for letter in letters:
-        if letter is _B_POS:
-            e0 += 1
-        elif letter is _B_NEG:
-            e0 -= 1
-        elif isinstance(letter, ALetter):
-            if e0:
-                seg[0] = e0
-            segs.append(seg)
-            deltas.append(letter.exp)
-            seg, e0 = {}, 0
-        else:
-            for i, c in letter.vec.entries:
-                if not i:
-                    e0 += c
-                elif seg.get(i, 0) + c:
-                    seg[i] = seg.get(i, 0) + c
-                else:
-                    seg.pop(i, None)
-    if e0:
-        seg[0] = e0
-    segs.append(seg)
-    return segs, deltas
-
-
 def _merge_into(dst: dict[int, int], src: dict[int, int]) -> None:
     for i, c in src.items():
         new = dst.get(i, 0) + c
@@ -281,36 +252,60 @@ def _merge_into(dst: dict[int, int], src: dict[int, int]) -> None:
             del dst[i]
 
 
-def _reduce_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int]) -> None:
-    """Eliminate pinches in place, leftmost first, until none remains.
+def _reduce_letters(ctx: GroupCtx, letters) -> tuple[list[dict[int, int]], list[int]]:
+    """The Britton-reduced alternating form of ``letters``, in one
+    left-to-right pass from the letters onto a stack of segments and deltas.
 
-    One left-to-right pass over a stack of segments and deltas.  The
-    stacked prefix is always reduced, so a pinch can only form around the
-    top segment, between the top stable letter and the next one read.
+    The stacked prefix is always reduced, so a pinch can only form around
+    the open (top) segment, when the stable letter that closes it is read;
+    pinches fire leftmost first.  A pinch pops the open segment, merges its
+    image into the larger of it and the segment below, and reading goes on
+    into that one.  The e_0 part is summed in ``e0`` and flushed at each
+    stable letter; the shared b and B letters are recognised by identity.
     """
-    out_segs, out_deltas = [segs[0]], []
-    for d, right in zip(deltas, segs[1:]):
-        if out_deltas and out_deltas[-1] != d:
-            mid = out_segs[-1]
-            # a mid a^-1 needs mid in E_{m,xi}, a^-1 mid a needs E_1: else None
-            fired = _up(ctx, mid) if d == -1 else _down(ctx, mid)
-            if fired is not None:
-                out_deltas.pop()
-                out_segs.pop()
-                # merge into the larger of the two outer segments
-                left = out_segs[-1]
-                if len(left) < len(right):
-                    left, right = right, left
-                    out_segs[-1] = left
-                if fired:
-                    _merge_into(left, fired)
-                if right:
-                    _merge_into(left, right)
-                continue
-        out_deltas.append(d)
-        out_segs.append(right)
-    segs[:] = out_segs
-    deltas[:] = out_deltas
+    segs, deltas, e0 = [{}], [], 0
+    seg = segs[0]
+    for letter in letters:
+        if letter is _B_POS:
+            e0 += 1
+        elif letter is _B_NEG:
+            e0 -= 1
+        elif isinstance(letter, ALetter):
+            if e0:  # after a pinch the open segment may hold e_0 already
+                e0 += seg.get(0, 0)
+                if e0:
+                    seg[0] = e0
+                else:
+                    del seg[0]
+                e0 = 0
+            d = letter.exp
+            if deltas and deltas[-1] != d:
+                # a seg a^-1 needs seg in E_{m,xi}, a^-1 seg a needs E_1: else None
+                fired = _up(ctx, seg) if d == -1 else _down(ctx, seg)
+                if fired is not None:
+                    deltas.pop()
+                    segs.pop()
+                    seg = segs[-1]
+                    if len(seg) < len(fired):
+                        seg, fired = fired, seg
+                        segs[-1] = seg
+                    if fired:
+                        _merge_into(seg, fired)
+                    continue
+            deltas.append(d)
+            seg = {}
+            segs.append(seg)
+        else:
+            for i, c in letter.vec.entries:
+                if not i:
+                    e0 += c
+                elif seg.get(i, 0) + c:
+                    seg[i] = seg.get(i, 0) + c
+                else:
+                    seg.pop(i, None)
+    if e0:
+        _merge_into(seg, {0: e0})
+    return segs, deltas
 
 
 def _evec(seg: dict[int, int]) -> EVec:
@@ -325,15 +320,13 @@ def _alt_to_form(segs, deltas, cls=ReducedForm) -> ReducedForm:
 
 def britton_reduce(ctx: GroupCtx, w: GroupWord) -> ReducedForm:
     """A Britton-reduced form representing the same group element."""
-    segs, deltas = _letters_to_alt(w.letters)
-    _reduce_alt(ctx, segs, deltas)
+    segs, deltas = _reduce_letters(ctx, w.letters)
     return _alt_to_form(segs, deltas)
 
 
 def is_trivial(ctx: GroupCtx, w: GroupWord) -> bool:
     """Word problem: does the word represent the identity?"""
-    segs, deltas = _letters_to_alt(w.letters)
-    _reduce_alt(ctx, segs, deltas)
+    segs, deltas = _reduce_letters(ctx, w.letters)
     return not deltas and not segs[0]
 
 
@@ -343,7 +336,7 @@ def _normalize_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int])
     Keeps the form reduced: the pushed parts land in the subgroup that the
     pinch condition one step to the left tests, so no pinch can appear.
     Each push carries everything pushed so far, so it merges with the
-    segment to its left into the larger dict, as in :func:`_reduce_alt`.
+    segment to its left into the larger dict, as in :func:`_reduce_letters`.
     """
     for i in range(len(deltas), 0, -1):
         seg = segs[i]
@@ -360,8 +353,7 @@ def _normalize_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int])
 
 def normal_form(ctx: GroupCtx, w: GroupWord) -> NormalForm:
     """The unique normal form of the element represented by ``w``."""
-    segs, deltas = _letters_to_alt(w.letters)
-    _reduce_alt(ctx, segs, deltas)
+    segs, deltas = _reduce_letters(ctx, w.letters)
     _normalize_alt(ctx, segs, deltas)
     return _alt_to_form(segs, deltas, cls=NormalForm)
 
@@ -380,8 +372,7 @@ def cyclic_reduce(ctx: GroupCtx, w: GroupWord) -> tuple[ReducedForm, GroupWord]:
     so no other pinch can appear; the pass stops at the first end pair that
     does not pinch.
     """
-    segs, deltas = _letters_to_alt(w.letters)
-    _reduce_alt(ctx, segs, deltas)
+    segs, deltas = _reduce_letters(ctx, w.letters)
     conj: list[Letter] = []
     lo, hi = 0, len(deltas)  # the core is segs[lo] a^deltas[lo] ... segs[hi]
     while lo < hi:

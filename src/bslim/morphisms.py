@@ -16,12 +16,12 @@ from typing import Optional, Union
 from .errors import InvalidAutSpec
 from .group import (
     A_POS,
+    ALetter,
     GroupWord,
     _B_POS,
     _b_exponent,
     _base_letter,
     _lamp_fold,
-    _letters_to_alt,
     _substitute,
     commutator,
     is_trivial,
@@ -59,7 +59,13 @@ def wreath_image(ctx: GroupCtx, w: GroupWord) -> WreathElem:
     """Fold the word through a -> (0, 1), e_0 -> (1, 0) and
     e_i -> (X P_{i-1}(X), 0); a homomorphism by construction, whose shift
     coordinate equals the exponent sum of a."""
-    segs, deltas = _letters_to_alt(w.letters)
+    segs, deltas = [[]], []  # the base entries between consecutive stable letters
+    for x in w.letters:
+        if isinstance(x, ALetter):
+            deltas.append(x.exp)
+            segs.append([])
+        else:
+            segs[-1] += x.vec.entries
     return WreathElem(_lamp_fold(ctx, map(EVec.from_items, segs), deltas), sum(deltas))
 
 

@@ -164,6 +164,18 @@ def test_reduce_free_cancellation(ctx23):
     assert form.is_identity
 
 
+def test_pinches_merge_into_the_larger_segment(ctx23):
+    """A pinch merges its image into the larger of the two dicts, so 10,000
+    pinches a b^2 A beside a segment over 10,000 basis vectors stay linear;
+    merging that segment into each one-entry image took seconds."""
+    big = EVec(tuple((i, 1) for i in range(1, 10_001)))
+    w = GroupWord((BaseLetter(big),)) * W("abbA" * 10_000)
+    start = time.process_time()
+    form = britton_reduce(ctx23, w)
+    assert time.process_time() - start < 1.0
+    assert form.deltas == () and form.segments[0] == big + EVec.basis(1, 10_000)
+
+
 def test_is_trivial_examples(ctx23, ctx21):
     relator = W("babbABaBBA")  # commutator of b with a b^2 a^-1
     assert is_trivial(ctx23, relator)

@@ -11,11 +11,15 @@ the full value.
 ``ref_reduce`` is the index walk that the one-pass stack reducer
 replaced.  Both fire the leftmost pinch first, so their reduced forms are
 identical, not just equivalent.  ``ref_letters_to_alt`` is the reader
-that merged every letter's entries into its segment dict; the reader now
-sums each segment's e_0 part in an int, and every ``ref_*`` reduction
-starts from the old reader.  ``ref_parse_compact`` is the per-character
-scan that compact parsing replaced: letters, error messages and error
-offsets must all match.
+that merged every letter's entries into its segment dict, and
+``ref_letters_to_alt_e0`` the one that summed each segment's e_0 part in
+an int; ``ref_reduce_alt`` then re-stacked its segments.  One pass from
+the letters onto the stack, ``_reduce_letters``, replaced those two: it
+must give the same segment dicts and deltas, or the same error and index
+under digit budgets, and grow the digit table as far.  The other
+``ref_*`` reductions start from the oldest reader.  ``ref_parse_compact``
+is the per-character scan that compact parsing replaced: letters, error
+messages and error offsets must all match.
 
 The ``ref_*`` word maps are the letter walks that ``group._substitute``
 replaced; their outputs must match letter for letter.
@@ -71,6 +75,7 @@ builders now reuse ``group``'s shared letters (``A_POS``, ``A_NEG``,
 word may hold a copy of a shared letter.
 """
 
+import functools
 import math
 import random
 from collections import Counter
@@ -108,9 +113,9 @@ from bslim.group import (
     _alt_to_form,
     _b_exponent,
     _evec,
-    _letters_to_alt,
+    _lamp_fold,
     _merge_into,
-    _reduce_alt,
+    _reduce_letters,
     _rotation,
     _rotation_screen,
     _substitute,
@@ -280,6 +285,70 @@ def ref_reduce(ctx, segs, deltas):
         i = max(i - 1, 0)
 
 
+def ref_letters_to_alt_e0(letters):
+    """The alternating form as ``group._letters_to_alt`` read it before one
+    pass from the letters replaced it: each segment's e_0 part summed in
+    ``e0`` and stored once, at its close, the shared b and B letters
+    recognised by identity."""
+    segs, deltas, seg, e0 = [], [], {}, 0
+    for letter in letters:
+        if letter is _B_POS:
+            e0 += 1
+        elif letter is _B_NEG:
+            e0 -= 1
+        elif isinstance(letter, ALetter):
+            if e0:
+                seg[0] = e0
+            segs.append(seg)
+            deltas.append(letter.exp)
+            seg, e0 = {}, 0
+        else:
+            for i, c in letter.vec.entries:
+                if not i:
+                    e0 += c
+                elif seg.get(i, 0) + c:
+                    seg[i] = seg.get(i, 0) + c
+                else:
+                    seg.pop(i, None)
+    if e0:
+        seg[0] = e0
+    segs.append(seg)
+    return segs, deltas
+
+
+def ref_reduce_alt(ctx, segs, deltas):
+    """The stack pass over a finished alternating form, as ``group._reduce_alt``
+    ran it after ``_letters_to_alt`` until one pass from the letters replaced
+    both."""
+    out_segs, out_deltas = [segs[0]], []
+    for d, right in zip(deltas, segs[1:]):
+        if out_deltas and out_deltas[-1] != d:
+            mid = out_segs[-1]
+            fired = _up(ctx, mid) if d == -1 else _down(ctx, mid)
+            if fired is not None:
+                out_deltas.pop()
+                out_segs.pop()
+                left = out_segs[-1]
+                if len(left) < len(right):
+                    left, right = right, left
+                    out_segs[-1] = left
+                if fired:
+                    _merge_into(left, fired)
+                if right:
+                    _merge_into(left, right)
+                continue
+        out_deltas.append(d)
+        out_segs.append(right)
+    segs[:] = out_segs
+    deltas[:] = out_deltas
+
+
+def ref_reduce_letters(ctx, letters):
+    segs, deltas = ref_letters_to_alt_e0(letters)
+    ref_reduce_alt(ctx, segs, deltas)
+    return segs, deltas
+
+
 def ref_letters_to_alt(letters):
     segs, deltas = [{}], []
     for letter in letters:
@@ -333,9 +402,9 @@ def ref_alt_to_form(segs, deltas):
 
 def ref_cyclic_reduce(ctx, w):
     """Absorb the tail, then rotate one wraparound pinch to the right end
-    and let _reduce_alt fire it, until none is left."""
+    and let ref_reduce_alt fire it, until none is left."""
     segs, deltas = ref_letters_to_alt(w.letters)
-    _reduce_alt(ctx, segs, deltas)
+    ref_reduce_alt(ctx, segs, deltas)
     conj = []
     while deltas:
         if segs[-1]:
@@ -356,7 +425,7 @@ def ref_cyclic_reduce(ctx, w):
         segs = segs[1:-1] + [dict(segs[-1])] + [{}]
         _merge_into(segs[-2], lead)
         deltas = deltas[1:] + [d_first]
-        _reduce_alt(ctx, segs, deltas)
+        ref_reduce_alt(ctx, segs, deltas)
     return ref_alt_to_form(segs, deltas), GroupWord(tuple(conj))
 
 
@@ -476,7 +545,7 @@ def long_word(rng, ctx, top):
 
 @pytest.mark.parametrize("m,xi", CASES)
 def test_reduction_agrees(m, xi, monkeypatch):
-    """Also: every segment dict that _reduce_alt, _normalize_alt and
+    """Also: every segment dict that _reduce_letters, _normalize_alt and
     cyclic_reduce hand to _alt_to_form has nonnegative keys and no zero
     values, so the EVecs it builds from sorted items are canonical."""
     rng = random.Random(f"w{m}{xi}")
@@ -595,11 +664,12 @@ def alt_mix_word(rng):
 
 
 def test_letters_to_alt_agrees():
-    """Equal segment dicts (no zero values) and deltas, against the reader
-    that merged every entry into the segment dict."""
+    """The reader that summed e_0 in an int, which the one-pass reference
+    starts from: equal segment dicts (no zero values) and deltas, against
+    the reader that merged every entry into the segment dict."""
     for text in compact_strings(7):
         letters = parse_word(text).letters
-        assert _letters_to_alt(letters) == ref_letters_to_alt(letters), text
+        assert ref_letters_to_alt_e0(letters) == ref_letters_to_alt(letters), text
     x = parse_word("e0^-2 e3", "extended").letters
     b, bb = parse_word("b").letters, parse_word("bb").letters
     cases = [
@@ -607,17 +677,102 @@ def test_letters_to_alt_agrees():
         (ALetter(1),) + b + x + (ALetter(-1),) + bb + x,
         (BaseLetter(EVec.zero()), BaseLetter(EVec.basis(0, 2))) + parse_word("BB").letters,
     ]
-    assert _letters_to_alt(cases[0]) == ([{}], [])
+    assert ref_letters_to_alt_e0(cases[0]) == ([{}], [])
     rng = random.Random("alt")
     cases += [alt_mix_word(rng) for _ in range(3000)]
     cancelled = {"e0 across kinds": 0, "e_i": 0}
     for letters in cases:
-        segs, deltas = _letters_to_alt(letters)
+        segs, deltas = ref_letters_to_alt_e0(letters)
         assert (segs, deltas) == ref_letters_to_alt(letters), letters
         for seg, read in zip(segs, indices_read(letters)):
             cancelled["e0 across kinds"] += read[0] == {"b", "base"} and 0 not in seg
             cancelled["e_i"] += any(i not in seg for i in read if i)
     assert min(cancelled.values()) > 100, cancelled
+
+
+FRESH = {"a": lambda: ALetter(1), "A": lambda: ALetter(-1),
+         "b": lambda: BaseLetter(EVec.basis(0)), "B": lambda: BaseLetter(EVec.basis(0, -1))}
+
+
+def fresh(w):
+    """The compact word w with a new object for every letter, none shared."""
+    return tuple(FRESH[ch]() for ch in format_word(w, "compact"))
+
+
+def read_outcome(fn, ctx, letters):
+    """The value, or the error's type, index and message; then the length
+    of the digit table."""
+    try:
+        got = fn(ctx, letters)
+    except BslError as exc:
+        got = type(exc).__name__, getattr(exc, "index", None), str(exc)
+    return got, len(ctx.rs)
+
+
+@functools.lru_cache(maxsize=None)
+def reader_words(m, xi):
+    """Compact words of shared and of fresh letters, relator products that
+    pinch deep, mixed extended words and one long word."""
+    rng = random.Random(f"rl{m}{xi}")
+    top = FINITE_LEN + 1 if xi.startswith("rseq:") and ";" not in xi else 12
+    build = GroupCtx.make(m, xi)
+    words = []
+    for _ in range(120):
+        w = parse_word("".join(rng.choices("aAbB", k=rng.randint(0, 40))))
+        if rng.random() < 0.5:
+            g = parse_word("".join(rng.choices("aAbB", k=rng.randint(0, 6))))
+            bi = ref_b_i_word(build, rng.randint(1, top))
+            w = w * g * commutator(bi, parse_word(rng.choice("bB"))) * g.inverse() * w.inverse()
+        words += [w.letters, fresh(w)]
+    words += [alt_mix_word(rng) for _ in range(120)]
+    words.append(long_word(rng, build, top).letters)
+    return tuple(words)
+
+
+@pytest.mark.parametrize("m,xi", CASES)
+def test_reduce_letters_agrees(m, xi):
+    """One pass from the letters against ``ref_letters_to_alt_e0`` followed
+    by ``ref_reduce_alt``, the two passes it replaced: the same segment
+    dicts and deltas, or the same error type and index, and the digit table
+    as long after each word; unbudgeted and under budgets of 1 to 3 digits,
+    each context reading the words in turn."""
+    words, tally = reader_words(m, xi), Counter()
+    for budget in (None, 1, 2, 3):
+        ctx, ref_ctx = GroupCtx.make(m, xi, budget), GroupCtx.make(m, xi, budget)
+        for letters in words:
+            got = read_outcome(_reduce_letters, ctx, letters)
+            assert got == read_outcome(ref_reduce_letters, ref_ctx, letters), letters
+            a_letters = sum(isinstance(x, ALetter) for x in letters)
+            if isinstance(got[0][1], list):
+                segs, deltas = got[0]
+                assert all(i >= 0 and c for seg in segs for i, c in seg.items()), segs
+                tally["pinched"] += len(deltas) < a_letters
+                tally["trivial"] += got[0] == ([{}], [])
+            else:
+                tally[got[0][0]] += 1
+    assert tally["pinched"] > 400 and tally["trivial"] > 150, tally
+    assert tally["RDigitBudgetExceeded"] > 100, tally
+
+
+@pytest.mark.parametrize("m,xi", CASES)
+def test_wreath_fold_reads_the_same_digits(m, xi):
+    """``wreath_image`` collects each segment's entries in a list; folding
+    the segment dicts of ``ref_letters_to_alt_e0`` gives the same image, or
+    the same error, and grows the digit table as far: a segment whose e_i
+    entries cancel reads no digit for them."""
+    def ref_fold(ctx, letters):
+        segs, deltas = ref_letters_to_alt_e0(letters)
+        return WreathElem(_lamp_fold(ctx, map(EVec.from_items, segs), deltas), sum(deltas))
+
+    # the last 40 compact words (their segments hold e_0 alone), then the mixed ones
+    words, errors = reader_words(m, xi)[200:-1], 0
+    for budget in (None, 1, 2):
+        ctx, ref_ctx = GroupCtx.make(m, xi, budget), GroupCtx.make(m, xi, budget)
+        for letters in words:
+            got = read_outcome(lambda c, x: wreath_image(c, GroupWord(x)), ctx, letters)
+            assert got == read_outcome(ref_fold, ref_ctx, letters), letters
+            errors += not isinstance(got[0], WreathElem)
+    assert errors > 20, errors
 
 
 def indices_read(letters):
@@ -1953,8 +2108,7 @@ def ref_inverse(w):
 
 def ref_cyclic_reduce_pass(ctx, w):
     """``cyclic_reduce`` with a new letter per conjugator letter."""
-    segs, deltas = _letters_to_alt(w.letters)
-    _reduce_alt(ctx, segs, deltas)
+    segs, deltas = ref_reduce_letters(ctx, w.letters)
     conj = []
     lo, hi = 0, len(deltas)
     while lo < hi:

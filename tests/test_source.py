@@ -159,6 +159,43 @@ def test_only_the_builder_and_shared_constants_build_base_letters():
     assert found == []
 
 
+def _reader_uses(path):
+    """(enclosing function, name) for every definition of, reference to or
+    import of a letter reader or a second reduction pass."""
+    names = {"_reduce_letters", "_reduce_alt", "_letters_to_alt"}
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                if child.name in names:
+                    found.append(("<def>", child.name))
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in names:
+                found.append((fn, child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((fn, child.attr))
+            elif isinstance(child, ast.ImportFrom):
+                found.extend(("<import>", a.name) for a in child.names if a.name in names)
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return [(path.stem, fn, name) for fn, name in found]
+
+
+def test_one_pass_from_the_letters_to_the_reduced_form():
+    """Britton reduction reads the letters straight onto its stack:
+    ``group._reduce_letters`` is defined once and called once by each of
+    the four reducing entry points, and by nothing else; no module defines
+    or calls a second pass (``_reduce_alt``) or a reader into an unreduced
+    form (``_letters_to_alt``)."""
+    found = sorted(use for path in SOURCES for use in _reader_uses(path))
+    entry_points = ("britton_reduce", "cyclic_reduce", "is_trivial", "normal_form")
+    assert found == sorted([("group", "<def>", "_reduce_letters")] + [
+        ("group", fn, "_reduce_letters") for fn in entry_points])
+
+
 def test_b_i_word_is_linear_in_i():
     """b_i unfolds to w(|m|; r_1..r_{i-1}) in one pass over the digits;
     nesting b_{i-1} inside b_i would copy the word i times."""
