@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .bsclassic import BS_TOKEN, BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
-from .errors import BslError, ParseError, RDigitBudgetExceeded, SizeLimitExceeded
+from .errors import BslError, ParseError, SizeLimitExceeded
 from .group import (
     GroupWord,
     are_conjugate,
@@ -277,10 +277,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return 2
-    except RDigitBudgetExceeded as exc:
-        print(f"error: RDigitBudgetExceeded: first missing digit index {exc.index}",
-              file=sys.stderr)
-        return 1
     except (BslError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -15,9 +15,9 @@ class RDigitBudgetExceeded(BslError):
     ``index`` is the 1-based index of the first missing digit.
     """
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"digit r_{index} is not available")
+        super().__init__(f"first missing digit index {index}")
 
 
 class SizeLimitExceeded(BslError):

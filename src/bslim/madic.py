@@ -325,7 +325,7 @@ class RDigitStream:
             while len(rs) <= i:
                 k = len(rs)
                 if self.budget is not None and k > self.budget:
-                    raise RDigitBudgetExceeded(k, f"digit r_{k} exceeds budget {self.budget}")
+                    raise RDigitBudgetExceeded(k)
                 r = next(self._source, None)
                 if r is None:
                     raise RDigitBudgetExceeded(k)
@@ -368,17 +368,22 @@ def _first_difference(sa: RDigitStream, sb: RDigitStream) -> int | None:
     """The 1-based index of the first digit where two groups over the same
     |m| differ, or None when their streams agree at every index.
 
-    An exact parameter's digits are d = gcd(|m|, r_1) times those of its
-    unit projection (m/d, xi/d), and exact units share h digits exactly when
-    they agree mod (m/d)^h (the congruence law), so exact pairs are not
-    scanned.  Other pairs are, once: periodic pairs (periods p, q) to both
-    preperiods plus p + q - gcd(p, q), past which agreement forces period
-    gcd(p, q) on both (Fine and Wilf, 1965); a rational against a periodic
-    sequence through preperiod and period, where the rational's digits go on
-    repeating exactly when its s-state returns after one period (its
-    denominators are prime to m, so a drift would force unbounded m-powers
-    into them), and then on to the difference.  A finite sequence or a
-    stream's budget raises RDigitBudgetExceeded where it stops.
+    Every pair with an exact parameter ends in one valuation law: the index
+    is start + v_{|m|/d}(n), or None when n = 0 or |m| = d, where d =
+    gcd(|m|, r_1).  An exact parameter's digits are d times those of its
+    unit projection (|m|/d, xi/d), with the same s-states.  Exact pairs take
+    start 1 and n = the numerator of (xi_a - xi_b)/d (the congruence law:
+    units share h digits exactly when they agree mod (|m|/d)^h).  A
+    rational against a periodic sequence is read through the sequence's
+    horizon h = preperiod + period; if they agree there, the sequence goes
+    on repeating the rational's own digits from pre, so the rational's
+    streams from s_pre and from s_h must part, and since xi/d is a unit
+    mod |m|/d they agree for exactly v_{|m|/d}(s_h - s_pre) digits: start
+    h + 1 and n = the numerator of s_h - s_pre.  Periodic pairs (periods p,
+    q) are read to both preperiods plus p + q - gcd(p, q), past which
+    agreement forces period gcd(p, q) on both (Fine and Wilf, 1965).  No
+    pair reads a digit past its horizon; a finite sequence or a stream's
+    budget raises RDigitBudgetExceeded where it stops.
     """
     m, a, b = sa.m_abs, sa.spec, sb.spec
     d = sa.gcd_with_m()
@@ -386,37 +391,39 @@ def _first_difference(sa: RDigitStream, sb: RDigitStream) -> int | None:
         return 1
     xa, xb = a.xi_norm, b.xi_norm
     if isinstance(xa, XiRat) and isinstance(xb, XiRat):
-        diff, i = ((_xi_fraction(a) - _xi_fraction(b)) / d).numerator, 1
-        if m == d or not diff:
-            return None
-        while diff % (m // d) == 0:
-            diff, i = diff // (m // d), i + 1
-        return i
-    rat, horizon = None, 0  # a finite sequence has no horizon
-    if isinstance(xa, XiRat) or isinstance(xb, XiRat):
-        rat, seq = (sa, xb) if isinstance(xa, XiRat) else (sb, xa)
-        pre = len(seq.preperiod)
-        if seq.period:
-            horizon = pre + len(seq.period)
-    elif xa.period and xb.period:
-        p, q = len(xa.period), len(xb.period)
-        horizon = max(len(xa.preperiod), len(xb.preperiod)) + p + q - math.gcd(p, q)
-    i = 1
-    while sa.digit(i) == sb.digit(i):
-        # at d = m the rational's digits are all zero, whatever its s-state
-        if i == horizon and (rat is None or m == d or _s_returns(rat, pre, horizon)):
-            return None
-        i += 1
-    return i
+        start, n = 1, ((_xi_fraction(a) - _xi_fraction(b)) / d).numerator
+    else:
+        rat, horizon = None, 0  # a finite sequence has no horizon
+        if isinstance(xa, XiRat) or isinstance(xb, XiRat):
+            rat, seq = (sa, xb) if isinstance(xa, XiRat) else (sb, xa)
+            pre = len(seq.preperiod)
+            horizon = pre + len(seq.period) if seq.period else 0
+        elif xa.period and xb.period:
+            p, q = len(xa.period), len(xb.period)
+            horizon = max(len(xa.preperiod), len(xb.preperiod)) + p + q - math.gcd(p, q)
+        i = 1
+        while sa.digit(i) == sb.digit(i):
+            if i == horizon:
+                break
+            i += 1
+        else:
+            return i
+        start, n = horizon + 1, _s_gap(rat, pre, horizon) if rat else 0
+    if not n or m == d:
+        return None
+    while n % (m // d) == 0:
+        n, start = n // (m // d), start + 1
+    return start
 
 
-def _s_returns(rat: RDigitStream, pre: int, horizon: int) -> bool:
-    """Whether s_pre = s_horizon (s_0 = 1), from one replay of the digit step."""
-    t_pre = qk_pre = t = qk = 1
+def _s_gap(rat: RDigitStream, pre: int, horizon: int) -> int:
+    """The numerator of s_horizon - s_pre (s_0 = 1), from one replay of the
+    digit step."""
+    s_pre = 1
     for k, (_, t, qk) in enumerate(rat._replay(horizon), 1):
         if k == pre:
-            t_pre, qk_pre = t, qk
-    return Fraction(t_pre, qk_pre) == Fraction(t, qk)
+            s_pre = Fraction(t, qk)
+    return (Fraction(t, qk) - s_pre).numerator
 
 
 def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
@@ -430,18 +437,10 @@ def xi_from_prefix(m: int, prefix: list[int]) -> tuple[int, int]:
     Raises :class:`NoUnitRealization` when prefix[0] shares a factor with m
     (no unit starts with such a digit).
     """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    m = abs(m)
-    h = len(prefix)
-    if h == 0:
-        raise ValueError("prefix must be nonempty")
-    if any(not 0 <= d < m for d in prefix):
-        raise ValueError("prefix digits outside range")
-    if math.gcd(prefix[0], m) != 1:
-        raise NoUnitRealization(
-            f"first digit {prefix[0]} is not coprime to m={m}"
-        )
+    spec = MarkedGroupSpec(m, XiSeq(prefix))
+    m, h = spec.m_abs, len(prefix)
+    if spec.unverified_realizability:
+        raise NoUnitRealization(f"first digit {prefix[0]} is not coprime to m={m}")
     modulus = m**h
     r1_inv = y = pow(prefix[0], -1, modulus)
     for _ in range(h - 1):

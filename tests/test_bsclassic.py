@@ -206,3 +206,9 @@ def test_n_of_k_preconditions():
         bs_n_of_k(0, 4, 1)
     with pytest.raises(PreconditionViolated):
         bs_n_of_k(3, -3, 1)  # |m| == |n|
+
+
+@pytest.mark.parametrize("p, q", [(0, 3), (3, 0)])
+def test_zero_exponents_are_rejected(p, q):
+    with pytest.raises(ValueError, match=r"^BS\(p, q\) needs nonzero p and q$"):
+        BSSpec(p, q)

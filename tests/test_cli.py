@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bslim import cli
+from bslim import GroupCtx, cli, isomorphic
 from bslim.cli import SIZE_LIMITS, build_parser, main
 from bslim.group import parse_word
 
@@ -60,6 +60,23 @@ def test_bounds_reads_h_from_the_congruence_law(capsys):
                        "--xi2", f"rat:{1 + 2**h * q}/{q}")
     assert time.process_time() - start < 1.0
     assert code == 0 and out == f"h={h} lower=e^-{6 * (h + 1) + 10} upper=e^-{2 * h + 1}"
+
+
+@pytest.mark.parametrize("command, answer", [
+    ("iso", "not isomorphic"), ("bounds", "h=2000 lower=e^-12016 upper=e^-4001"),
+])
+def test_a_rational_past_a_periodic_horizon_reads_no_digit_there(capsys, command, answer):
+    """1 + 2^2000 has the digits 1, 0, 0, ... for 2001 places over m = 2, so
+    it agrees with rseq:1;0 through its horizon 2 and parts from it at index
+    2 + 1 + v_2(s_2 - s_1) = 2001.  A digit scan to that index took 16 s of
+    CPU on a 2-core VM."""
+    xi, seq = f"int:{1 + 2**2000}", "rseq:1;0"
+    start = time.process_time()
+    code, out, err = run(capsys, command, "--m", "2", "--xi", xi, "--xi2", seq)
+    assert time.process_time() - start < 1.0
+    assert (code, out, err) == (0, answer, "")
+    ctx = GroupCtx.make(2, xi, SIZE_LIMITS["rdigits"])
+    assert not isomorphic(ctx, GroupCtx.make(2, seq)) and len(ctx.rs) == 3
 
 
 def test_reduce_roundtrip(capsys):
@@ -167,6 +184,31 @@ def test_aut(capsys):
         "--aut", "phiE", "--evec", "e0",
     )
     assert code == 0 and out == "a e0"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ("aut --m 2 --xi int:3 --word abAbb --aut thetaK --coef -3", 0,
+     "a e0^-3 a^-1 e0^-3 e0^-3", ""),
+    ("aut --m 3 --xi rat:1/2 --word aabAAb --aut embedD --embed 2", 0,
+     "a a e0^2 a^-1 a^-1 e0^2", ""),
+    ("--json aut --m 2 --xi int:3 --word ab --aut embedD --embed 3", 0,
+     '{"word": "a e0^3"}', ""),
+    ("aut --m 6 --xi int:5 --word ab --aut thetaK --coef 4", 1, "",
+     "error: InvalidAutSpec: k = 4 must be nonzero and coprime to m\n"),
+    ("aut --m 2 --xi int:3 --word ab --aut embedD --embed 0", 1, "",
+     "error: InvalidAutSpec: d must be a positive integer\n"),
+    ("aut --m 2 --xi int:3 --word ab --aut thetaK", 1, "",
+     "error: BslError: thetaK needs --coef\n"),
+    ("aut --m 2 --xi int:3 --word ab --aut embedD", 1, "",
+     "error: BslError: embedD needs --embed\n"),
+    ("relator --kind bi --index 2", 1, "", "error: BslError: bi needs --m and --xi\n"),
+    ("relator --kind bi --index 2 --m 2", 1, "", "error: BslError: bi needs --m and --xi\n"),
+    ("bswp --p 0 --q 3 --word ab", 1, "", "error: ValueError: BS(p, q) needs nonzero p and q\n"),
+])
+def test_option_paths(capsys, argv, code, out, err):
+    """thetaK and embedD images, their invalid and missing parameters, the
+    bi relator without its group, and BS(0, q)."""
+    assert run(capsys, *argv.split()) == (code, out, err)
 
 
 def test_bswp(capsys):

@@ -505,3 +505,14 @@ def test_wrong_witness_is_rejected_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ALetter(2), "stable-letter exponents are +-1"),
+    (lambda: parse_word("ab", "bogus"), "unknown mode 'bogus'"),
+    (lambda: format_word(parse_word("ab"), "bogus"), "unknown mode 'bogus'"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -55,6 +55,13 @@ or the same error message and offset.  ``ref_first_digit_difference`` is the dig
 scan that the congruence law replaced for exact unit pairs, and
 ``ref_xi_from_prefix`` the lift search that the fixed-point pass for
 1/xi replaced; each must give the same index or residue.
+``ref_first_difference`` is ``madic._first_difference`` as it was before
+one valuation law ended every pair with an exact parameter: a rational
+against a periodic sequence that passed its s-state check
+(``ref_s_returns``) was scanned to the first difference.  On pairs of
+every kind and under budgets the law must give the scan's index, or stop
+at the same missing digit, except that it answers where the scan ran
+into a budget past the horizon.
 
 ``_streams_equal_exact`` and ``_first_digit_difference`` are the two
 comparisons, each branching on the parameter kinds, that
@@ -2031,6 +2038,141 @@ def test_fine_wilf_horizon_agrees_with_the_lcm_scan(m):
         seen["equal" if ref is None else "late" if ref > late else "early"] += 1
     # equal streams, and differences past both preperiods plus the longer period
     assert seen["equal"] >= 50 and seen["late"] >= 20, seen
+
+
+def ref_first_difference(sa, sb):
+    """``madic._first_difference`` before the valuation law: a rational
+    against a periodic sequence that passed the s-state check was scanned
+    on, digit by digit, to the first difference."""
+    m, a, b = sa.m_abs, sa.spec, sb.spec
+    d = sa.gcd_with_m()
+    if sb.gcd_with_m() != d:
+        return 1
+    xa, xb = a.xi_norm, b.xi_norm
+    if isinstance(xa, XiRat) and isinstance(xb, XiRat):
+        diff, i = ((_xi_fraction(a) - _xi_fraction(b)) / d).numerator, 1
+        if m == d or not diff:
+            return None
+        while diff % (m // d) == 0:
+            diff, i = diff // (m // d), i + 1
+        return i
+    rat, horizon = None, 0  # a finite sequence has no horizon
+    if isinstance(xa, XiRat) or isinstance(xb, XiRat):
+        rat, seq = (sa, xb) if isinstance(xa, XiRat) else (sb, xa)
+        pre = len(seq.preperiod)
+        if seq.period:
+            horizon = pre + len(seq.period)
+    elif xa.period and xb.period:
+        p, q = len(xa.period), len(xb.period)
+        horizon = max(len(xa.preperiod), len(xb.preperiod)) + p + q - math.gcd(p, q)
+    i = 1
+    while sa.digit(i) == sb.digit(i):
+        # at d = m the rational's digits are all zero, whatever its s-state
+        if i == horizon and (rat is None or m == d or ref_s_returns(rat, pre, horizon)):
+            return None
+        i += 1
+    return i
+
+
+def ref_s_returns(rat, pre, horizon):
+    """Whether s_pre = s_horizon (s_0 = 1), from one replay of the digit step."""
+    t_pre = qk_pre = t = qk = 1
+    for k, (_, t, qk) in enumerate(rat._replay(horizon), 1):
+        if k == pre:
+            t_pre, qk_pre = t, qk
+    return Fraction(t_pre, qk_pre) == Fraction(t, qk)
+
+
+def index_or_stop(a, b, budget, fn=_first_difference):
+    """fn's index (or None) on fresh contexts, or the first missing digit
+    index where a budget or a finite sequence stops it; and the contexts."""
+    sa, sb = RDigitStream(a, budget), RDigitStream(b, budget)
+    try:
+        return fn(sa, sb), sa, sb
+    except RDigitBudgetExceeded as exc:
+        return ("stop", exc.index), sa, sb
+
+
+def s_cycle(m, f):
+    """The digits of an integer f with |f| < |m| as a periodic sequence:
+    its s-states stay small and so return, and the period is cut where they
+    first do."""
+    stream = RDigitStream(spec_of(m, f))
+    ss = [Fraction(1)] + stream.s_values(4 * abs(m) + 4)
+    j = next(j for j in range(1, len(ss)) if ss[j] in ss[:j])
+    pre = ss.index(ss[j])
+    digits = tuple(stream.digits(j))
+    return XiSeq(digits[:pre], digits[pre:j])
+
+
+def law_pairs(rng, m, count):
+    """Pairs over m: a rational against periodic sequences cut from its own
+    digits or from those of a rational that agrees with it on 1 to 14
+    digits (so they part past the horizon, at valuations from 0 up),
+    against its own s-cycle (whole, unrolled or with a digit changed), and
+    against finite prefixes; periodic pairs; and exact pairs with the same
+    gcd."""
+    mod = abs(m)
+    ds = [d for d in range(1, mod + 1) if mod % d == 0]
+    pairs = []
+    for n in range(count):
+        kind = n % 6
+        f = exact_xi(rng, mod, rng.choice(ds))
+        near = f + mod ** rng.randint(1, 14) * exact_xi(rng, mod)
+        digits = tuple(RDigitStream(spec_of(m, f)).digits(20))
+        a = spec_of(m, near if kind == 1 else f)
+        if kind in (0, 1):
+            b = MarkedGroupSpec(m, cut(rng, digits))
+        elif kind == 2:
+            g = Fraction(rng.randrange(1 - mod, mod))
+            a, xi = spec_of(m, g), s_cycle(m, g)
+            xi = xi if n % 3 == 0 else unrolled(rng, xi) if n % 3 == 1 else perturbed(rng, mod, xi)
+            b = MarkedGroupSpec(m, xi)
+        elif kind == 3:
+            b = MarkedGroupSpec(m, XiSeq(digits[: rng.randint(1, 16)]))
+        elif kind == 4:
+            a = MarkedGroupSpec(m, cut(rng, digits))
+            same = unrolled(rng, a.xi)
+            b = MarkedGroupSpec(m, same if n % 4 else perturbed(rng, mod, same))
+        else:
+            b = spec_of(m, near)
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("m", list(range(2, 13)) + [-2, -6, -12])
+def test_first_difference_law_agrees_with_the_scan(m):
+    """The valuation law gives the scan's answer on every pair and budget,
+    but for one kind: where the scan runs into a budget past a rational's
+    periodic horizon, the law answers with an index over the budget, the
+    one the unbudgeted scan finds.  No pair reads a rational's digit past
+    the horizon."""
+    rng = random.Random(f"law{m}")
+    seen = Counter()
+    pairs = law_pairs(rng, m, 150)
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        kinds = {type(x.xi_norm) for x in (a, b)}
+        seq = next((x.xi for x in (a, b) if isinstance(x.xi_norm, XiSeq)), None)
+        horizon = len(seq.preperiod + seq.period) if XiRat in kinds and seq and seq.period else None
+        for budget in (None, 5, 40):
+            got, sa, sb = index_or_stop(a, b, budget)
+            ref = index_or_stop(a, b, budget, ref_first_difference)[0]
+            if got == ref:
+                seen["equal"] += 1
+            else:
+                assert isinstance(ref, tuple) and budget is not None
+                assert horizon is not None and ref[1] > horizon
+                assert got > budget and got == index_or_stop(a, b, None, ref_first_difference)[0]
+                seen["past the budget"] += 1
+            if horizon is not None:
+                rat = sa if isinstance(a.xi_norm, XiRat) else sb
+                assert len(rat.rs) <= horizon + 1, (m, a.xi, b.xi, budget)
+                if isinstance(got, int) and got > horizon:
+                    seen["law", got > horizon + 1] += 1
+                seen["cycle"] += got is None
+            seen["stop"] += isinstance(got, tuple)
+    assert seen["past the budget"] and seen["cycle"] and seen["stop"], seen
+    assert seen["law", False] and seen["law", True], seen
 
 
 # --- prefix realization -------------------------------------------------------------

@@ -311,3 +311,14 @@ def test_fixed_interval_counts_up_shifts(ctx23):
         v = phi_apply(ctx23, v, "up")
         count += 1
     assert mu == count and nu == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: EVec.from_items([(-1, 1)]), "basis indices are nonnegative"),
+    (lambda ctx: subgroup_membership(ctx, EVec.basis(0, 2), "E2"), "unknown subgroup 'E2'"),
+    (lambda ctx: phi_apply(ctx, EVec.basis(0, 2), "sideways"), "unknown direction 'sideways'"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call(GroupCtx.make(2, "int:3"))
+    assert str(info.value) == message

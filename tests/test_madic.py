@@ -22,7 +22,7 @@ from bslim import (
     project_unit,
     xi_from_prefix,
 )
-from bslim.madic import _first_difference, _s_returns
+from bslim.madic import IntPoly, _first_difference, _s_gap
 
 
 def oracle_digits(xi: Fraction, m: int, count: int):
@@ -308,6 +308,19 @@ def test_xi_from_prefix_examples():
         xi_from_prefix(2, [0])
 
 
+@pytest.mark.parametrize("m, prefix, error, message", [
+    (0, [1], ValueError, "m must be a nonzero integer"),
+    (2, [], ValueError, "a digit sequence needs at least one digit"),
+    (2, [1, 2], ValueError, "digits [2] outside range [0, 2)"),
+    (-3, [1, -1, 3], ValueError, "digits [-1, 3] outside range [0, 3)"),
+    (-6, [3, 1], NoUnitRealization, "first digit 3 is not coprime to m=6"),
+])
+def test_xi_from_prefix_checks_its_prefix_as_a_digit_sequence(m, prefix, error, message):
+    with pytest.raises(error) as info:
+        xi_from_prefix(m, prefix)
+    assert str(info.value) == message
+
+
 def test_xi_from_prefix_inverts_digits():
     for m in (2, 3, 4):
         for n in range(m**3):
@@ -394,7 +407,7 @@ def test_s_state_check_of_a_rational_against_a_periodic_sequence(m, xi, seq, fir
     horizon = pre + len(per.spec.xi.period)
     ss = [Fraction(1)] + rat.s_values(horizon)
     assert rat.digits(horizon) == per.digits(horizon)
-    assert _s_returns(rat, pre, horizon) == (ss[pre] == ss[horizon]) == (first is None)
+    assert (not _s_gap(rat, pre, horizon)) == (ss[pre] == ss[horizon]) == (first is None)
     assert _first_difference(rat, per) == _first_difference(per, rat) == first
 
 
@@ -518,3 +531,22 @@ def test_a_digit_sequence_needs_a_digit():
         XiSeq(())
     with pytest.raises(ValueError, match="^a digit sequence needs at least one digit$"):
         XiSeq([], [])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RDigitStream.make(2, "int:3").digit(0), ValueError, "digit indices start at 1"),
+    (lambda: MarkedGroupSpec(2, "int:3"), TypeError, "not a XiSpec: 'int:3'"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("coeffs, text, valuation", [
+    ((), "0", 0), ((3, 0, 2), "2X^2+3", 0), ((0, 1), "X", 1),
+    ((0, -1, 5), "5X^2-X", 1), ((-2, 1), "X-2", 0), ((0, 0, 4, 0), "4X^2", 2),
+])
+def test_int_poly_text_and_x_valuation(coeffs, text, valuation):
+    poly = IntPoly(coeffs)
+    assert str(poly) == text and poly.x_valuation() == valuation

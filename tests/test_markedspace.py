@@ -366,3 +366,18 @@ def test_recover_inconsistent_oracle():
         recover_parameters(never, 1, max_m=8)
     with pytest.raises(OracleInconsistent):  # |m| = 1..64 by default
         recover_parameters(word_problem_oracle(GroupCtx.make(65, XiRat(1))), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c1, c2: b_i_word(c1, 0), "generator indices start at 1"),
+    (lambda c1, c2: relator("vk"), "vk needs index"),
+    (lambda c1, c2: relator("bi"), "bi needs ctx and index"),
+    (lambda c1, c2: relator("bi", index=2), "bi needs ctx and index"),
+    (lambda c1, c2: relator("bi", ctx=c1), "bi needs ctx and index"),
+    (lambda c1, c2: shortest_distinguishing(c1, c2, 0), "max_len must be at least 1"),
+    (lambda c1, c2: DistanceBounds(0, 1, 2), "bounds must satisfy lower_exp >= upper_exp >= 1"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call(GroupCtx.make(2, "int:1"), GroupCtx.make(2, "int:5"))
+    assert str(info.value) == message

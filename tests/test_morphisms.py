@@ -224,3 +224,15 @@ def test_hom_check_rejects_non_homomorphism():
     s = MarkedGroupSpec(2, XiRat(3))
     res = hom_check(GroupCtx(s), GroupCtx(s), W("b"), W("a"), depth=4)
     assert not res.ok and res.first_failing == 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ctx: apply_automorphism(ctx, "bogus", parse_word("ab")), InvalidAutSpec,
+     "unknown automorphism 'bogus'"),
+    (lambda ctx: hom_check(ctx, ctx, parse_word("a"), parse_word("b"), depth=0), ValueError,
+     "depth must be at least 1"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call(GroupCtx.make(2, "int:3"))
+    assert str(info.value) == message
