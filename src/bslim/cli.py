@@ -57,8 +57,8 @@ def _word(args, attr: str = "word") -> GroupWord:
 
 #: Fixed limits on the size flags, on a 2-core VM.  Digits and recovery cost time
 #: quadratic in the count, digits memory linear (`rat:5/7`, m = 3: `rdigits` 0.13 s,
-#: 18 MB RSS; `relator` bi 0.19 s, 20 MB; m = 64: `recover` 0.45-0.48 s on int:3, whose
-#: digits are 0 after r_1, and 0.90-0.97 s on `rat:5/7`, 17 MB), but
+#: 18 MB RSS; `relator` bi 0.19 s, 20 MB; m = 64: `recover` 0.24-0.37 s on int:3, whose
+#: digits are 0 after r_1, and 0.37-0.57 s on `rat:5/7`, 17 MB), but
 #: `rdigits` bounds digits, not their bits: m = 2, `rat:1/<3^1000>` took 2.0-2.3 s CPU
 #: for 1,000 digits and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 6x per two
 #: letters (int:1 vs int:5: 0.7 s, 31 MB).  Every group command reads digits under the

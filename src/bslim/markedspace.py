@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .errors import (
     GcdMismatch,
@@ -67,24 +68,43 @@ def v_k_word(k: int) -> GroupWord:
     return commutator(GroupWord((A_POS, b_k, A_NEG)), GroupWord((_B_POS,)))
 
 
+def _payloads(values: Collection[int]) -> dict:
+    """The letters k e_0 and -k e_0 of each value k, each built once; +-e_0
+    are the shared b and B."""
+    return {k: _base_letter(EVec.basis(0, k)) for k in {*values, *(-v for v in values)}}
+
+
+def _digit(e0: dict, t: int) -> tuple:
+    """The letters one digit t adds to a spine: (-t e_0) a^-1, or a^-1 when t = 0."""
+    return (e0[-t], A_NEG) if t else (A_NEG,)
+
+
+def _spine(e0: dict, m: int, digits: Sequence[int]) -> tuple:
+    """(m e_0) a^-1 (-t_1 e_0) a^-1 ... (-t_n e_0) a^-1: the word w(m; t)
+    after its a^(n+1)."""
+    return (e0[m], A_NEG, *chain.from_iterable(_digit(e0, t) for t in digits))
+
+
+def _win_e(n: int, pos: tuple, neg: tuple) -> GroupWord:
+    """a^(n+1) pos b a^(n+1) neg B: the probe win_e from the spines pos of
+    w(m; t) and neg of w(-m; -t), for n digits t."""
+    a = (A_POS,) * (n + 1)
+    return GroupWord((*a, *pos, _B_POS, *a, *neg, _B_NEG))
+
+
 def w_word(m: int, digits: Sequence[int]) -> GroupWord:
     """a^(n+1) (m e_0) a^-1 (-t_1 e_0) a^-1 ... (-t_n e_0) a^-1 for the
     digit list t; lands in the base group exactly when t matches the
     group's digits.  Each payload's letter is built once per call."""
-    e0 = {c: _base_letter(EVec.basis(0, c)) for c in {m, *(-t for t in digits if t)}}
-    letters = [A_POS] * (len(digits) + 1) + [e0[m], A_NEG]
-    for t in digits:
-        if t:
-            letters.append(e0[-t])
-        letters.append(A_NEG)
-    return GroupWord(letters)
+    e0 = _payloads({m, *digits})
+    return GroupWord((A_POS,) * (len(digits) + 1) + _spine(e0, m, digits))
 
 
 def win_e_word(m: int, digits: Sequence[int]) -> GroupWord:
     """w(m,t) e_0 w(-m,-t) (-e_0): trivial exactly when t_i = r_i for all
     i up to len(t)."""
-    pos, neg = w_word(m, digits), w_word(-m, [-t for t in digits])
-    return GroupWord((*pos.letters, _B_POS, *neg.letters, _B_NEG))
+    e0 = _payloads({m, *digits})
+    return _win_e(len(digits), _spine(e0, m, digits), _spine(e0, -m, [-t for t in digits]))
 
 
 def relator(kind: str, *, ctx: GroupCtx | None = None, index: int | None = None,
@@ -300,14 +320,19 @@ def recover_parameters(
             break
     if m_abs is None:
         raise OracleInconsistent(f"no commutator word trivial for k <= {max_m}")
+    # the probes of level i are win_e(|m|; r_1..r_{i-1}, t): both spines
+    # grow by the found digit's letters, and each t only adds its own
+    e0 = _payloads(range(1, m_abs + 1))
+    tails = [(_digit(e0, t), _digit(e0, -t)) for t in range(m_abs)]
+    pos, neg = _spine(e0, m_abs, ()), _spine(e0, -m_abs, ())
     digits: list[int] = []
     for i in range(1, n + 1):
-        hits = [
-            t for t in range(m_abs) if oracle(win_e_word(m_abs, digits + [t]))
-        ]
+        hits = [t for t, (p, q) in enumerate(tails) if oracle(_win_e(i, pos + p, neg + q))]
         if len(hits) != 1:
             raise OracleInconsistent(
                 f"level {i}: {len(hits)} digit candidates qualified"
             )
         digits.append(hits[0])
+        p, q = tails[hits[0]]
+        pos, neg = pos + p, neg + q
     return m_abs, digits

@@ -431,6 +431,11 @@ def test_recover_finds_the_largest_moduli(capsys):
     for m in (63, 64):
         code, out, _ = run(capsys, "recover", "--m", str(m), "--xi", "int:-1", "--count", "2")
         assert code == 0 and out == f"m={m} digits={m - 1} 1"
+    # the count limit on a parameter whose digits are not 0 from r_2 on
+    flags = ("--m", "64", "--xi", "rat:5/7", "--count", "64")
+    code, out, _ = run(capsys, "recover", *flags)
+    digits = run(capsys, "rdigits", *flags)[1]
+    assert code == 0 and out == f"m=64 digits={digits}" and len(digits.split()) == 64
 
 
 def test_usage_error_exit_2(capsys):

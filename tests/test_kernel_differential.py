@@ -103,7 +103,6 @@ from bslim import (
     WitnessCheckFailed,
     ZeroElement,
     group,
-    markedspace,
     morphisms,
 )
 from bslim.bsclassic import BSSpec, bs_is_trivial, parse_bs_word
@@ -2345,22 +2344,21 @@ def test_form_words_agree(m, xi):
 
 @pytest.mark.parametrize("m,xi", [(2, "int:3"), (3, "rat:5/7"), (-5, "int:12"), (4, "int:2"),
                                   (7, "rseq:1;2,0,6")])
-def test_recover_asks_the_same_words(m, xi, monkeypatch):
-    """The oracle sees the same probe words, in the same order, as it did
-    from the builders that made new letters."""
+def test_recover_asks_the_same_words(m, xi):
+    """The oracle sees the words of the builders that made new letters, in
+    order: v_k for k = 1..|m|, then win_e(|m|; r_1..r_{i-1}, t) for each
+    level i and t = 0..|m|-1."""
     ctx = GroupCtx.make(m, xi)
+    asked = []
 
-    def run():
-        asked = []
+    def oracle(w):
+        asked.append(w)
+        return is_trivial(ctx, w)
 
-        def oracle(w):
-            asked.append(w)
-            return is_trivial(ctx, w)
-
-        return recover_parameters(oracle, 6), asked
-
-    new = run()
-    assert all(unshared(w) == [] for w in new[1])
-    monkeypatch.setattr(markedspace, "win_e_word", ref_win_e_word)
-    monkeypatch.setattr(markedspace, "v_k_word", ref_v_k_word)
-    assert run() == new
+    r = ctx.digits(6)
+    assert recover_parameters(oracle, 6) == (abs(m), r)
+    expected = [ref_v_k_word(k) for k in range(1, abs(m) + 1)]
+    expected += [ref_win_e_word(abs(m), r[: i - 1] + [t])
+                 for i in range(1, 7) for t in range(abs(m))]
+    assert asked == expected
+    assert all(unshared(w) == [] for w in asked)

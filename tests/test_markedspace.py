@@ -12,6 +12,8 @@ from bslim import (
     XiSeq,
 )
 from bslim.group import (
+    A_POS,
+    BaseLetter,
     commutator,
     format_word,
     is_trivial,
@@ -341,6 +343,25 @@ def test_recover_parameters_nonunit_specs():
             abs(m),
             GroupCtx(s).digits(5),
         )
+
+
+def test_recover_probes_share_their_payload_letters():
+    """One recovery builds each payload letter k e_0 (0 < |k| <= |m|) once,
+    so its win_e probes hold at most 2|m| distinct base letters; a rebuild
+    per probe made 202,232 of them."""
+    ctx = GroupCtx.make(64, XiRat(5, 7))
+    asked = []
+
+    def oracle(w):
+        asked.append(w)
+        return is_trivial(ctx, w)
+
+    assert recover_parameters(oracle, 64) == (64, ctx.digits(64))
+    probes = asked[64:]  # after the v_k search, which stops at k = 64
+    assert len(probes) == 64 * 64
+    assert all(w.letters[:2] == (A_POS, A_POS) for w in probes)
+    letters = {id(x) for w in probes for x in w.letters if isinstance(x, BaseLetter)}
+    assert len(letters) <= 2 * 64
 
 
 def test_recover_rejects_negative_count():
