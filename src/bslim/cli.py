@@ -66,12 +66,17 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: A `bswp` pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
 #: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k so
 #: alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
+#: `relator` caps --index, and prices its word by the letters it prints:
+#: 2(n + 1) + |m| + sum t_i for w(m; t_1..t_n), twice that plus 2 for wine,
+#: 2|k| + 6 for v_k, and for b_i = w(|m|; r_1..r_{i-1}) first |m| + 2, before a
+#: digit is read, then the w price of the i - 1 digits that --index bounds (a word
+#: of 10^7 letters: 0.02 s, 36 MB).
 SIZE_LIMITS = {"bswp": 150_000, "dist": 20, "nk": 14_000, "rdigits": 10_000, "recover": 64,
-               "relator": 10_000}
+               "relator": 10_000, "relator-letters": 10_000_000}
 
 
-def _capped(args, size_name: str, size: int) -> None:
-    limit = SIZE_LIMITS[args.command]
+def _capped(args, size_name: str, size: int, limit_name: Optional[str] = None) -> None:
+    limit = SIZE_LIMITS[limit_name or args.command]
     if size > limit:
         raise SizeLimitExceeded(f"{size_name} = {size} is over the limit {limit}")
 
@@ -155,9 +160,27 @@ def _relator(args):
     if digits is not None and args.m is not None:
         # digits in [0, |m|), as for rseq:; the period 0 lets an empty list through
         MarkedGroupSpec(args.m, XiSeq(digits, (0,)))
+    if args.kind == "bi" and index is not None and index >= 1:
+        # b_i = w(|m|; r_1..r_{i-1}) has the |m| + 2 letters of b_1 before any digit is read
+        _capped(args, "word length", abs(args.m) + 2, "relator-letters")
+        letters = _relator_letters("w", None, args.m, ctx.digits(index - 1))
+    else:
+        letters = _relator_letters(args.kind, index, args.m, digits)
+    _capped(args, "word length", letters, "relator-letters")
     w = relator(args.kind, ctx=ctx, index=index, m=args.m, digits=digits)
     text = format_word(w, "compact")
     return text, {"word": text}
+
+
+def _relator_letters(kind: str, index: Optional[int], m: Optional[int],
+                     digits: Optional[list[int]]) -> int:
+    """The letters of the compact word that ``relator`` prints for v_k, w or
+    wine (b_i is priced as w of its digits).  A missing input, which
+    ``relator`` then reports, counts as zero."""
+    if kind == "vk":
+        return 2 * abs(index or 0) + 6
+    w = 2 * (len(digits or ()) + 1) + abs(m or 0) + sum(digits or ())
+    return w if kind == "w" else 2 * w + 2
 
 
 def _aut(args):

@@ -44,6 +44,7 @@ from .lattice import (
     EVec,
     GroupCtx,
     _down,
+    _normal_segments,
     _parse_eterm,
     _q_inverse,
     _tokens,
@@ -314,8 +315,8 @@ def _evec(seg: dict[int, int]) -> EVec:
     return EVec(tuple(sorted(seg.items())))
 
 
-def _alt_to_form(segs, deltas, cls=ReducedForm) -> ReducedForm:
-    return cls(segments=tuple(map(_evec, segs)), deltas=tuple(deltas))
+def _alt_to_form(segs, deltas) -> ReducedForm:
+    return ReducedForm(segments=tuple(map(_evec, segs)), deltas=tuple(deltas))
 
 
 def britton_reduce(ctx: GroupCtx, w: GroupWord) -> ReducedForm:
@@ -330,32 +331,10 @@ def is_trivial(ctx: GroupCtx, w: GroupWord) -> bool:
     return not deltas and not segs[0]
 
 
-def _normalize_alt(ctx: GroupCtx, segs: list[dict[int, int]], deltas: list[int]) -> None:
-    """Right-to-left pass pushing subgroup parts through the stable letters.
-
-    Keeps the form reduced: the pushed parts land in the subgroup that the
-    pinch condition one step to the left tests, so no pinch can appear.
-    Each push carries everything pushed so far, so it merges with the
-    segment to its left into the larger dict, as in :func:`_reduce_letters`.
-    """
-    for i in range(len(deltas), 0, -1):
-        seg = segs[i]
-        if deltas[i - 1] == 1:
-            c, push = _up_split(ctx, seg)
-        else:
-            c = seg.pop(0, 0)
-            push = _down(ctx, seg)
-        segs[i], left = ({0: c} if c else {}), segs[i - 1]
-        if len(left) < len(push):
-            segs[i - 1], left, push = push, push, left
-        _merge_into(left, push)
-
-
 def normal_form(ctx: GroupCtx, w: GroupWord) -> NormalForm:
     """The unique normal form of the element represented by ``w``."""
     segs, deltas = _reduce_letters(ctx, w.letters)
-    _normalize_alt(ctx, segs, deltas)
-    return _alt_to_form(segs, deltas, cls=NormalForm)
+    return NormalForm(_normal_segments(ctx, segs, deltas), tuple(deltas))
 
 
 # --- cyclic reduction and conjugacy -------------------------------------------

@@ -438,6 +438,39 @@ def test_recover_finds_the_largest_moduli(capsys):
     assert code == 0 and out == f"m=64 digits={digits}" and len(digits.split()) == 64
 
 
+def test_relator_is_priced_by_its_word_length(capsys):
+    """A relator's word has about |m| letters per spine, so ``relator`` prices
+    the word it would print before building it; at |m| >= 2^63 the b-run
+    used to overflow in ``format_word`` and escape as a traceback."""
+    limit = SIZE_LIMITS["relator-letters"]
+    code, out, err = run(capsys, "relator", "--kind", "w", "--m", "99999999999999999999",
+                         "--digits", "")
+    assert code == 1 and out == ""
+    over = "word length = 100000000000000000001 is over the limit"
+    assert err == f"error: SizeLimitExceeded: {over} {limit}\n"
+    # w(m; ) = a b^m a^-1 has |m| + 2 letters
+    code, out, _ = run(capsys, "relator", "--kind", "w", "--m", str(limit - 2), "--digits", "")
+    assert code == 0 and len(out) == limit
+    code, out, err = run(capsys, "relator", "--kind", "w", "--m", str(2 - limit), "--digits", "0")
+    assert code == 1 and out == "" and err.startswith("error: SizeLimitExceeded: word length")
+    # b_i is refused on |m| alone before a digit is read, and else priced by its digits
+    code, out, err = run(capsys, "relator", "--kind", "bi", "--m", str(limit), "--xi", "int:1",
+                         "--index", "1")
+    assert code == 1 and err.startswith("error: SizeLimitExceeded: word length")
+    code, out, _ = run(capsys, "relator", "--kind", "bi", "--m", "1000", "--xi", "int:1",
+                       "--index", "10000")
+    assert code == 0 and len(out) == 2 * 10_000 + 1000 + 1
+    ctx = GroupCtx.make(5, "rat:-1/3")
+    for kind, m, index, digits in [("w", 3, None, [2, 0, 1]), ("wine", -5, None, [4, 4]),
+                                   ("w", 2, None, []), ("vk", None, 7, None), ("vk", None, 0, None),
+                                   ("vk", None, -3, None)] + [("bi", 5, i, None) for i in (1, 2, 9)]:
+        word = cli.relator(kind, ctx=ctx, index=index, m=m, digits=digits)
+        printed = len(cli.format_word(word, "compact"))
+        if kind == "bi":
+            kind, digits = "w", ctx.digits(index - 1)
+        assert printed == cli._relator_letters(kind, index, m, digits), (kind, m, index, digits)
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["wp", "--m", "2"])

@@ -10,7 +10,12 @@ the full value.
 
 ``ref_reduce`` is the index walk that the one-pass stack reducer
 replaced.  Both fire the leftmost pinch first, so their reduced forms are
-identical, not just equivalent.  ``ref_letters_to_alt`` is the reader
+identical, not just equivalent.  ``ref_normal_form`` pushes the subgroup
+parts through the stable letters one dict at a time, as the pass did
+before ``lattice._normal_segments`` carried them in a dense band and a
+sparse tail: on carries with and without a tail, unbudgeted and under
+budgets, both must give the same forms, or the same missing index, and
+grow the digit table as far.  ``ref_letters_to_alt`` is the reader
 that merged every letter's entries into its segment dict, and
 ``ref_letters_to_alt_e0`` the one that summed each segment's e_0 part in
 an int; ``ref_reduce_alt`` then re-stacked its segments.  One pass from
@@ -114,7 +119,6 @@ from bslim.group import (
     ALetter,
     BaseLetter,
     GroupWord,
-    NormalForm,
     ReducedForm,
     _alt_to_form,
     _b_exponent,
@@ -142,6 +146,7 @@ from bslim.lattice import (
     CAP_REACHED,
     EVec,
     GroupCtx,
+    _GAP,
     _down,
     _in_emxi,
     _q_inverse,
@@ -549,21 +554,70 @@ def long_word(rng, ctx, top):
     return w
 
 
+def tail_word(rng, top=300):
+    """Runs of one stable letter, 60 to 320 long, each after a b so that no
+    pinch forms at a turn, with a few payloads e_0..e_6 inside and one e_K,
+    65 <= K <= ``top``, at the end.  The normal-form carry takes e_K into
+    its tail, far above the band; a run of a^-1 that is long enough brings
+    it down into the band and on to e_0, and a run of a pushes it and the
+    low entries up, past runs of zeros that send them to the tail.  Half
+    the runs that leave e_K at index 65 or more start with a twin payload
+    there, which adds to it or cancels it."""
+    letters = []
+    for _ in range(rng.randint(1, 4)):
+        d, n = rng.choice((A_POS, A_NEG)), rng.randint(60, 320)
+        k, c = rng.randint(65, top), rng.choice((1, -1, 3))
+        twin = k + n if d is A_POS else k - n  # where the run's shifts leave e_k
+        letters.append(_B_POS)
+        if twin >= 65 and rng.random() < 0.5:
+            letters.append(BaseLetter(EVec.basis(twin, rng.choice((c, -c)))))
+        for _ in range(n):
+            letters.append(d)
+            if rng.random() < 0.02:
+                letters.append(BaseLetter(EVec.basis(rng.randint(0, 6), rng.choice((1, -1, 2)))))
+        letters.append(BaseLetter(EVec.basis(k, c)))
+    return GroupWord(tuple(letters))
+
+
+def gap_words():
+    """Words whose carry holds e_0 alone in its band while a^-1 brings a
+    tail entry down to index j, at ``lattice._GAP`` or next to it, where a
+    segment entry e_j then lands: e_j (a^-1)^68 e_{j+68}, bare and after
+    one more a^-1."""
+    words = []
+    for j in (_GAP - 1, _GAP, _GAP + 1):
+        core = (BaseLetter(EVec.basis(j)),) + (A_NEG,) * 68 + (BaseLetter(EVec.basis(j + 68)),)
+        words += [GroupWord(core), GroupWord((A_NEG,) + core)]
+    return words
+
+
+def assert_canonical(form):
+    """Each segment's entries strictly increase in index, from 0 up, and
+    carry nonzero coefficients."""
+    for seg in form.segments:
+        indices = [i for i, _ in seg.entries]
+        assert all(c for _, c in seg.entries), seg
+        assert indices == sorted(set(indices)) and all(i >= 0 for i in indices), seg
+
+
 @pytest.mark.parametrize("m,xi", CASES)
 def test_reduction_agrees(m, xi, monkeypatch):
-    """Also: every segment dict that _reduce_letters, _normalize_alt and
-    cyclic_reduce hand to _alt_to_form has nonnegative keys and no zero
-    values, so the EVecs it builds from sorted items are canonical."""
+    """Also: every segment dict that _reduce_letters and cyclic_reduce hand
+    to _alt_to_form has nonnegative keys and no zero values, so the EVecs it
+    builds from sorted items are canonical; and every NormalForm, whose
+    segments the carry kernel builds, holds canonical EVecs too.  The
+    comparison with the reference sorts the entries, so it cannot see an
+    unsorted EVec."""
     rng = random.Random(f"w{m}{xi}")
     ctx = GroupCtx.make(m, xi)
     ref_ctx = GroupCtx.make(m, xi)
-    alt_to_form, forms_built = group._alt_to_form, []
+    alt_to_form, checked = group._alt_to_form, Counter()
 
-    def checked_alt_to_form(segs, deltas, cls=ReducedForm):
+    def checked_alt_to_form(segs, deltas):
         for seg in segs:
             assert all(i >= 0 and c for i, c in seg.items()), seg
-        forms_built.append(cls)
-        return alt_to_form(segs, deltas, cls)
+        checked["alt_to_form"] += 1
+        return alt_to_form(segs, deltas)
 
     monkeypatch.setattr(group, "_alt_to_form", checked_alt_to_form)
 
@@ -573,6 +627,9 @@ def test_reduction_agrees(m, xi, monkeypatch):
         for new, ref in ((britton_reduce, ref_britton_reduce), (normal_form, ref_normal_form)):
             form = outcome(new, ctx, w)
             if form[0] == "ok":
+                if new is normal_form:
+                    assert_canonical(form[1])
+                    checked["normal_form"] += 1
                 form = "ok", ([sorted(s.entries) for s in form[1].segments], list(form[1].deltas))
             agree(form, outcome(ref, ref_ctx, w))
         agree(outcome(cyclic_reduce, ctx, w), outcome(ref_cyclic_reduce, ref_ctx, w))
@@ -598,7 +655,29 @@ def test_reduction_agrees(m, xi, monkeypatch):
         w = long_word(rng, ref_ctx, top) * random_word(rng, abs(m), 4)
         assert 2000 <= len(w.letters) <= 4000
         check(w)
-    assert {ReducedForm, NormalForm} <= set(forms_built)
+    # carries with a tail, unbudgeted and under budgets: the same forms, or
+    # the same missing index, and the digit table as long.  In the word
+    # after the tail words the carry's e_1 cancels, after which the carry
+    # reads no digit; the gap words meet the band's edge.
+    words = [tail_word(rng) for _ in range(4)]
+    words.append(GroupWord((A_POS, BaseLetter(EVec.basis(1, -1)), A_POS,
+                            BaseLetter(EVec.basis(0, abs(m))))))
+    words += gap_words()
+    tally = Counter()
+    for budget in (None, 150, 400):
+        for w in words:
+            tail_ctx, tail_ref_ctx = GroupCtx.make(m, xi, budget), GroupCtx.make(m, xi, budget)
+            form = outcome(normal_form, tail_ctx, w)
+            if form[0] == "ok":
+                assert_canonical(form[1])
+                checked["normal_form"] += 1
+                form = "ok", ([sorted(s.entries) for s in form[1].segments], list(form[1].deltas))
+            assert form == outcome(ref_normal_form, tail_ref_ctx, w)
+            assert len(tail_ctx.rs) == len(tail_ref_ctx.rs)
+            tally[form[0]] += 1
+    finite = xi.startswith("rseq:") and ";" not in xi  # e_5 is past its digits
+    assert tally["budget"] and (tally["ok"] or finite), tally
+    assert checked["alt_to_form"] and checked["normal_form"], checked
 
 
 # --- compact words and the alternating form ----------------------------------------
