@@ -37,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Literal, Optional, Union
+from typing import Callable, Literal, Optional, Union
 
 from .errors import ParseError, ShapeMismatch, WitnessCheckFailed
 from .lattice import (
@@ -52,7 +52,7 @@ from .lattice import (
     _up_split,
     a_conjugate,
     format_evec,
-    q_poly,
+    lamp_fold,
 )
 from .madic import LaurentPoly
 
@@ -115,8 +115,12 @@ def a_power_word(n: int) -> GroupWord:
 
 def word_from_evec(vec: EVec) -> GroupWord:
     """The vector as a word, one letter per basis index."""
-    # a +-e_0 entry takes its shared letter before any vector is built for it
-    return GroupWord([_SHARED_B.get(e) or _base_letter(EVec((e,))) for e in vec.entries])
+    return GroupWord(_entry_letters(vec.entries))
+
+
+def _entry_letters(entries) -> list[Letter]:
+    """One letter per (i, c) entry; +-e_0 takes the shared b or B, no vector."""
+    return [_SHARED_B.get(e) or _base_letter(EVec((e,))) for e in entries]
 
 
 def _base_letter(vec: EVec) -> BaseLetter:
@@ -357,7 +361,7 @@ def cyclic_reduce(ctx: GroupCtx, w: GroupWord) -> tuple[ReducedForm, GroupWord]:
     while lo < hi:
         lead, tail = segs[lo], segs[hi]
         if tail:
-            conj.extend(word_from_evec(-_evec(tail)).letters)
+            conj += _entry_letters(sorted((i, -c) for i, c in tail.items()))
             _merge_into(lead, tail)
             segs[hi] = {}
         d_first = deltas[lo]
@@ -366,7 +370,7 @@ def cyclic_reduce(ctx: GroupCtx, w: GroupWord) -> tuple[ReducedForm, GroupWord]:
         fired = _up(ctx, lead) if d_first == -1 else _down(ctx, lead)
         if fired is None:
             break
-        conj.extend(word_from_evec(_evec(lead)).letters)
+        conj += _entry_letters(sorted(lead.items()))
         conj.append(_A_POWER[d_first])
         lo, hi = lo + 1, hi - 1
         _merge_into(segs[hi], fired)
@@ -382,19 +386,6 @@ def _rotation(core: ReducedForm, j: int) -> tuple[ReducedForm, GroupWord]:
     return ReducedForm(segs[j:] + segs[:j] + zero, deltas[j:] + deltas[:j]), prefix.to_word()
 
 
-def _lamp_fold(ctx: GroupCtx, segs: Iterable[EVec], deltas) -> LaurentPoly:
-    """The lamp polynomial P of segs[0] a^{deltas[0]} segs[1] ... in Z wr Z:
-    P = sum_k X^{s_k} q(segs[k]), with s_k the k-th partial sum of deltas."""
-    shifts = accumulate(deltas, initial=0)
-    parts = [(s, q_poly(ctx, seg).coeffs) for s, seg in zip(shifts, segs)]
-    lo = min((s for s, p in parts if p), default=0)
-    lamps = [0] * max((s + len(p) - lo for s, p in parts if p), default=0)
-    for s, p in parts:
-        for k, c in enumerate(p, s - lo):
-            lamps[k] += c
-    return LaurentPoly(lo, lamps)
-
-
 def _residues(lamps: LaurentPoly, n: int) -> list[int]:
     """A lamp polynomial mod X^n - 1 (n > 0): its coefficient sums over the
     exponents in each class mod n."""
@@ -405,7 +396,7 @@ def _rotation_screen(ctx: GroupCtx, cv: ReducedForm, cw: ReducedForm) -> Callabl
     """Whether the rotation of cw by shift s passes the lamp equation
     against cv: X^-s P_w = P_v mod X^sigma - 1, compared in residues for
     sigma != 0 and exactly for sigma = 0, where X^sigma - 1 = 0."""
-    lamp_v, lamp_w = (_lamp_fold(ctx, c.segments, c.deltas) for c in (cv, cw))
+    lamp_v, lamp_w = (lamp_fold(ctx, c.segments, c.deltas) for c in (cv, cw))
     n = abs(cv.sigma)
     if not n:
         return lambda s: lamp_w.shifted(-s) == lamp_v
@@ -417,7 +408,7 @@ def _wreath_candidate(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optional
     """For sigma != 0, the one e in E with (1 - X^sigma) q(e) = P_u - P_v,
     the lamp equation that e v (-e) = u implies in Z wr Z; None if none."""
     sigma = u.sigma
-    diff = _lamp_fold(ctx, u.segments, u.deltas) + -_lamp_fold(ctx, v.segments, v.deltas)
+    diff = lamp_fold(ctx, u.segments, u.deltas) + -lamp_fold(ctx, v.segments, v.deltas)
     if sigma < 0:  # 1 - X^sigma = -X^sigma (1 - X^|sigma|)
         diff, sigma = (-diff).shifted(-sigma), -sigma
     quot = [0] * diff.offset + list(diff.coeffs)
@@ -539,7 +530,9 @@ def are_conjugate(
         if x.is_zero:
             mid = GroupWord(())
         else:
-            n = q_poly(ctx, x).degree - q_poly(ctx, y).degree
+            # deg q(x) = max_index(x): the top entry beta_top e_top alone
+            # reaches X^top, with coefficient beta_top m (beta_0 at top 0)
+            n = x.max_index() - y.max_index()
             if a_conjugate(ctx, y, n) != x:
                 return None
             mid = a_power_word(n)

@@ -11,24 +11,24 @@ a(e_i - r_i e_0)a^-1 = e_{i+1}.  This module implements membership in the
 two subgroups, the conjugation isomorphism in both directions, iterated
 conjugation by powers of a, the carry that pushes a reduced form's
 subgroup parts through its stable letters to its normal form, the
-injective polynomial image q (e_0 -> 1, e_i -> X*P_{i-1}(X)) and its
-inverse on the image, and the fixed-interval data (mu, nu) of a base
-element acting on the Bass-Serre tree.  The conjugation isomorphism is
-written out only here.
+injective polynomial image q (e_0 -> 1, e_i -> X*P_{i-1}(X)), folded over
+a form into its lamp polynomial, its inverse on the image, and the
+fixed-interval data (mu, nu) of a base element on the Bass-Serre tree.
+The isomorphism is written out only here, and q only in :func:`lamp_fold`.
 
 Any operation touching support index k reads at most k digits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from operator import mul
 from typing import Literal, Optional, Union
 
 from .errors import ParseError, PinchDomainViolation, ZeroElement
-from .madic import IntPoly, RDigitStream, _parse_decimal
+from .madic import IntPoly, LaurentPoly, RDigitStream, _parse_decimal
 
 
 @dataclass(frozen=True)
@@ -368,25 +368,37 @@ def a_conjugate(ctx: GroupCtx, x: EVec, n: int) -> Optional[EVec]:
     return EVec.from_items(seg)
 
 
-def q_poly(ctx: GroupCtx, x: EVec) -> IntPoly:
-    """The polynomial image beta_0 + sum_i beta_i X P_{i-1}(X).
-
-    Injective on the base group: the images of the basis are triangular
-    with diagonal coefficient m.
+def lamp_fold(ctx: GroupCtx, segs: Iterable[EVec], deltas: Sequence[int]) -> LaurentPoly:
+    """The lamp polynomial P = sum_k X^{s_k} q(segs[k]) in Z wr Z of the form
+    segs[0] a^{deltas[0]} segs[1] ..., s_k the k-th partial sum of deltas,
+    in one dense accumulator over the shift range; the digit table grows
+    once, to the top index less one.  ``segs`` may be a one-shot iterator.
     """
-    top = x.max_index()
-    rs = ctx.table(max(top - 1, 0))
-    m = ctx.m_abs
-    out = [0] * (top + 1 if top >= 0 else 1)
-    for i, c in x.entries:
-        if i == 0:
-            out[0] += c
-            continue
-        # X * P_{i-1} = m X^i - sum_{j<i} r_j X^(i-j)
-        out[i] += c * m
-        for j in range(1, i):
-            out[i - j] -= c * rs[j]
-    return IntPoly(tuple(out))
+    shifts = list(accumulate(deltas, initial=0))
+    segs = list(segs)
+    top = max(map(EVec.max_index, segs), default=-1)
+    rs, m = ctx.table(max(top - 1, 0)), ctx.m_abs
+    lo = min(shifts)
+    acc = [0] * (max(shifts) - lo + max(top, 0) + 1)
+    for s, seg in zip(shifts, segs):
+        s -= lo
+        for i, c in seg.entries:
+            t = s + i
+            if i:  # X P_{i-1} = m X^i - sum_{0<j<i} r_j X^{i-j}
+                acc[t] += c * m
+                for j in range(1, i):
+                    acc[t - j] -= c * rs[j]
+            else:
+                acc[t] += c
+    return LaurentPoly(lo, acc)
+
+
+def q_poly(ctx: GroupCtx, x: EVec) -> IntPoly:
+    """The polynomial image beta_0 + sum_i beta_i X P_{i-1}(X) from X^0, the
+    one-segment :func:`lamp_fold`; injective on the base group, as the
+    images of the basis are triangular with diagonal coefficient m."""
+    lamps = lamp_fold(ctx, (x,), ())
+    return IntPoly((0,) * lamps.offset + lamps.coeffs)
 
 
 def _q_inverse(ctx: GroupCtx, coeffs: Iterable[int]) -> Optional[EVec]:

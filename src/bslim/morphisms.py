@@ -21,13 +21,12 @@ from .group import (
     _B_POS,
     _b_exponent,
     _base_letter,
-    _lamp_fold,
     _substitute,
     commutator,
     is_trivial,
     word_from_evec,
 )
-from .lattice import EVec, GroupCtx
+from .lattice import EVec, GroupCtx, lamp_fold
 from .madic import LaurentPoly
 from .markedspace import b_i_word
 
@@ -66,7 +65,7 @@ def wreath_image(ctx: GroupCtx, w: GroupWord) -> WreathElem:
             segs.append([])
         else:
             segs[-1] += x.vec.entries
-    return WreathElem(_lamp_fold(ctx, map(EVec.from_items, segs), deltas), sum(deltas))
+    return WreathElem(lamp_fold(ctx, map(EVec.from_items, segs), deltas), sum(deltas))
 
 
 # --- automorphisms and endomorphisms -----------------------------------------

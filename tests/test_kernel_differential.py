@@ -39,13 +39,18 @@ the pinch chain replaced it; the conjugators form a coset and the lift
 may pick another point of it, so both must give the same verdict, and
 every e the lift returns must pass the word problem.
 ``ref_wreath_image`` is the letter-by-letter product in Z wr Z that the
-lamp-polynomial fold replaced.
+lamp-polynomial fold replaced, and ``ref_lamp_fold`` the fold of one
+``ref_q_poly`` per segment at its shift that ``lattice.lamp_fold``, one
+dense accumulator, replaced: the same polynomial, or the same missing
+index, and the digit table as long.
 
 ``ref_cyclic_reduce`` rotated one wraparound pinch at a time and let the
 reducer fire it; ``ref_are_conjugate`` handed every rotation of matching
 shape to the solver, where ``are_conjugate`` first screens rotations by
 their lamp polynomials mod X^sigma - 1 (exactly, for sigma = 0).  Cores,
-conjugators and witnesses must match letter for letter.
+conjugators and witnesses must match letter for letter.  For cores of
+t-length 0 it reads the exponent off the degrees of q, where
+``are_conjugate`` reads it off the top indices, without a digit.
 
 ``ref_wreath_trivial_words`` is the depth-first search with incremental
 lamp state that the meet-in-the-middle join replaced; both must list the
@@ -123,7 +128,6 @@ from bslim.group import (
     _alt_to_form,
     _b_exponent,
     _evec,
-    _lamp_fold,
     _merge_into,
     _reduce_letters,
     _rotation,
@@ -154,6 +158,7 @@ from bslim.lattice import (
     _up_split,
     a_conjugate,
     fixed_interval,
+    lamp_fold,
     q_poly,
 )
 from bslim.madic import (
@@ -252,6 +257,19 @@ def ref_q_poly(ctx, x):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out) if any(out) else ()
+
+
+def ref_lamp_fold(ctx, segs, deltas):
+    """The fold that ``lattice.lamp_fold`` replaced: each segment's image
+    on its own, by ``ref_q_poly``, added in at its shift."""
+    shifts = accumulate(deltas, initial=0)
+    parts = [(s, ref_q_poly(ctx, seg)) for s, seg in zip(shifts, segs)]
+    lo = min((s for s, p in parts if p), default=0)
+    lamps = [0] * max((s + len(p) - lo for s, p in parts if p), default=0)
+    for s, p in parts:
+        for k, c in enumerate(p, s - lo):
+            lamps[k] += c
+    return LaurentPoly(lo, lamps)
 
 
 def ref_fixed_interval(ctx, x, cap):
@@ -542,6 +560,68 @@ def test_lattice_kernels_agree(m, xi):
             assert off_image in (("ok", None), ("budget", FINITE_LEN + 1))
         cap = rng.randint(1, 12)
         agree(outcome(fixed_interval, ctx, x, cap), outcome(ref_fixed_interval, ctx, x, cap))
+
+
+def lamp_form(rng):
+    """(segs, deltas): t-length up to 64, often with sigma = 0,
+    extended segments up to index 40 with empty ones and entries that
+    cancel, and a closing segment that cancels the first one's lamps when
+    sigma = 0."""
+    l = rng.choice((0, rng.randint(1, 8), rng.randint(1, 64)))
+    deltas = [rng.choice((1, -1)) for _ in range(l)]
+    if l % 2 == 0 and rng.random() < 0.5:
+        deltas = [1] * (l // 2) + [-1] * (l // 2)
+        rng.shuffle(deltas)
+    segs = []
+    for _ in range(l + 1):
+        entries = []
+        if rng.random() < 0.7:
+            top = rng.choice((1, 2, 4, 12, 40))
+            for _ in range(rng.randint(1, 4)):
+                i, c = rng.randint(0, top), rng.randint(-9, 9)
+                entries += [(i, c), (i, -c)] if rng.random() < 0.2 else [(i, c)]
+        segs.append(EVec.from_items(entries))
+    if len(segs) > 1 and not sum(deltas) and rng.random() < 0.3:
+        segs[-1] = -segs[0]
+    return segs, deltas
+
+
+@pytest.mark.parametrize("m,xi", CASES)
+def test_lamp_fold_agrees(m, xi):
+    """The one-pass lamp kernel against the fold of per-segment images at
+    their shifts: the same polynomial, or the same missing index, and the
+    digit table as long, from fresh contexts unbudgeted and under budgets;
+    ``segs`` may be a one-shot iterator."""
+    rng = random.Random(f"lf{m}{xi}")
+    tally = Counter()
+    for _ in range(150):
+        segs, deltas = lamp_form(rng)
+        for budget in (None, 1, 5):
+            ctx, ref_ctx = GroupCtx.make(m, xi, budget), GroupCtx.make(m, xi, budget)
+            got = outcome(lamp_fold, ctx, iter(segs) if rng.random() < 0.5 else segs, deltas)
+            assert got == outcome(ref_lamp_fold, ref_ctx, segs, deltas), (segs, deltas)
+            assert len(ctx.rs) == len(ref_ctx.rs)
+            tally["zero" if got == ("ok", LaurentPoly()) else got[0]] += 1
+            tally["negative"] += got[0] == "ok" and got[1].offset < 0
+    assert all(tally[k] for k in ("ok", "budget", "zero", "negative")), tally
+
+
+@pytest.mark.parametrize("m,xi", CASES)
+def test_q_inverse_reads_the_digits_q_reads(m, xi):
+    """Inverting q(x) on a fresh context grows the digit table as far as
+    computing q(x) did: to the top index less one, so no digit at all for
+    x in Z e_0 + Z e_1."""
+    rng = random.Random(f"qi{m}{xi}")
+    no_digit = 0
+    for _ in range(100):
+        x = EVec.from_items(random_seg(rng, rng.choice((1, 3, 7))))
+        ctx, inv_ctx = GroupCtx.make(m, xi), GroupCtx.make(m, xi)
+        got = outcome(q_poly, ctx, x)
+        if got[0] == "ok":
+            assert _q_inverse(inv_ctx, got[1].coeffs) == x
+            assert len(inv_ctx.rs) == len(ctx.rs)
+            no_digit += len(ctx.rs) == 1
+    assert no_digit > 10, no_digit
 
 
 def long_word(rng, ctx, top):
@@ -847,7 +927,7 @@ def test_wreath_fold_reads_the_same_digits(m, xi):
     entries cancel reads no digit for them."""
     def ref_fold(ctx, letters):
         segs, deltas = ref_letters_to_alt_e0(letters)
-        return WreathElem(_lamp_fold(ctx, map(EVec.from_items, segs), deltas), sum(deltas))
+        return WreathElem(ref_lamp_fold(ctx, map(EVec.from_items, segs), deltas), sum(deltas))
 
     # the last 40 compact words (their segments hold e_0 alone), then the mixed ones
     words, errors = reader_words(m, xi)[200:-1], 0
@@ -1460,7 +1540,7 @@ def ref_are_conjugate(ctx, v, w):
         if x.is_zero:
             mid = GroupWord(())
         else:
-            n = q_poly(ctx, x).degree - q_poly(ctx, y).degree
+            n = len(ref_q_poly(ctx, x)) - len(ref_q_poly(ctx, y))  # the degrees of q
             if a_conjugate(ctx, y, n) != x:
                 return None
             mid = a_power_word(n)
@@ -1548,6 +1628,45 @@ def test_are_conjugate_agrees(m, xi, monkeypatch):
                     assert ref_base_conjugacy_solve(ctx, cv, rot) is None
     assert seen == {(kind, found) for kind in (1, 0, -1, "t0") for found in (True, False)}
     assert all(screened.values())
+
+
+def shift_pairs(rng, m, count):
+    """(a^n x a^-n, x) and (a^n x a^-n, x + e_0) for extended x up to
+    index 12 and n up to 6: cores of t-length 0 whose exponent is n."""
+    for _ in range(count):
+        x, n = EVec.from_items(random_seg(rng, 12)), rng.randint(1, 6)
+        v = a_power_word(n) * word_from_evec(x) * a_power_word(-n)
+        yield v, word_from_evec(x + EVec.basis(0) if rng.random() < 0.5 else x)
+
+
+def witness_letters(fn, ctx, v, w):
+    witness = fn(ctx, v, w)
+    return witness and witness.letters
+
+
+@pytest.mark.parametrize("m,xi", SOLVE_CASES)
+def test_tlength_zero_exponent_agrees(m, xi):
+    """For cores of t-length 0, the exponent read off the top indices against
+    the reference's degrees of q: the same answer wherever the reference
+    answers.  Where the reference runs out of digits in q, the same missing
+    index, or the answer the reference gives unbudgeted: a shift that
+    leaves the base group (``a_conjugate``'s None) or a witness found and
+    checked below the missing index, as for x = y.  The digit table is
+    never longer.  Fresh contexts per pair, unbudgeted and under budgets."""
+    rng = random.Random(f"t0{m}{xi}")
+    pairs = [*base_pairs(rng, m, 40), *shift_pairs(rng, m, 40)]
+    tally = Counter()
+    for v, w in pairs:
+        full = outcome(witness_letters, ref_are_conjugate, GroupCtx.make(m, xi), v, w)
+        for budget in (None, 1, 3, 6):
+            ctx, ref_ctx = GroupCtx.make(m, xi, budget), GroupCtx.make(m, xi, budget)
+            got = outcome(witness_letters, are_conjugate, ctx, v, w)
+            ref = outcome(witness_letters, ref_are_conjugate, ref_ctx, v, w)
+            assert got in ((ref,) if ref[0] == "ok" else (ref, full)), (v, w, budget)
+            assert len(ctx.rs) <= len(ref_ctx.rs)
+            tally[ref[0], got[1] is not None if got[0] == "ok" else got[0]] += 1
+    assert tally.keys() >= {("ok", True), ("ok", False), ("budget", "budget")}, tally
+    assert tally["budget", True] + tally["budget", False], tally
 
 
 @pytest.mark.parametrize("m,xi", SOLVE_CASES)

@@ -73,6 +73,30 @@ def test_only_madic_and_lattice_read_the_digit_table():
     assert found == []
 
 
+def test_q_is_written_once():
+    """The polynomial image q is written out in ``lattice.lamp_fold`` alone:
+    ``q_poly`` is its one-segment case, and no module outside ``lattice``
+    calls it.  In ``lattice`` the digit table is indexed only by the lamp
+    kernel, q's inverse, and the shift and carry kernels."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "lattice.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "q_poly"
+    ]
+    assert calls == []
+    (path,) = [path for path in SOURCES if path.name == "lattice.py"]
+    readers = {
+        fn.name
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("table", "rs")
+    }
+    assert readers == {"lamp_fold", "_q_inverse", "_up_split", "_down", "_normal_segments"}
+
+
 def test_one_context_class():
     """A marked group's context is its digit stream, not a wrapper of it."""
     assert bslim.GroupCtx is bslim.RDigitStream
