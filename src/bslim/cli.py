@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .bsclassic import BS_TOKEN, BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
 from .errors import BslError, ParseError, SizeLimitExceeded
 from .group import (
+    ALetter,
     GroupWord,
     are_conjugate,
     britton_reduce,
@@ -66,11 +67,8 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: A `bswp` pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
 #: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k so
 #: alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
-#: `relator` caps --index, and prices its word by the letters it prints:
-#: 2(n + 1) + |m| + sum t_i for w(m; t_1..t_n), twice that plus 2 for wine,
-#: 2|k| + 6 for v_k, and for b_i = w(|m|; r_1..r_{i-1}) first |m| + 2, before a
-#: digit is read, then the w price of the i - 1 digits that --index bounds (a word
-#: of 10^7 letters: 0.02 s, 36 MB).
+#: `relator` caps --index, and prices the word it builds by the letters it would print,
+#: before printing them (a word of 10^7 letters: 0.02 s, 36 MB).
 SIZE_LIMITS = {"bswp": 150_000, "dist": 20, "nk": 14_000, "rdigits": 10_000, "recover": 64,
                "relator": 10_000, "relator-letters": 10_000_000}
 
@@ -160,27 +158,15 @@ def _relator(args):
     if digits is not None and args.m is not None:
         # digits in [0, |m|), as for rseq:; the period 0 lets an empty list through
         MarkedGroupSpec(args.m, XiSeq(digits, (0,)))
-    if args.kind == "bi" and index is not None and index >= 1:
-        # b_i = w(|m|; r_1..r_{i-1}) has the |m| + 2 letters of b_1 before any digit is read
-        _capped(args, "word length", abs(args.m) + 2, "relator-letters")
-        letters = _relator_letters("w", None, args.m, ctx.digits(index - 1))
-    else:
-        letters = _relator_letters(args.kind, index, args.m, digits)
-    _capped(args, "word length", letters, "relator-letters")
     w = relator(args.kind, ctx=ctx, index=index, m=args.m, digits=digits)
+    _capped(args, "word length", _compact_letters(w), "relator-letters")
     text = format_word(w, "compact")
     return text, {"word": text}
 
 
-def _relator_letters(kind: str, index: Optional[int], m: Optional[int],
-                     digits: Optional[list[int]]) -> int:
-    """The letters of the compact word that ``relator`` prints for v_k, w or
-    wine (b_i is priced as w of its digits).  A missing input, which
-    ``relator`` then reports, counts as zero."""
-    if kind == "vk":
-        return 2 * abs(index or 0) + 6
-    w = 2 * (len(digits or ()) + 1) + abs(m or 0) + sum(digits or ())
-    return w if kind == "w" else 2 * w + 2
+def _compact_letters(w: GroupWord) -> int:
+    """The letters ``format_word(w, "compact")`` prints: one per a-letter, |k| per k e_0."""
+    return sum(1 if isinstance(x, ALetter) else abs(x.vec.coeff(0)) for x in w.letters)
 
 
 def _aut(args):

@@ -213,20 +213,21 @@ def _normal_segments(
     one insert at its front and a down-shift one delete, and each value one
     dot product with the digit table.  Entries far above the band live in
     the tail, a dict keyed by level (index = level + ``offset``), so a shift
-    moves only ``offset``.  The rule that keeps the two apart: after every
-    merge and shift, each tail index is at least ``len(band) + _GAP``.  A
-    segment entry below that lands in the band, which grows to hold it; a
-    tail entry that comes below it joins the band, at the start of the next
-    step or, when a^-1 leaves the band e_0 alone and so brings the tail one
-    index closer, at once.  The band's top entry is nonzero unless the band
-    is e_0 alone, and when a run of ``_GAP`` zeros follows e_0 (up-shifts
-    that carry nothing to e_1) or cancellation leaves one above it, the
-    entries above the run move to the tail.  So the band has at most
-    ``_GAP`` slots per nonzero entry after e_0, and a step costs at most a
-    constant factor of the carry's nonzero entries.  (A tail alone keeps
-    that bound too, but it sums its values over dict items: on the
-    ``reduce`` benchmark it ran no faster than the dict rebuilt at every
-    stable letter that this kernel replaced, and the band ran 30 % faster.)
+    moves only ``offset``.  The rule that keeps the two apart: at every
+    merge, each tail index is at least ``len(band) + _GAP``.  Each step
+    first moves the tail entries below that into the band (a merge may have
+    grown the band, and a^-1 that leaves the band e_0 alone brings the tail
+    one index closer), then merges its segment: an entry below the bound
+    lands in the band, which grows to hold it, and one above it in the tail.
+    The band's top entry is nonzero unless the band is e_0 alone, and when a
+    run of ``_GAP`` zeros follows e_0 (up-shifts that carry nothing to e_1)
+    or cancellation leaves one above it, the entries above the run move to
+    the tail.  So the band has at most ``_GAP`` slots per nonzero entry
+    after e_0, and a step costs at most a constant factor of the carry's
+    nonzero entries.  (A tail alone keeps that bound too, but it sums its
+    values over dict items: on the ``reduce`` benchmark it ran no faster
+    than the dict rebuilt at every stable letter that this kernel replaced,
+    and the band ran 30 % faster.)
 
     Each step grows the digit table to the carry's top index (one less at
     a^-1), no farther than :func:`_up_split` and :func:`_down` read it.
@@ -234,11 +235,13 @@ def _normal_segments(
     m, rs = ctx.m_abs, ctx.rs
     band, tail, offset = [0], {}, 0
     out = [_E0[0]] * len(segs)
-    for i in range(len(deltas), 0, -1):
-        if segs[i]:
-            _carry_merge(band, tail, offset, segs[i])
+    for i in range(len(deltas), -1, -1):
         if tail:
             _carry_migrate(band, tail, offset)
+        if segs[i]:
+            _carry_merge(band, tail, offset, segs[i])
+        if not i:
+            break
         top = max(tail) + offset if tail else len(band) - 1
         if deltas[i - 1] == 1:
             if top >= len(rs):
@@ -267,11 +270,7 @@ def _normal_segments(
                 band[0] = 0
             if tail:
                 band[0] -= sum(x * rs[level + offset] for level, x in tail.items())
-                if len(band) == 1:  # the tail came one index closer to a band that kept its length
-                    _carry_migrate(band, tail, offset)
         out[i] = _E0.get(c) or EVec(((0, c),))
-    if segs[0]:
-        _carry_merge(band, tail, offset, segs[0])
     head = [(j, x) for j, x in enumerate(band) if x]
     head += sorted((level + offset, x) for level, x in tail.items())
     if head:

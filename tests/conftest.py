@@ -12,7 +12,7 @@ import signal
 
 import pytest
 
-#: Seconds of wall time per test; the slowest test takes about 1 s.
+#: Seconds of wall time per test; the slowest, the CLI fuzz, takes about 4 s.
 TEST_DEADLINE_S = 60
 
 try:

@@ -440,8 +440,9 @@ def test_recover_finds_the_largest_moduli(capsys):
 
 def test_relator_is_priced_by_its_word_length(capsys):
     """A relator's word has about |m| letters per spine, so ``relator`` prices
-    the word it would print before building it; at |m| >= 2^63 the b-run
-    used to overflow in ``format_word`` and escape as a traceback."""
+    the word it builds, which holds b^m as one letter, before it prints it;
+    at |m| >= 2^63 the b-run used to overflow in ``format_word`` and escape
+    as a traceback."""
     limit = SIZE_LIMITS["relator-letters"]
     code, out, err = run(capsys, "relator", "--kind", "w", "--m", "99999999999999999999",
                          "--digits", "")
@@ -453,10 +454,26 @@ def test_relator_is_priced_by_its_word_length(capsys):
     assert code == 0 and len(out) == limit
     code, out, err = run(capsys, "relator", "--kind", "w", "--m", str(2 - limit), "--digits", "0")
     assert code == 1 and out == "" and err.startswith("error: SizeLimitExceeded: word length")
-    # b_i is refused on |m| alone before a digit is read, and else priced by its digits
+    # win_e(m; ) = a b^m a^-1 b a B^m a^-1 B has 2|m| + 6 letters, always an even count,
+    # so the next length past the limit is limit + 2
+    code, out, _ = run(capsys, "relator", "--kind", "wine", "--m", str(limit // 2 - 3),
+                       "--digits", "")
+    assert code == 0 and len(out) == limit
+    code, out, err = run(capsys, "relator", "--kind", "wine", "--m", str(limit // 2 - 2),
+                         "--digits", "")
+    over = f"word length = {limit + 2} is over the limit {limit}"
+    assert (code, out, err) == (1, "", f"error: SizeLimitExceeded: {over}\n")
+    # b_1 = w(|m|; ) has |m| + 2 letters, b_2 = w(|m|; r_1) 4 + |m| + r_1, and r_1 = 1 for int:1
     code, out, err = run(capsys, "relator", "--kind", "bi", "--m", str(limit), "--xi", "int:1",
                          "--index", "1")
     assert code == 1 and err.startswith("error: SizeLimitExceeded: word length")
+    code, out, _ = run(capsys, "relator", "--kind", "bi", "--m", str(limit - 5), "--xi", "int:1",
+                       "--index", "2")
+    assert code == 0 and len(out) == limit
+    code, out, err = run(capsys, "relator", "--kind", "bi", "--m", str(limit - 4), "--xi", "int:1",
+                         "--index", "2")
+    over = f"word length = {limit + 1} is over the limit {limit}"
+    assert (code, out, err) == (1, "", f"error: SizeLimitExceeded: {over}\n")
     code, out, _ = run(capsys, "relator", "--kind", "bi", "--m", "1000", "--xi", "int:1",
                        "--index", "10000")
     assert code == 0 and len(out) == 2 * 10_000 + 1000 + 1
@@ -466,9 +483,26 @@ def test_relator_is_priced_by_its_word_length(capsys):
                                    ("vk", None, -3, None)] + [("bi", 5, i, None) for i in (1, 2, 9)]:
         word = cli.relator(kind, ctx=ctx, index=index, m=m, digits=digits)
         printed = len(cli.format_word(word, "compact"))
-        if kind == "bi":
-            kind, digits = "w", ctx.digits(index - 1)
-        assert printed == cli._relator_letters(kind, index, m, digits), (kind, m, index, digits)
+        assert printed == cli._compact_letters(word), (kind, m, index, digits)
+
+
+@pytest.mark.parametrize("argv, err", [
+    # a b_i refused for size names its full length, 2i + |m| + r_1 + ... + r_{i-1}
+    ("--kind bi --m 99999999999999999999 --xi int:1 --index 9999",
+     "SizeLimitExceeded: word length = 100000000000000019998 is over the limit 10000000"),
+    # a missing or invalid argument is reported before any price
+    ("--kind bi --m 99999999999999999999 --xi int:1", "ValueError: bi needs ctx and index"),
+    ("--kind w --m 99999999999999999999", "ValueError: w needs m and digits"),
+    ("--kind bi --m 99999999999999999999 --xi int:1 --index 0",
+     "ValueError: generator indices start at 1"),
+    # a finite rseq: that ends before --index is out of digits, whatever |m| is
+    ("--kind bi --m 9999999 --xi rseq:1 --index 64",
+     "RDigitBudgetExceeded: first missing digit index 2"),
+])
+def test_relator_reports_the_first_fault(capsys, argv, err):
+    """``relator`` builds its word before it prices it, so an input with two
+    faults reports the one that building meets first."""
+    assert run(capsys, "relator", *argv.split()) == (1, "", f"error: {err}\n")
 
 
 def test_usage_error_exit_2(capsys):
