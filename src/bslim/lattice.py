@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 from typing import Literal, Optional, Union
 
@@ -191,7 +191,7 @@ def _down(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
 
 # --- the normal-form carry ----------------------------------------------------
 
-_GAP = 32  # the tail holds the entries at index len(band) + _GAP and up
+_BAND = 256  # the band holds the indices below _BAND, the tail the rest
 _E0 = {c: EVec(((0, c),) if c else ()) for c in range(-64, 65)}  # the shared c e_0 segments
 
 
@@ -209,25 +209,20 @@ def _normal_segments(
     pushed part lies in the subgroup that the pinch test one letter to the
     left asks for, so the form stays reduced.
 
-    The carry's low indices live in a dense list, the band: an up-shift is
-    one insert at its front and a down-shift one delete, and each value one
-    dot product with the digit table.  Entries far above the band live in
-    the tail, a dict keyed by level (index = level + ``offset``), so a shift
-    moves only ``offset``.  The rule that keeps the two apart: at every
-    merge, each tail index is at least ``len(band) + _GAP``.  Each step
-    first moves the tail entries below that into the band (a merge may have
-    grown the band, and a^-1 that leaves the band e_0 alone brings the tail
-    one index closer), then merges its segment: an entry below the bound
-    lands in the band, which grows to hold it, and one above it in the tail.
-    The band's top entry is nonzero unless the band is e_0 alone, and when a
-    run of ``_GAP`` zeros follows e_0 (up-shifts that carry nothing to e_1)
-    or cancellation leaves one above it, the entries above the run move to
-    the tail.  So the band has at most ``_GAP`` slots per nonzero entry
-    after e_0, and a step costs at most a constant factor of the carry's
-    nonzero entries.  (A tail alone keeps that bound too, but it sums its
-    values over dict items: on the ``reduce`` benchmark it ran no faster
-    than the dict rebuilt at every stable letter that this kernel replaced,
-    and the band ran 30 % faster.)
+    The carry's indices below ``_BAND`` live in a dense list, the band: an
+    up-shift is one insert at its front and a down-shift one delete, and
+    each value one dot product with the digit table.  The indices at
+    ``_BAND`` and up live in the tail, a dict keyed by level (index = level
+    + ``offset``), so a shift moves only ``offset``.  A segment's entries
+    land by that bound, and the band then drops its top zeros, so its top
+    entry is nonzero unless the band is e_0 alone.  A shift moves at most
+    one entry across: an up-shift that lengthens the band past ``_BAND``
+    moves its top slot to the tail, and a down-shift moves the tail's
+    entry at ``_BAND - 1`` to the band.  So a step costs at most ``_BAND``
+    slots plus the tail's entries.  (A tail alone keeps that bound too, but
+    it sums its values over dict items: on the ``reduce`` benchmark it ran
+    no faster than the dict rebuilt at every stable letter that this
+    kernel replaced, and the band ran 30 % faster.)
 
     Each step grows the digit table to the carry's top index (one less at
     a^-1), no farther than :func:`_up_split` and :func:`_down` read it.
@@ -236,10 +231,16 @@ def _normal_segments(
     band, tail, offset = [0], {}, 0
     out = [_E0[0]] * len(segs)
     for i in range(len(deltas), -1, -1):
-        if tail:
-            _carry_migrate(band, tail, offset)
-        if segs[i]:
-            _carry_merge(band, tail, offset, segs[i])
+        for j, c in segs[i].items():
+            if j < _BAND:
+                band.extend([0] * (j + 1 - len(band)))  # empty when the slot exists
+                band[j] += c
+            else:
+                c += tail.pop(j - offset, 0)
+                if c:
+                    tail[j - offset] = c
+        while len(band) > 1 and not band[-1]:
+            band.pop()
         if not i:
             break
         top = max(tail) + offset if tail else len(band) - 1
@@ -251,23 +252,24 @@ def _normal_segments(
                 value += sum(x * rs[level + offset] for level, x in tail.items())
             q, c = divmod(value, m)
             offset += 1
-            if q or len(band) > 1:
-                band[0] = q
-                band.insert(0, 0)
-                if not q and len(band) > _GAP + 1 and not any(islice(band, 2, _GAP + 1)):
-                    _carry_spill(band, tail, offset)
-            else:
-                band[0] = 0
+            band[0] = q
+            band.insert(0, 0)  # [0, 0] from [0] loses its top zero at the next merge
+            if len(band) > _BAND:
+                tail[_BAND - offset] = band.pop()
         else:
             if top > len(rs):
                 ctx.table(top - 1)
             c = band[0]
             offset -= 1
             if len(band) > 1:
-                del band[0]  # e_1 -> m e_0 and e_{j+1} -> e_j - r_j e_0, with rs[0] = 1
-                band[0] = (m + 1) * band[0] - sum(map(mul, band, rs))
+                del band[0]
             else:
                 band[0] = 0
+            x = tail.pop(_BAND - 1 - offset, 0)
+            if x:
+                band += [0] * (_BAND - 1 - len(band)) + [x]
+            # e_1 -> m e_0 and e_{j+1} -> e_j - r_j e_0, with rs[0] = 1
+            band[0] = (m + 1) * band[0] - sum(map(mul, band, rs))
             if tail:
                 band[0] -= sum(x * rs[level + offset] for level, x in tail.items())
         out[i] = _E0.get(c) or EVec(((0, c),))
@@ -276,51 +278,6 @@ def _normal_segments(
     if head:
         out[0] = EVec(tuple(head))
     return tuple(out)
-
-
-def _carry_merge(band: list[int], tail: dict[int, int], offset: int, seg: dict[int, int]) -> None:
-    """Add a segment to the carry: an entry below ``len(band) + _GAP`` into
-    the band, a higher one into the tail, whose entries all lie that high."""
-    n = len(band)
-    holes = False
-    for j, c in seg.items():
-        if j < n:
-            band[j] += c
-            holes = holes or not band[j]
-        elif j < n + _GAP:
-            band.extend([0] * (j + 1 - len(band)))  # empty when an earlier j added the slot
-            band[j] = c
-        else:
-            c += tail.pop(j - offset, 0)
-            if c:
-                tail[j - offset] = c
-    if holes:
-        _carry_spill(band, tail, offset)
-
-
-def _carry_migrate(band: list[int], tail: dict[int, int], offset: int) -> None:
-    """Move the tail entries below ``len(band) + _GAP`` into the band,
-    lowest first."""
-    while tail:
-        level = min(tail)
-        j = level + offset
-        if j >= len(band) + _GAP:
-            return
-        band.extend([0] * (j - len(band)))
-        band.append(tail.pop(level))
-
-
-def _carry_spill(band: list[int], tail: dict[int, int], offset: int) -> None:
-    """Drop the band's top zeros, and move the entries above its first run
-    of ``_GAP`` zeros after e_0 to the tail."""
-    while len(band) > 1 and not band[-1]:
-        band.pop()
-    start = bytes(map(bool, band)).find(bytes(_GAP), 1)
-    if start > 0:
-        for j in range(start + _GAP, len(band)):
-            if band[j]:
-                tail[j - offset] = band[j]
-        del band[start:]
 
 
 # --- public operations ------------------------------------------------------

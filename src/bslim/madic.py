@@ -123,11 +123,12 @@ class IntPoly:
 
     coeffs: tuple[int, ...] = ()
 
-    def __post_init__(self):
+    def __post_init__(self):  # one pass: a sum can cancel a long run
         coeffs = tuple(self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        top = len(coeffs)
+        while top and coeffs[top - 1] == 0:
+            top -= 1
+        object.__setattr__(self, "coeffs", coeffs[:top])
 
     @property
     def is_zero(self) -> bool:

@@ -231,11 +231,12 @@ def test_normal_form_representative_ranges(ctx23):
 
 
 def test_normal_form_carry_costs_its_entries_not_its_top_index():
-    """The normal-form carry keeps an entry far above the rest in its tail,
-    so a shift costs about the carry's nonzero entries, not its top index.
-    Carried in one dense list on a 2-core VM, e10000 took 1.5 s down through
-    10,000 a^-1, and e5 1.4 s up through 10,000 a, which leave a run of
-    zeros after e_0; with the tail each takes about 0.02 s."""
+    """The normal-form carry keeps the entries at index ``lattice._BAND``
+    (256) and up in a sparse tail, so a shift costs at most the band's 256
+    slots plus the tail's entries, not the carry's top index.  Carried in
+    one dense list on a 2-core VM, e10000 took 1.5 s down through 10,000
+    a^-1, and e5 1.4 s up through 10,000 a, which leave a run of zeros
+    after e_0; with the tail each takes about 0.02 s."""
     ctx = GroupCtx.make(3, "rat:1/2")
     ctx.table(10_001)  # the digits are grown beforehand: only the carry is timed
     for text, t_length in (("a^-1 " * 10_000 + "e10000 a e10000^-1", 9_999),

@@ -12,11 +12,12 @@ the full value.
 replaced.  Both fire the leftmost pinch first, so their reduced forms are
 identical, not just equivalent.  ``ref_normal_form`` pushes the subgroup
 parts through the stable letters one dict at a time, as the pass did
-before ``lattice._normal_segments`` carried them in a dense band and a
-sparse tail: on carries with and without a tail, unbudgeted and under
-budgets, both must give the same forms, or the same missing index, and
-grow the digit table as far.  ``ref_letters_to_alt`` is the reader
-that merged every letter's entries into its segment dict, and
+before ``lattice._normal_segments`` carried them in a dense band below
+``lattice._BAND`` and a sparse tail from it up: on carries with and
+without a tail, with entries that cross the boundary both ways,
+unbudgeted and under budgets, both must give the same forms, or the same
+missing index, and grow the digit table as far.  ``ref_letters_to_alt``
+is the reader that merged every letter's entries into its segment dict, and
 ``ref_letters_to_alt_e0`` the one that summed each segment's e_0 part in
 an int; ``ref_reduce_alt`` then re-stacked its segments.  One pass from
 the letters onto the stack, ``_reduce_letters``, replaced those two: it
@@ -150,7 +151,7 @@ from bslim.lattice import (
     CAP_REACHED,
     EVec,
     GroupCtx,
-    _GAP,
+    _BAND,
     _down,
     _in_emxi,
     _q_inverse,
@@ -634,15 +635,16 @@ def long_word(rng, ctx, top):
     return w
 
 
-def tail_word(rng, top=300):
+def tail_word(rng, top=_BAND + 300):
     """Runs of one stable letter, 60 to 320 long, each after a b so that no
     pinch forms at a turn, with a few payloads e_0..e_6 inside and one e_K,
-    65 <= K <= ``top``, at the end.  The normal-form carry takes e_K into
-    its tail, far above the band; a run of a^-1 that is long enough brings
-    it down into the band and on to e_0, and a run of a pushes it and the
-    low entries up, past runs of zeros that send them to the tail.  Half
-    the runs that leave e_K at index 65 or more start with a twin payload
-    there, which adds to it or cancels it."""
+    65 <= K <= ``top``, at the end, on either side of ``lattice._BAND``.
+    The normal-form carry takes e_K into its band below that bound and into
+    its tail from it up; a run of a^-1 that is long enough brings a tail
+    entry across into the band and on to e_0, and a run of a pushes the
+    band's top entries up across into the tail.  Half the runs that leave
+    e_K at index 65 or more, on either side of the bound, start with a twin
+    payload there, which adds to it or cancels it."""
     letters = []
     for _ in range(rng.randint(1, 4)):
         d, n = rng.choice((A_POS, A_NEG)), rng.randint(60, 320)
@@ -660,12 +662,14 @@ def tail_word(rng, top=300):
 
 
 def gap_words():
-    """Words whose carry holds e_0 alone in its band while a^-1 brings a
-    tail entry down to index j, at ``lattice._GAP`` or next to it, where a
-    segment entry e_j then lands: e_j (a^-1)^68 e_{j+68}, bare and after
-    one more a^-1."""
+    """Words whose carry brings an entry down through a^-1 to index j,
+    where a segment entry e_j then lands: e_j (a^-1)^68 e_{j+68}, bare and
+    after one more a^-1.  At j = 31, 32 and 33 the entry stays in the
+    band; at ``lattice._BAND`` - 1 it crosses from the tail into the band
+    on the last shift, and at ``_BAND`` and ``_BAND`` + 1 it stays in the
+    tail, where e_j merges with it."""
     words = []
-    for j in (_GAP - 1, _GAP, _GAP + 1):
+    for j in (31, 32, 33, _BAND - 1, _BAND, _BAND + 1):
         core = (BaseLetter(EVec.basis(j)),) + (A_NEG,) * 68 + (BaseLetter(EVec.basis(j + 68)),)
         words += [GroupWord(core), GroupWord((A_NEG,) + core)]
     return words
@@ -1471,13 +1475,23 @@ def test_sigma_zero_lift_runs_out_of_digits_with_the_dense_solve():
             assert info.value.index == 2
 
 
-@pytest.mark.parametrize("m,xi", [(2, "int:7"), (4, "int:2"), (6, "rat:5/7"), (9, "int:3")])
+@pytest.mark.parametrize("m,xi", [(2, "int:7"), (4, "int:2"), (6, "rat:5/7"), (9, "int:3"),
+                                  (4, "int:6"), (6, "int:-10"), (4, "rseq:2;1")])
 def test_sigma_zero_lift_finds_the_conjugator_by_e(m, xi):
     """Britton-reduced sigma = 0 pairs u = e v (-e) of equal shape, over
     even and non-unit m: a conjugator exists, so the dense solve finds
     one, and the lift must find one that the word problem confirms.
     Seeding the lift with 2 e_j, or shifting d by -c * g for -c / g at a
-    pivot with g > 1, loses it on some of these pairs."""
+    pivot with g > 1, loses it on some of these pairs.  Past the first
+    depth the seeds of ``int:6`` over 4 (every digit 2) and of ``int:-10``
+    over 6 (r_1 = 2) have values that share a factor h > 1 with m: a
+    kernel element must scale the pivot by w / h, not w * h, and the
+    pivot's inverse is taken mod g / h, where w / h is a unit.  For an
+    integer or rational parameter every digit is a multiple of
+    gcd(m, r_1), so at the second depth, whose seeds are -e_1, -e_2, ...,
+    the first seed already meets the final gcd; the digits 2, 1, 1, ...
+    over 4 lower it twice, so the second pivot must combine the first one
+    and a seed to value h exactly."""
     rng = random.Random(f"e{m}{xi}")
     ctx = GroupCtx.make(m, xi)
     pairs = 0

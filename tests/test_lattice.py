@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -209,6 +210,20 @@ def test_int_poly_normalization():
     assert IntPoly((1, 0, 0)).coeffs == (1,)
     assert IntPoly((0, 0)).is_zero and IntPoly().degree == -1
     assert IntPoly((0, 0, 3)).x_valuation() == 2
+
+
+def test_int_poly_strips_a_long_run_of_zeros_in_one_pass():
+    """IntPoly drops its top zeros in one pass, as LaurentPoly does.  Sliced
+    once per zero on a 2-core VM, 40,000 zeros took 2.6 s, and a sum of two
+    images that cancels the top 20,000 coefficients 0.74 s."""
+    ctx = GroupCtx.make(2, "int:3")
+    far = EVec.basis(20_000)
+    for build in (lambda: IntPoly((1,) + (0,) * 40_000),
+                  lambda: q_poly(ctx, far) + q_poly(ctx, E0 - far)):
+        start = time.process_time()
+        poly = build()
+        assert time.process_time() - start < 0.5
+        assert poly.coeffs == (1,)
 
 
 # --- fixed interval -----------------------------------------------------------

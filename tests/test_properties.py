@@ -20,7 +20,9 @@ a defining relator [b, b_i] anywhere leaves the normal form unchanged.
 And the limit group agrees with BS(|m|, n) on every word of length at
 most 2h once n = xi mod |m|^h and n >= |m|^h, the m-adic convergence the
 groups are limits of; the words probed are commutators [b^s, a^j b^k a^-j],
-whose triviality depends on the first j digits.
+whose triviality depends on the first j digits.  Parameter recovery run on
+the word problem of BS(m, n) itself, for any m < |n|, reads back the
+digits of the integer parameter n (the test's docstring derives why).
 
 Isomorphism is decided from the labels alone; it must agree with equal
 |m| and equal normalized digits r_1..r_64 for integer, rational and
@@ -51,7 +53,7 @@ from bslim import (
 from bslim.bsclassic import BSSpec, bs_is_trivial
 from bslim.group import GroupWord, are_conjugate, commutator, is_trivial, normal_form, parse_word
 from bslim.lattice import GroupCtx
-from bslim.markedspace import b_i_word, isomorphic
+from bslim.markedspace import b_i_word, isomorphic, recover_parameters
 from bslim.morphisms import wreath_image
 
 CASES = [(2, "int:3"), (3, "rat:1/2"), (5, "int:7"), (-3, "rseq:2,1;0,1,2")]
@@ -133,6 +135,40 @@ def test_word_problem_agrees_with_bs(j, k, s, g, tail, case):
     w = gw * commutator(parse_word("b" * s), parse_word(inner)) * gw.inverse() * parse_word(tail)
     n = realizing_n(ctx, (len(w.letters) + 1) // 2)
     assert bs_is_trivial(BSSpec(ctx.m_abs, n), w) == is_trivial(ctx, w)
+
+
+@st.composite
+def bs_pairs(draw):
+    """(m, n) with 2 <= m <= 12 and m < |n| <= 10^6, both signs of n, and n
+    a multiple of a divisor d of m, so that gcd(m, n) > 1 whenever d > 1."""
+    m = draw(st.integers(2, 12))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    k = draw(st.integers(m // d + 1, 10**6 // d))
+    return m, draw(st.sampled_from((1, -1))) * d * k
+
+
+@given(pair=bs_pairs())
+def test_recovery_through_classical_bs_reads_the_integer_digits(pair):
+    """Recovery run on the word problem of BS(m, n), a b^m a^-1 = b^n,
+    returns (m, the first 40 digits of the integer parameter n over m).
+
+    The digits of n satisfy n s_{i-1} = m s_i + r_i, s_0 = 1, r_i in
+    [0, m).  The level-h spine w(m; t) = a^(h+1) b^m a^-1 b^-t_1 a^-1 ...
+    b^-t_h a^-1 pinches from the middle out: the k-th pinch turns
+    a b^x a^-1, x = m s_{k-1}, into b^(n s_{k-1}), and b^-t_k leaves
+    x' = n s_{k-1} - t_k, which m divides exactly when t_k = r_k, and then
+    x' = m s_k.  So when t = r_1..r_h, w(m; t) = b^(n s_h), and w(-m; -t),
+    whose exponents are negated, is b^-(n s_h): the probe
+    w(m; t) b w(-m; -t) b^-1 is trivial.  At the first t_j != r_j, j <= h,
+    a^(h+1-j) b^x' a^-1 ... a^-1 is reduced, since m does not divide x',
+    and so is the whole probe: its junction a^-1 b a pinches only when n
+    divides 1, and |n| > m >= 2.  By Britton's lemma it is not trivial.  So
+    the one t that kills the level-j probe is r_j, as in the limit group.
+    The same lemma finds m first: [a b^k a^-1, b] is reduced for 0 < k < m
+    and trivial at k = m, where a b^m a^-1 = b^n commutes with b."""
+    m, n = pair
+    got = recover_parameters(lambda w: bs_is_trivial(BSSpec(m, n), w), 40)
+    assert got == (m, GroupCtx.make(m, f"int:{n}").digits(40))
 
 
 ISO_HORIZON = 64
