@@ -35,23 +35,22 @@ class BSSpec:
 #: One token of the ``bswp`` grammar: a letter, optionally raised to a signed
 #: ASCII decimal if lowercase; a^k stands for |k| letters, b^k for one letter k e_0.
 BS_TOKEN = re.compile(r"([aAbB])(?:(?<=[ab])\^([+-]?[0-9]+))?")
+#: The tokens that run unbroken from a word's start: the parser reads no further.
+BS_TOKENS = re.compile(f"(?:{BS_TOKEN.pattern})*")
 
 
 def parse_bs_word(text: str) -> GroupWord:
     """Compact {a, A, b, B} words extended with run-length tokens
     ``a^<signed decimal>`` and ``b^<signed decimal>``; plain letters are
     the ones :func:`group.parse_word` shares."""
-    letters, end, last = [], 0, None
-    for tok in BS_TOKEN.finditer(text):
-        if tok.start() != end:
-            break
-        letter, k = tok.groups()
-        end, last = tok.end(), tok
+    letters, end, last = [], BS_TOKENS.match(text).end(), None
+    for last in BS_TOKEN.finditer(text, 0, end):
+        letter, k = last.groups()
         if k is None:
             letters.append(_COMPACT[letter])
         elif letter == "a":
-            letters += a_power_word(_parse_decimal(k, tok.start(2))).letters
-        elif k := _parse_decimal(k, tok.start(2)):
+            letters += a_power_word(_parse_decimal(k, last.start(2))).letters
+        elif k := _parse_decimal(k, last.start(2)):
             letters.append(_base_letter(EVec.basis(0, k)))
     if end == len(text):
         return GroupWord(letters)

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bsclassic import BS_TOKEN, BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
+from .bsclassic import BS_TOKEN, BS_TOKENS, BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
 from .errors import BslError, ParseError, SizeLimitExceeded
 from .group import (
     ALetter,
@@ -28,6 +28,7 @@ from .group import (
 from .lattice import GroupCtx, parse_evec
 from .madic import MarkedGroupSpec, XiSeq, _parse_decimal, _parse_digit_list
 from .markedspace import (
+    MAX_RECOVER_M,
     distance_bounds,
     isomorphic,
     recover_parameters,
@@ -63,14 +64,14 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: `rdigits` bounds digits, not their bits: m = 2, `rat:1/<3^1000>` took 2.0-2.3 s CPU
 #: for 1,000 digits and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 6x per two
 #: letters (int:1 vs int:5: 0.7 s, 31 MB).  Every group command reads digits under the
-#: `rdigits` limit (`_ctx`).
+#: `rdigits` limit (`_ctx`).  `recover` tries |m| = 1..64 only (`MAX_RECOVER_M`).
 #: A `bswp` pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
 #: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k so
 #: alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
 #: `relator` caps --index, and prices the word it builds by the letters it would print,
 #: before printing them (a word of 10^7 letters: 0.02 s, 36 MB).
 SIZE_LIMITS = {"bswp": 150_000, "dist": 20, "nk": 14_000, "rdigits": 10_000, "recover": 64,
-               "relator": 10_000, "relator-letters": 10_000_000}
+               "recover-m": MAX_RECOVER_M, "relator": 10_000, "relator-letters": 10_000_000}
 
 
 def _capped(args, size_name: str, size: int, limit_name: Optional[str] = None) -> None:
@@ -79,9 +80,9 @@ def _capped(args, size_name: str, size: int, limit_name: Optional[str] = None) -
         raise SizeLimitExceeded(f"{size_name} = {size} is over the limit {limit}")
 
 
-def _sized(args, flag: str) -> Optional[int]:
+def _sized(args, flag: str, limit_name: Optional[str] = None) -> Optional[int]:
     value = getattr(args, flag.replace("-", "_"))
-    _capped(args, f"|--{flag}|", abs(value or 0))
+    _capped(args, f"|--{flag}|", abs(value or 0), limit_name)
     return value
 
 
@@ -121,10 +122,11 @@ def _conj(args):
 
 
 def _dist(args):
+    ctx, ctx2 = _ctx(args), _ctx(args, second=True)
     max_len = _sized(args, "max-len")
     if max_len > 14 and not args.force:
         raise BslError("enumeration beyond length 14 needs --force (usage guard)")
-    found = shortest_distinguishing(_ctx(args), _ctx(args, second=True), max_len)
+    found = shortest_distinguishing(ctx, ctx2, max_len)
     if found is None:
         return f"none up to length {max_len}", {"nu": None, "word": None}
     length, w = found
@@ -144,12 +146,14 @@ def _iso(args):
 
 
 def _recover(args):
-    m_abs, digits = recover_parameters(word_problem_oracle(_ctx(args)), _sized(args, "count"))
+    oracle = word_problem_oracle(_ctx(args))
+    _sized(args, "m", "recover-m")  # recovery finds no |m| past the bound it searches
+    m_abs, digits = recover_parameters(oracle, _sized(args, "count"))
     return f"m={m_abs} digits={' '.join(map(str, digits))}", {"m": m_abs, "digits": digits}
 
 
 def _relator(args):
-    index, ctx = _sized(args, "index"), None
+    ctx = None
     if args.kind == "bi":
         if args.m is None or args.xi is None:
             raise BslError("bi needs --m and --xi")
@@ -158,7 +162,7 @@ def _relator(args):
     if digits is not None and args.m is not None:
         # digits in [0, |m|), as for rseq:; the period 0 lets an empty list through
         MarkedGroupSpec(args.m, XiSeq(digits, (0,)))
-    w = relator(args.kind, ctx=ctx, index=index, m=args.m, digits=digits)
+    w = relator(args.kind, ctx=ctx, index=_sized(args, "index"), m=args.m, digits=digits)
     _capped(args, "word length", _compact_letters(w), "relator-letters")
     text = format_word(w, "compact")
     return text, {"word": text}
@@ -188,8 +192,9 @@ def _aut(args):
 
 
 def _bswp(args):  # each a-letter may pinch, rescaling a b-exponent by |p| or |q|
+    end = BS_TOKENS.match(args.word).end()  # where parse_bs_word stops, at the first fault
     a_letters = sum(abs(_parse_decimal(tok[2], tok.start(2))) if tok[2] else 1
-                    for tok in BS_TOKEN.finditer(args.word) if tok[1] in "aA")
+                    for tok in BS_TOKEN.finditer(args.word, 0, end) if tok[1] in "aA")
     bits = max(abs(args.p), abs(args.q)).bit_length()
     _capped(args, "a-letters * bit_length(max(|p|, |q|))", a_letters * bits)
     trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))

@@ -308,8 +308,7 @@ def _reduce_letters(ctx: GroupCtx, letters) -> tuple[list[dict[int, int]], list[
                     seg[i] = seg.get(i, 0) + c
                 else:
                     seg.pop(i, None)
-    if e0:
-        _merge_into(seg, {0: e0})
+    _merge_into(seg, {0: e0})
     return segs, deltas
 
 
@@ -360,10 +359,9 @@ def cyclic_reduce(ctx: GroupCtx, w: GroupWord) -> tuple[ReducedForm, GroupWord]:
     lo, hi = 0, len(deltas)  # the core is segs[lo] a^deltas[lo] ... segs[hi]
     while lo < hi:
         lead, tail = segs[lo], segs[hi]
-        if tail:
-            conj += _entry_letters(sorted((i, -c) for i, c in tail.items()))
-            _merge_into(lead, tail)
-            segs[hi] = {}
+        conj += _entry_letters(sorted((i, -c) for i, c in tail.items()))
+        _merge_into(lead, tail)
+        segs[hi] = {}
         d_first = deltas[lo]
         if deltas[hi - 1] == d_first:
             break
@@ -516,8 +514,8 @@ def are_conjugate(
     Base-group elements are conjugate only through a power of a whose
     exponent is forced by polynomial degrees.  Positive t-length reduces
     to the base solver over the cyclic permutations with matching
-    stable-letter shape that pass the lamp screen; the cores are folded
-    only once some permutation has the shape.
+    stable-letter shape (so matching sigma) that pass the lamp screen;
+    the cores are folded only once some permutation has the shape.
     """
     cv, p = cyclic_reduce(ctx, v)
     cw, q = cyclic_reduce(ctx, w)
@@ -527,19 +525,13 @@ def are_conjugate(
         x, y = cv.segments[0], cw.segments[0]
         if x.is_zero != y.is_zero:
             return None
-        if x.is_zero:
-            mid = GroupWord(())
-        else:
-            # deg q(x) = max_index(x): the top entry beta_top e_top alone
-            # reaches X^top, with coefficient beta_top m (beta_0 at top 0)
-            n = x.max_index() - y.max_index()
-            if a_conjugate(ctx, y, n) != x:
-                return None
-            mid = a_power_word(n)
-        witness = p * mid * q.inverse()
-    else:
-        if cv.sigma != cw.sigma:  # sigma is a conjugacy invariant
+        # deg q(x) = max_index(x): the top entry beta_top e_top alone reaches
+        # X^top, with coefficient beta_top m (beta_0 at top 0; -1 for x = 0)
+        n = x.max_index() - y.max_index()
+        if a_conjugate(ctx, y, n) != x:
             return None
+        witness = p * a_power_word(n) * q.inverse()
+    else:
         witness, screen = None, None
         for j, s in enumerate(accumulate(cw.deltas[:-1], initial=0)):
             if cw.deltas[j:] + cw.deltas[:j] != cv.deltas:

@@ -202,15 +202,9 @@ class LaurentPoly:
         return not self.coeffs
 
     def shifted(self, s: int) -> "LaurentPoly":
-        if self.is_zero:
-            return self
         return LaurentPoly(self.offset + s, self.coeffs)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
         out = [0] * (hi - lo)

@@ -296,6 +296,8 @@ def isomorphic(ctx1: GroupCtx, ctx2: GroupCtx) -> bool:
 
 # --- parameter recovery -------------------------------------------------------------
 
+MAX_RECOVER_M = 64  # the largest |m| that recover_parameters tries by default
+
 
 def word_problem_oracle(ctx: GroupCtx) -> Callable[[GroupWord], bool]:
     """The triviality oracle of a group, for recovery tests."""
@@ -303,7 +305,7 @@ def word_problem_oracle(ctx: GroupCtx) -> Callable[[GroupWord], bool]:
 
 
 def recover_parameters(
-    oracle: Callable[[GroupWord], bool], n: int, max_m: int = 64
+    oracle: Callable[[GroupWord], bool], n: int, max_m: int = MAX_RECOVER_M
 ) -> tuple[int, list[int]]:
     """Recover (|m|, first n digits) from a word-problem oracle alone.
 

@@ -131,6 +131,13 @@ def test_dist_cap_needs_force(capsys):
         "--max-len", "16",
     )
     assert code == 1 and "force" in err
+    # the guard starts just past length 14
+    argv = ("dist", "--m", "2", "--xi", "int:1", "--m2", "3", "--xi2", "int:1", "--max-len")
+    code, out, err = run(capsys, *argv, "15")
+    guard = "enumeration beyond length 14 needs --force (usage guard)"
+    assert (code, out, err) == (1, "", f"error: BslError: {guard}\n")
+    code, out, _ = run(capsys, *argv, "14")
+    assert code == 0 and out.startswith("len=")
 
 
 def test_iso(capsys):
@@ -163,6 +170,15 @@ def test_relator_with_no_digits(capsys):
     assert code == 0 and out == "abbAbaBBAB"
     code, out, err = run(capsys, "relator", "--kind", "w", "--m", "0", "--digits", "")
     assert code == 1 and out == "" and err == "error: ValueError: m must be a nonzero integer\n"
+
+
+def test_relator_digits_over_modulus_one(capsys):
+    # |m| = 1 allows the one digit 0 and no other; the range check adds no digit of its own
+    for m, digits, word in (("1", "", "abA"), ("-1", "0", "aaBAA"), ("1", "0,0", "aaabAAA")):
+        code, out, _ = run(capsys, "relator", "--kind", "w", "--m", m, "--digits", digits)
+        assert (code, out) == (0, word)
+    code, out, err = run(capsys, "relator", "--kind", "w", "--m", "-1", "--digits", "1")
+    assert (code, out) == (1, "") and err.startswith("error: ValueError: digits [1] outside")
 
 
 def test_wreath_json(capsys):
@@ -382,6 +398,20 @@ def test_bswp_limits_a_powers_before_parsing(capsys, monkeypatch):
         assert err == f"error: SizeLimitExceeded: {message}\n", (p, q, word[:20])
 
 
+@pytest.mark.parametrize("word, err", [
+    ("xa^999999999", "invalid symbol 'x' (offset 0)"),
+    ("ab?" + "a" * 200_000, "invalid symbol '?' (offset 2)"),
+    ("a^-2b a^999999999", "invalid symbol ' ' (offset 5)"),
+    ("aB^3a^999999999", "exponent tokens use lowercase letters (offset 2)"),
+], ids=["symbol-first", "plain-letters-past-gap", "space", "uppercase-exponent"])
+def test_bswp_prices_only_what_the_parser_reads(capsys, word, err):
+    """The price stops where the parser stops, at the word's first gap, so a
+    malformed word exits 2 with its first fault however many a-letters
+    follow that gap."""
+    code, out, stderr = run(capsys, "bswp", "--p", "1", "--q", "2", "--word", word)
+    assert (code, out, stderr) == (2, "", f"error: ParseError: {err}\n")
+
+
 def test_nk_limits_the_size_of_n_to_the_k(capsys, monkeypatch):
     """The loop that counts N costs time quadratic in the size of n^k (m = 2,
     n = 4 took 7 s at k = 80,000), so k * bit_length(|n|) is checked first.
@@ -436,6 +466,24 @@ def test_recover_finds_the_largest_moduli(capsys):
     code, out, _ = run(capsys, "recover", *flags)
     digits = run(capsys, "rdigits", *flags)[1]
     assert code == 0 and out == f"m=64 digits={digits}" and len(digits.split()) == 64
+
+
+def test_recover_refuses_a_modulus_it_cannot_reach(capsys, monkeypatch):
+    """Recovery searches |m| = 1..64 only, so a larger |--m| is refused for
+    size before any probe, not blamed on the oracle after 64 of them."""
+    limit = SIZE_LIMITS["recover-m"]
+
+    def never(oracle, n):
+        raise AssertionError("recover_parameters ran on an unreachable modulus")
+
+    monkeypatch.setattr(cli, "recover_parameters", never)
+    for m in (limit + 1, -limit - 1, 100, 10**30):
+        code, out, err = run(capsys, "recover", "--m", str(m), "--xi", "int:3", "--count", "2")
+        over = f"|--m| = {abs(m)} is over the limit {limit}"
+        assert (code, out, err) == (1, "", f"error: SizeLimitExceeded: {over}\n")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "recover", "--m", str(limit), "--xi", "int:3", "--count", "2")
+    assert (code, out) == (0, f"m={limit} digits=3 0")
 
 
 def test_relator_is_priced_by_its_word_length(capsys):
@@ -503,6 +551,22 @@ def test_relator_reports_the_first_fault(capsys, argv, err):
     """``relator`` builds its word before it prices it, so an input with two
     faults reports the one that building meets first."""
     assert run(capsys, "relator", *argv.split()) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("rdigits --m 2 --xi int:x --count 99999", "bad number 'x' (offset 4)"),
+    ("recover --m 2 --xi int:x --count 99999", "bad number 'x' (offset 4)"),
+    ("recover --m 100 --xi rat:1/x --count 2", "bad number 'x' (offset 6)"),
+    ("dist --m 2 --xi int:1 --xi2 int:x --max-len 99", "bad number 'x' (offset 4)"),
+    ("dist --m 2 --xi int:x --xi2 int:1 --max-len 15", "bad number 'x' (offset 4)"),
+    ("relator --kind w --m 2 --digits 1,,x --index 99999", "bad number '' (offset 2)"),
+    ("relator --kind bi --m 2 --xi rseq:1,x --index 99999", "bad number 'x' (offset 7)"),
+])
+def test_malformed_input_is_read_before_any_price(capsys, argv, err):
+    """Each command reads its groups and digit lists before it prices its
+    size flags (and before the ``dist --force`` guard), so malformed input
+    exits 2 with its first fault whatever the size flags are."""
+    assert run(capsys, *argv.split()) == (2, "", f"error: ParseError: {err}\n")
 
 
 def test_usage_error_exit_2(capsys):
