@@ -63,7 +63,7 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: digits are 0 after r_1, and 0.37-0.57 s on `rat:5/7`, 17 MB), but
 #: `rdigits` bounds digits, not their bits: m = 2, `rat:1/<3^1000>` took 2.0-2.3 s CPU
 #: for 1,000 digits and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 6x per two
-#: letters (int:1 vs int:5: 0.7 s, 31 MB).  Every group command reads digits under the
+#: letters (int:1 vs int:5: 0.6-0.7 s, 25 MB).  Every group command reads digits under the
 #: `rdigits` limit (`_ctx`).  `recover` tries |m| = 1..64 only (`MAX_RECOVER_M`).
 #: A `bswp` pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
 #: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k so

@@ -192,8 +192,10 @@ def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
-    """Freely and cyclically reduced words of this exact length starting
-    with 'a' whose wreath image is trivial, in lexicographic order.
+    """Canonical freely and cyclically reduced words of this exact length
+    whose wreath image is trivial, in lexicographic order.  A canonical
+    word is minimal in its class under rotation and inversion, so it
+    starts with 'a'.
 
     Meet in the middle: w = u v dies exactly when the tail v has the image
     of the head's inverse x = u^-1, so the heads are indexed by the image
@@ -207,10 +209,10 @@ def _wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
         heads.setdefault(key, []).append(_inverse(x))
     # no tail ends in A (cyclic reduction) or cancels into its head
     return sorted(
-        u + v
+        w
         for v, key in _reduced_words(half, (0, 2, 3))
         for u in heads.get(key, ())
-        if v[0] != _INV[u[-1]]
+        if v[0] != _INV[u[-1]] and _is_canonical(w := u + v)
     )
 
 
@@ -229,11 +231,7 @@ def _is_canonical(word: tuple[int, ...]) -> bool:
 
 @lru_cache(maxsize=None)
 def _candidate_words(length: int) -> tuple[GroupWord, ...]:
-    return tuple(
-        GroupWord(tuple(_LETTERS[t] for t in w))
-        for w in _wreath_trivial_words(length)
-        if _is_canonical(w)
-    )
+    return tuple(GroupWord(tuple(_LETTERS[t] for t in w)) for w in _wreath_trivial_words(length))
 
 
 def shortest_distinguishing(ctx1: GroupCtx, ctx2: GroupCtx,

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from bslim import (
     XiRat,
     XiSeq,
 )
+from bslim.bsclassic import BSSpec, bs_is_trivial
 from bslim.group import (
     A_POS,
     BaseLetter,
@@ -23,6 +25,7 @@ from bslim.lattice import GroupCtx
 from bslim.madic import MarkedGroupSpec
 from bslim.markedspace import (
     DistanceBounds,
+    _candidate_words,
     _wreath_trivial_words,
     b_i_word,
     distance_bounds,
@@ -144,6 +147,15 @@ def test_shortest_distinguishing_same_m_far_apart():
         assert is_trivial(GroupCtx(g1), word) != is_trivial(GroupCtx(g2), word)
 
 
+def test_shortest_distinguishing_stops_at_max_len():
+    """int:1 and int:2 over m = 3 are first split at length 18: a search
+    capped at 17 finds nothing, and so does one capped at 1."""
+    c1, c2 = GroupCtx.make(3, XiRat(1)), GroupCtx.make(3, XiRat(2))
+    assert shortest_distinguishing(c1, c2, 1) is None
+    assert shortest_distinguishing(c1, c2, 17) is None
+    assert shortest_distinguishing(c1, c2, 18)[0] == 18
+
+
 def test_wreath_trivial_words_under_cap():
     """Length 18 by the meet-in-the-middle join: 3^9 words per half, not
     the 3^18 of a depth-first search.  It must finish within 2 s of process
@@ -151,11 +163,63 @@ def test_wreath_trivial_words_under_cap():
     start = time.process_time()
     words = _wreath_trivial_words(18)
     spent = time.process_time() - start
-    assert len(words) == 5848
+    assert len(words) == 700
     assert words == sorted(words)
     assert spent < 2.0
     if spent > 0.5:
         print(f"length 18: {spent * 1e3:.0f} ms")
+
+
+def test_candidate_words_memory():
+    """Only canonical words are ever held: 3,604 of the 33,896 wreath-trivial
+    words at length 20.  Holding the raw list as well peaks near 13 MB."""
+    _candidate_words.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(_candidate_words(20)) == 3604
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+#: (m, xi_1, xi_2, nu, word): the shortest canonical word trivial in exactly
+#: one of the two groups over m, or None when no word of length 24 or less
+#: is.  Each pair's sandwich, from its common digit prefix h, holds nu.
+NU_TABLE = [
+    (2, 1, 3, 20, "aaabbAbAAbaaaBBABAAB"),
+    (2, 1, 5, 24, "aaaabbABAAAbaaaaBBAbAAAB"),
+    (2, 3, 7, 24, "aaaabbAbAAAbaaaaBBABAAAB"),
+    (2, 1, 9, None, None),
+    (3, 1, 2, 18, "aabbbAbAbaaBBBABAB"),
+    (3, 1, 4, 22, "aaabbbABAAbaaaBBBAbAAB"),
+    (3, 2, 5, 24, "aaabbbAbAbAbaaaBBBABABAB"),
+    (3, 1, 10, None, None),
+]
+
+
+@pytest.mark.parametrize("m,xi1,xi2,nu,text", [row for row in NU_TABLE if row[4]])
+def test_nu_table_words_distinguish(m, xi1, xi2, nu, text):
+    """Each word splits its pair, the same way in the limit groups and in
+    BS(|m|, xi + |m|^(nu/2 + 1)), which shares enough digits with xi for
+    every word of length nu."""
+    word = parse_word(text)
+    assert compact_length(word) == nu
+    limit = [is_trivial(GroupCtx.make(m, XiRat(xi)), word) for xi in (xi1, xi2)]
+    classical = [bs_is_trivial(BSSpec(m, xi + m ** (nu // 2 + 1)), word) for xi in (xi1, xi2)]
+    assert limit[0] != limit[1]
+    assert classical == limit
+    bounds = distance_bounds(GroupCtx.make(m, XiRat(xi1)), GroupCtx.make(m, XiRat(xi2)))
+    assert bounds.upper_exp <= nu <= bounds.lower_exp
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m,xi1,xi2,nu,text", NU_TABLE)
+def test_nu_table_is_minimal(m, xi1, xi2, nu, text):
+    """The enumeration through length 24 finds each word first, or none:
+    about 20 s and 100 MB, most of it for the cold length 24."""
+    found = shortest_distinguishing(GroupCtx.make(m, XiRat(xi1)), GroupCtx.make(m, XiRat(xi2)), 24)
+    assert found == (None if nu is None else (nu, parse_word(text)))
 
 
 # --- distance bounds ------------------------------------------------------------
