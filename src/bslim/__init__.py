@@ -35,7 +35,6 @@ from .madic import (
     XiSeq,
     XiSpec,
     format_xi,
-    p_polys,
     parse_xi,
     project_unit,
     xi_from_prefix,
@@ -47,6 +46,7 @@ from .lattice import (
     a_conjugate,
     fixed_interval,
     format_evec,
+    p_polys,
     parse_evec,
     phi_apply,
     q_poly,

@@ -231,10 +231,10 @@ class ReducedForm:
         return max((s.max_index() for s in self.segments), default=-1)
 
     def to_word(self) -> GroupWord:
-        letters: list[Letter] = list(word_from_evec(self.segments[0]).letters)
+        letters = _entry_letters(self.segments[0].entries)
         for d, seg in zip(self.deltas, self.segments[1:]):
             letters.append(_A_POWER[d])
-            letters.extend(word_from_evec(seg).letters)
+            letters += _entry_letters(seg.entries)
         return GroupWord(tuple(letters))
 
 

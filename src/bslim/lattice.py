@@ -12,15 +12,17 @@ two subgroups, the conjugation isomorphism in both directions, iterated
 conjugation by powers of a, the carry that pushes a reduced form's
 subgroup parts through its stable letters to its normal form, the
 injective polynomial image q (e_0 -> 1, e_i -> X*P_{i-1}(X)), folded over
-a form into its lamp polynomial, its inverse on the image, and the
-fixed-interval data (mu, nu) of a base element on the Bass-Serre tree.
-The isomorphism is written out only here, and q only in :func:`lamp_fold`.
+a form into its lamp polynomial, its inverse on the image, the
+polynomials P read off it, and the fixed-interval data (mu, nu) of a base
+element on the Bass-Serre tree.  The isomorphism is written out only here,
+and q only in :func:`lamp_fold`.
 
 Any operation touching support index k reads at most k digits.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -102,11 +104,7 @@ class EVec:
 def _tokens(text: str):
     """Each whitespace-separated token of ``text`` with its offset, the
     position a :class:`ParseError` on it reports."""
-    offset = 0
-    for token in text.split():
-        offset = text.index(token, offset)
-        yield token, offset
-        offset += len(token)
+    return ((t.group(), t.start()) for t in re.finditer(r"\S+", text))
 
 
 def _parse_eterm(token: str, offset: int) -> tuple[int, int]:
@@ -156,10 +154,6 @@ def _up_split(ctx: GroupCtx, seg: Mapping[int, int]) -> tuple[int, dict[int, int
     if q:
         out[1] = q
     return rem, out
-
-
-def _in_emxi(ctx: GroupCtx, seg: Mapping[int, int]) -> bool:
-    return not _up_split(ctx, seg)[0]
 
 
 def _up(ctx: GroupCtx, seg: Mapping[int, int]) -> Optional[dict[int, int]]:
@@ -293,7 +287,7 @@ def subgroup_membership(ctx: GroupCtx, x: EVec, which: SubgroupName) -> bool:
     if which == "E1":
         return x.coeff(0) == 0
     if which == "EmXi":
-        return _in_emxi(ctx, x.to_dict())
+        return not _up_split(ctx, x.to_dict())[0]
     raise ValueError(f"unknown subgroup {which!r}")
 
 
@@ -357,6 +351,14 @@ def q_poly(ctx: GroupCtx, x: EVec) -> IntPoly:
     return IntPoly((0,) * lamps.offset + lamps.coeffs)
 
 
+def p_polys(ctx: GroupCtx, h: int) -> list[IntPoly]:
+    """[P_0, ..., P_h] with P_0 = m and P_k = X*P_{k-1} - r_k, so P_k has
+    degree k and leading coefficient m; read off q as P_k = q(e_{k+1})/X."""
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    return [IntPoly(q_poly(ctx, EVec.basis(k + 1)).coeffs[1:]) for k in range(h + 1)]
+
+
 def _q_inverse(ctx: GroupCtx, coeffs: Iterable[int]) -> Optional[EVec]:
     """The x with q(x) = sum_k coeffs[k] X^k, or None when that polynomial
     is not in the image of :func:`q_poly`: the triangular system solved
@@ -385,7 +387,8 @@ def fixed_interval(
     infinite for algebraic parameters)."""
     if x.is_zero:
         raise ZeroElement("fixed interval undefined for the zero element")
-    nu = q_poly(ctx, x).x_valuation()
+    # q is injective, so x's image is nonzero; LaurentPoly keeps its lowest exponent as offset
+    nu = lamp_fold(ctx, (x,), ()).offset
     mu = 0
     seg = _up(ctx, x.to_dict())
     while seg is not None:

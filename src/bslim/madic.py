@@ -327,17 +327,6 @@ class RDigitStream:
                 rs.append(r)
 
 
-def p_polys(ctx: RDigitStream, h: int) -> list[IntPoly]:
-    """[P_0, ..., P_h] with P_0 = m and P_k = X*P_{k-1} - r_k, so P_k has
-    degree k and leading coefficient m."""
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    polys = [IntPoly((ctx.m_abs,))]
-    for r in ctx.digits(h):
-        polys.append(IntPoly((-r,) + polys[-1].coeffs))
-    return polys
-
-
 def project_unit(ctx: RDigitStream) -> MarkedGroupSpec:
     """Divide out d = gcd(m, xi): the parameter (m/d, xi/d) of the unit
     group embedded via b -> b^d.

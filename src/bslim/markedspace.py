@@ -133,11 +133,11 @@ def word_to_compact(ctx: GroupCtx, w: GroupWord) -> str:
     def expand(x: EVec) -> GroupWord:
         letters: list = []
         for i, c in x.entries:
-            b_i = b_i_word(ctx, i) if i else parse_word("b")
+            b_i = b_i_word(ctx, i) if i else GroupWord((_B_POS,))
             letters.extend((b_i if c > 0 else b_i.inverse()).letters * abs(c))
         return GroupWord(tuple(letters))
 
-    return format_word(_substitute(w, parse_word("a"), expand), "compact")
+    return format_word(_substitute(w, GroupWord((A_POS,)), expand), "compact")
 
 
 # --- enumeration of candidate distinguishing words -----------------------------

@@ -20,8 +20,7 @@ from bslim.group import (
     normal_form,
     parse_word,
 )
-from bslim.lattice import GroupCtx
-from bslim.madic import p_polys
+from bslim.lattice import GroupCtx, p_polys
 from bslim.markedspace import (
     b_i_word,
     distance_bounds,

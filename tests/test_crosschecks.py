@@ -22,9 +22,10 @@ from bslim.lattice import (
     _up,
     _up_split,
     fixed_interval,
+    p_polys,
     q_poly,
 )
-from bslim.madic import MarkedGroupSpec, p_polys
+from bslim.madic import MarkedGroupSpec
 
 W = parse_word
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}

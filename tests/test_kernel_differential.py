@@ -43,7 +43,9 @@ every e the lift returns must pass the word problem.
 lamp-polynomial fold replaced, and ``ref_lamp_fold`` the fold of one
 ``ref_q_poly`` per segment at its shift that ``lattice.lamp_fold``, one
 dense accumulator, replaced: the same polynomial, or the same missing
-index, and the digit table as long.
+index, and the digit table as long.  ``ref_p_polys`` is the recurrence
+P_k = X*P_{k-1} - r_k that ``lattice.p_polys``, which reads P_k off
+q(e_{k+1}), replaced, with the same contract.
 
 ``ref_cyclic_reduce`` rotated one wraparound pinch at a time and let the
 reducer fire it; ``ref_are_conjugate`` handed every rotation of matching
@@ -155,16 +157,17 @@ from bslim.lattice import (
     GroupCtx,
     _BAND,
     _down,
-    _in_emxi,
     _q_inverse,
     _up,
     _up_split,
     a_conjugate,
     fixed_interval,
     lamp_fold,
+    p_polys,
     q_poly,
 )
 from bslim.madic import (
+    IntPoly,
     MarkedGroupSpec,
     RDigitStream,
     XiRat,
@@ -260,6 +263,15 @@ def ref_q_poly(ctx, x):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out) if any(out) else ()
+
+
+def ref_p_polys(ctx, h):
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    polys = [IntPoly((ctx.m_abs,))]
+    for r in ctx.digits(h):
+        polys.append(IntPoly((-r,) + polys[-1].coeffs))
+    return polys
 
 
 def ref_lamp_fold(ctx, segs, deltas):
@@ -446,7 +458,7 @@ def ref_cyclic_reduce(ctx, w):
             segs[-1] = {}
         lead = segs[0]
         d_last, d_first = deltas[-1], deltas[0]
-        if d_last == 1 and d_first == -1 and _in_emxi(ctx, lead):
+        if d_last == 1 and d_first == -1 and not _up_split(ctx, lead)[0]:
             pass  # wraparound pinch, rotate below
         elif d_last == -1 and d_first == 1 and not lead.get(0, 0):
             pass
@@ -607,6 +619,23 @@ def test_lamp_fold_agrees(m, xi):
             tally["zero" if got == ("ok", LaurentPoly()) else got[0]] += 1
             tally["negative"] += got[0] == "ok" and got[1].offset < 0
     assert all(tally[k] for k in ("ok", "budget", "zero", "negative")), tally
+
+
+@pytest.mark.parametrize("m,xi", CASES)
+def test_p_polys_agree(m, xi):
+    """P read off q against the recurrence, for h up to 40 on fresh
+    contexts, unbudgeted and under budgets: the same polynomials, or the
+    same missing index, and the digit table as long."""
+    tally = Counter()
+    for h, budget in product(range(41), (None, 3, 17)):
+        ctx, ref_ctx = GroupCtx.make(m, xi, budget), GroupCtx.make(m, xi, budget)
+        got = outcome(p_polys, ctx, h)
+        assert got == outcome(ref_p_polys, ref_ctx, h), (h, budget)
+        assert len(ctx.rs) == len(ref_ctx.rs)
+        tally[got[0]] += 1
+    assert tally["ok"] and tally["budget"], tally
+    with pytest.raises(ValueError, match="^h must be nonnegative$"):
+        p_polys(GroupCtx.make(m, xi), -1)
 
 
 @pytest.mark.parametrize("m,xi", CASES)

@@ -244,6 +244,12 @@ def test_fixed_interval_cap_reached():
     assert nu == 1
 
 
+def test_fixed_interval_default_cap_is_64(ctx23):
+    # mu is the 2-adic valuation of q(x)(xi/m), which is 2^k for x = 2^k e_0
+    assert fixed_interval(ctx23, 2**63 * E0) == (63, 0)
+    assert fixed_interval(ctx23, 2**64 * E0) == (CAP_REACHED, 0)
+
+
 def test_digit_budget_rule():
     # an operation touching max support index k reads at most k digits
     from bslim import RDigitBudgetExceeded
@@ -259,11 +265,10 @@ def test_digit_budget_rule():
 def test_digit_table_grows_in_index_order():
     # the budget error names the first missing index, not the first one read
     from bslim import RDigitBudgetExceeded
-    from bslim.lattice import _in_emxi
 
     ctx = GroupCtx.make(2, XiRat(3), budget=3)
     with pytest.raises(RDigitBudgetExceeded) as info:
-        _in_emxi(ctx, {6: 1, 4: 1})
+        _up_split(ctx, {6: 1, 4: 1})
     assert info.value.index == 4
     assert ctx.rs == [1, 1, 1, 1]  # rs[0] = 1 is the weight of e_0
 
