@@ -35,25 +35,17 @@ class BSSpec:
 #: One token of the ``bswp`` grammar: a letter, optionally raised to a signed
 #: ASCII decimal if lowercase; a^k stands for |k| letters, b^k for one letter k e_0.
 BS_TOKEN = re.compile(r"([aAbB])(?:(?<=[ab])\^([+-]?[0-9]+))?")
-#: The tokens that run unbroken from a word's start: the parser reads no further.
-BS_TOKENS = re.compile(f"(?:{BS_TOKEN.pattern})*")
 
 
-def parse_bs_word(text: str) -> GroupWord:
-    """Compact {a, A, b, B} words extended with run-length tokens
-    ``a^<signed decimal>`` and ``b^<signed decimal>``; plain letters are
-    the ones :func:`group.parse_word` shares."""
-    letters, end, last = [], BS_TOKENS.match(text).end(), None
-    for last in BS_TOKEN.finditer(text, 0, end):
-        letter, k = last.groups()
-        if k is None:
-            letters.append(_COMPACT[letter])
-        elif letter == "a":
-            letters += a_power_word(_parse_decimal(k, last.start(2))).letters
-        elif k := _parse_decimal(k, last.start(2)):
-            letters.append(_base_letter(EVec.basis(0, k)))
+def bs_tokens(text: str) -> list[tuple[str, int | None]]:
+    """The ``bswp`` tokens of ``text`` left to right, each letter with its exponent
+    (None if plain); the first fault is raised before any token is returned."""
+    tokens, end, last = [], 0, None
+    while tok := BS_TOKEN.match(text, end):
+        last, end = tok, tok.end()
+        tokens.append((tok[1], tok[2] and _parse_decimal(tok[2], tok.start(2))))
     if end == len(text):
-        return GroupWord(letters)
+        return tokens
     # the error a left-to-right scan reports: a ^ or a non-ASCII digit at ``end``
     # continues the last token's exponent, which fails as a number or follows A or B
     nxt = text[end : end + 1]
@@ -63,6 +55,20 @@ def parse_bs_word(text: str) -> GroupWord:
         _parse_decimal(text[start:lead] + "".join(takewhile(str.isdigit, text[lead:])), start)
         raise ParseError("exponent tokens use lowercase letters", start - 1)
     raise ParseError(f"invalid symbol {nxt!r}", end)
+
+
+def parse_bs_word(text: str) -> GroupWord:
+    """The word of :func:`bs_tokens`' tokens, with the plain letters that
+    :func:`group.parse_word` shares."""
+    letters = []
+    for letter, k in bs_tokens(text):
+        if k is None:
+            letters.append(_COMPACT[letter])
+        elif letter == "a":
+            letters += a_power_word(k).letters
+        elif k:
+            letters.append(_base_letter(EVec.basis(0, k)))
+    return GroupWord(letters)
 
 
 def bs_is_trivial(spec: BSSpec, w: GroupWord) -> bool:
@@ -102,7 +108,7 @@ def bs_n_of_k(m: int, n: int, k: int) -> tuple[int, int]:
     """
     if k < 1:
         raise PreconditionViolated("k must be at least 1")
-    if m == 0 or n == 0 or abs(m) >= abs(n):
+    if m == 0 or abs(m) >= abs(n):
         raise PreconditionViolated("need |m| < |n|")
     alpha, count = n**k, 0
     while True:

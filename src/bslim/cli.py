@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bsclassic import BS_TOKEN, BS_TOKENS, BSSpec, bs_is_trivial, bs_n_of_k, parse_bs_word
+from .bsclassic import BSSpec, bs_is_trivial, bs_n_of_k, bs_tokens, parse_bs_word
 from .errors import BslError, ParseError, SizeLimitExceeded
 from .group import (
     ALetter,
@@ -60,16 +60,15 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: Fixed limits on the size flags, on a 2-core VM.  Digits and recovery cost time
 #: quadratic in the count, digits memory linear (`rat:5/7`, m = 3: `rdigits` 0.13 s,
 #: 18 MB RSS; `relator` bi 0.19 s, 20 MB; m = 64: `recover` 0.24-0.37 s on int:3, whose
-#: digits are 0 after r_1, and 0.37-0.57 s on `rat:5/7`, 17 MB), but
-#: `rdigits` bounds digits, not their bits: m = 2, `rat:1/<3^1000>` took 2.0-2.3 s CPU
-#: for 1,000 digits and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 6x per two
-#: letters (int:1 vs int:5: 0.6-0.7 s, 25 MB).  Every group command reads digits under the
-#: `rdigits` limit (`_ctx`).  `recover` tries |m| = 1..64 only (`MAX_RECOVER_M`).
-#: A `bswp` pinch rescales a b-exponent: work quadratic in the a-letters (worst: a^-37500
-#: b^<4,299 nines> a^37500 in BS(3, 1), 1.1 s, 18 MB).  `nk` caps the size of n^k so
-#: alpha prints; m = n/2 with k = 2 is cubic in that size (n = 2^6999: 0.44 s).
-#: `relator` caps --index, and prices the word it builds by the letters it would print,
-#: before printing them (a word of 10^7 letters: 0.02 s, 36 MB).
+#: digits are 0 after r_1, and 0.37-0.57 s on `rat:5/7`, 17 MB), but `rdigits` bounds
+#: digits, not their bits: m = 2, `rat:1/<3^1000>` took 2.0-2.3 s CPU for 1,000 digits
+#: and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 6x per two letters (int:1 vs
+#: int:5: 0.6-0.7 s, 25 MB).  `recover` tries |m| = 1..64 only (`MAX_RECOVER_M`).  `bswp`
+#: reads its whole word, then prices its a-letters: a pinch rescales a b-exponent, so work
+#: is quadratic in them (a^-37500 b^<4,299 nines> a^37500 in BS(3, 1): 0.8 s, 18 MB).
+#: `nk` caps the size of n^k so alpha prints; m = n/2 with k = 2 is cubic in that size
+#: (n = 2^6999: 0.44 s).  `relator` caps --index, and prices the word it builds by the
+#: letters it would print, before printing them (a word of 10^7 letters: 0.02 s, 36 MB).
 SIZE_LIMITS = {"bswp": 150_000, "dist": 20, "nk": 14_000, "rdigits": 10_000, "recover": 64,
                "recover-m": MAX_RECOVER_M, "relator": 10_000, "relator-letters": 10_000_000}
 
@@ -192,9 +191,7 @@ def _aut(args):
 
 
 def _bswp(args):  # each a-letter may pinch, rescaling a b-exponent by |p| or |q|
-    end = BS_TOKENS.match(args.word).end()  # where parse_bs_word stops, at the first fault
-    a_letters = sum(abs(_parse_decimal(tok[2], tok.start(2))) if tok[2] else 1
-                    for tok in BS_TOKEN.finditer(args.word, 0, end) if tok[1] in "aA")
+    a_letters = sum(1 if k is None else abs(k) for x, k in bs_tokens(args.word) if x in "aA")
     bits = max(abs(args.p), abs(args.q)).bit_length()
     _capped(args, "a-letters * bit_length(max(|p|, |q|))", a_letters * bits)
     trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))
@@ -288,12 +285,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         plain, data = _COMMANDS[args.command][1](args)
-    except ParseError as exc:
-        print(f"error: ParseError: {exc}", file=sys.stderr)
-        return 2
     except (BslError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     print(json.dumps(data) if args.json else plain)
     return 0
 

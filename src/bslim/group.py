@@ -496,7 +496,7 @@ def base_conjugacy_solve(ctx: GroupCtx, u: ReducedForm, v: ReducedForm) -> Optio
     on which the pinch chain of e v (-e) u^-1 is defined conjugates as
     soon as any does, and :func:`_lift_candidate` lifts one such e.
     """
-    if u.t_length == 0 or u.t_length != v.t_length or u.deltas != v.deltas:
+    if u.t_length == 0 or u.deltas != v.deltas:
         raise ShapeMismatch("cores need equal positive t-length and deltas")
     e = (_wreath_candidate if u.sigma else _lift_candidate)(ctx, u, v)
     if e is None:

@@ -389,7 +389,6 @@ def test_bswp_limits_a_powers_before_parsing(capsys, monkeypatch):
         ("-3", "1", f"a^-{half}Ba^{half}a", limit + 2),
         ("1", "1", "a" * limit + "A", limit + 1),
         (str(2**64), "1", "a" * (limit // 65 + 1), 65 * (limit // 65 + 1)),
-        ("2", "3", "a^10000000bA^10000000", 2 * (10_000_000 + 1)),  # A^k is A, then no token
         ("2", "3", f"a^{10**12}", 2 * 10**12),
     ):
         code, out, err = run(capsys, "bswp", "--p", p, "--q", q, "--word", word)
@@ -405,10 +404,21 @@ def test_bswp_limits_a_powers_before_parsing(capsys, monkeypatch):
     ("aB^3a^999999999", "exponent tokens use lowercase letters (offset 2)"),
 ], ids=["symbol-first", "plain-letters-past-gap", "space", "uppercase-exponent"])
 def test_bswp_prices_only_what_the_parser_reads(capsys, word, err):
-    """The price stops where the parser stops, at the word's first gap, so a
-    malformed word exits 2 with its first fault however many a-letters
-    follow that gap."""
+    """Nothing is priced until the whole word is read, so a malformed word
+    exits 2 with its first fault however many a-letters come before or
+    after that fault."""
     code, out, stderr = run(capsys, "bswp", "--p", "1", "--q", "2", "--word", word)
+    assert (code, out, stderr) == (2, "", f"error: ParseError: {err}\n")
+
+
+@pytest.mark.parametrize("p, word, err", [
+    ("9" * 4299, "a^11x", "invalid symbol 'x' (offset 4)"),
+    ("2", "a^10000000bA^10000000", "exponent tokens use lowercase letters (offset 12)"),
+], ids=["huge-p", "uppercase-exponent-after-a-power"])
+def test_bswp_reads_the_whole_word_before_pricing_it(capsys, p, word, err):
+    """Words whose fault follows a-letters over the limit: the parser's
+    error and its offset, not the size limit."""
+    code, out, stderr = run(capsys, "bswp", "--p", p, "--q", "3", "--word", word)
     assert (code, out, stderr) == (2, "", f"error: ParseError: {err}\n")
 
 

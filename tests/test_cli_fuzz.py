@@ -13,8 +13,8 @@ slow-marked run draws 10,000 inputs from the same strategies.
 Every command reads its input before it prices its size flags, so an
 input with a malformed value and size flags over their limits exits 2
 with a ``ParseError`` (or argparse's usage error for an integer flag).
-``bswp`` is left out of that property: its price is of the word itself,
-counted up to the first fault, so a^k tokens before the fault are priced.
+``bswp`` prices its word itself, and reads the whole word first, so a
+word with a fault after a-letters over the limit exits 2 as well.
 """
 
 import contextlib
@@ -153,7 +153,22 @@ def malformed_over_limit_argvs(draw):
     return argv + [name] + [f"{flag}={value}" for flag, value in values.items()]
 
 
-@given(malformed_over_limit_argvs())
+#: Faults of the ``bswp`` grammar: bad symbols, exponents on A or B, and bad numbers.
+BSWP_FAULTS = st.sampled_from(["x", " ", "^", "A^2", "B^-1", "a^", "b^-", "a^²", "b^5١",
+                               "a^1_0", "b^" + "9" * 4301])
+
+
+@st.composite
+def bswp_malformed_over_limit_argvs(draw):
+    """A ``bswp`` word with a-letters over the limit before its first fault."""
+    k = draw(st.integers(cli.SIZE_LIMITS["bswp"] + 1, 10**30)) * draw(st.sampled_from((1, -1)))
+    head, middle, tail = (draw(st.text("aAbB", max_size=4)) for _ in range(3))
+    word = f"{head}a^{k}{middle}{draw(BSWP_FAULTS)}{tail}"
+    p, q = (draw(st.integers(1, 2**70) | st.integers(-(2**70), -1)) for _ in range(2))
+    return ["bswp", f"--p={p}", f"--q={q}", f"--word={word}"]
+
+
+@given(malformed_over_limit_argvs() | bswp_malformed_over_limit_argvs())
 def test_malformed_input_exits_2_whatever_the_size_flags(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -183,6 +183,32 @@ def test_only_the_builder_and_shared_constants_build_base_letters():
     assert found == []
 
 
+def _enclosing_uses(path, name):
+    """The enclosing function of every use of ``name``: as a variable, an
+    attribute or an import."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute, ast.alias)):
+                used = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}[type(child)]
+                if getattr(child, used) == name:
+                    found.append(fn)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_one_module_knows_the_bswp_grammar():
+    """``bsclassic`` reads a ``bswp`` word, and only there: no other module
+    names its token pattern, and the CLI parses numbers only for its
+    integer flags (``_int``), so ``bswp``'s price reads the parser's tokens."""
+    assert {path.stem for path in SOURCES if _enclosing_uses(path, "BS_TOKEN")} == {"bsclassic"}
+    (cli,) = [path for path in SOURCES if path.name == "cli.py"]
+    assert set(_enclosing_uses(cli, "_parse_decimal")) == {"<module>", "_int"}
+
+
 def _reader_uses(path):
     """(enclosing function, name) for every definition of, reference to or
     import of a letter reader or a second reduction pass."""
