@@ -58,10 +58,15 @@ def bs_tokens(text: str) -> list[tuple[str, int | None]]:
 
 
 def parse_bs_word(text: str) -> GroupWord:
-    """The word of :func:`bs_tokens`' tokens, with the plain letters that
+    """The word of :func:`bs_tokens`' tokens."""
+    return bs_word(bs_tokens(text))
+
+
+def bs_word(tokens: list[tuple[str, int | None]]) -> GroupWord:
+    """The word of ``bswp`` tokens, with the plain letters that
     :func:`group.parse_word` shares."""
     letters = []
-    for letter, k in bs_tokens(text):
+    for letter, k in tokens:
         if k is None:
             letters.append(_COMPACT[letter])
         elif letter == "a":

@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bsclassic import BSSpec, bs_is_trivial, bs_n_of_k, bs_tokens, parse_bs_word
+from .bsclassic import BSSpec, bs_is_trivial, bs_n_of_k, bs_tokens, bs_word
 from .errors import BslError, ParseError, SizeLimitExceeded
 from .group import (
     ALetter,
@@ -62,8 +62,8 @@ def _word(args, attr: str = "word") -> GroupWord:
 #: 18 MB RSS; `relator` bi 0.19 s, 20 MB; m = 64: `recover` 0.24-0.37 s on int:3, whose
 #: digits are 0 after r_1, and 0.37-0.57 s on `rat:5/7`, 17 MB), but `rdigits` bounds
 #: digits, not their bits: m = 2, `rat:1/<3^1000>` took 2.0-2.3 s CPU for 1,000 digits
-#: and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 6x per two letters (int:1 vs
-#: int:5: 0.6-0.7 s, 25 MB).  `recover` tries |m| = 1..64 only (`MAX_RECOVER_M`).  `bswp`
+#: and 8.4-11.8 s for 2,000 (ROADMAP item 2).  `dist` grows 5-6x per two letters (int:1 vs
+#: int:5: 0.3-0.5 s, 24 MB).  `recover` tries |m| = 1..64 only (`MAX_RECOVER_M`).  `bswp`
 #: reads its whole word, then prices its a-letters: a pinch rescales a b-exponent, so work
 #: is quadratic in them (a^-37500 b^<4,299 nines> a^37500 in BS(3, 1): 0.8 s, 18 MB).
 #: `nk` caps the size of n^k so alpha prints; m = n/2 with k = 2 is cubic in that size
@@ -191,10 +191,11 @@ def _aut(args):
 
 
 def _bswp(args):  # each a-letter may pinch, rescaling a b-exponent by |p| or |q|
-    a_letters = sum(1 if k is None else abs(k) for x, k in bs_tokens(args.word) if x in "aA")
+    tokens = bs_tokens(args.word)
+    a_letters = sum(1 if k is None else abs(k) for x, k in tokens if x in "aA")
     bits = max(abs(args.p), abs(args.q)).bit_length()
     _capped(args, "a-letters * bit_length(max(|p|, |q|))", a_letters * bits)
-    trivial = bs_is_trivial(BSSpec(args.p, args.q), parse_bs_word(args.word))
+    trivial = bs_is_trivial(BSSpec(args.p, args.q), bs_word(tokens))
     return "trivial" if trivial else "nontrivial", {"trivial": trivial}
 
 

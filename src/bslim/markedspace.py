@@ -153,38 +153,40 @@ _LETTERS = parse_word("aAbB").letters
 
 
 def _reduced_words(length: int, last: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """Freely reduced words of ``length`` letters whose last letter is in
-    ``last``, in lexicographic order, each with its wreath image as a key
-    (shift, lamps): a and A move the shift, b and B add to the lamp at the
-    current shift.
+    """Freely reduced words of ``length`` >= 2 letters whose last letter is
+    in ``last``, in lexicographic order, each with its wreath image as a
+    key (shift, lamp): a and A move the shift, b and B add to the lamp at
+    the current shift.
 
-    One depth-first walk with an explicit stack: the image after k letters
-    is kept per depth, so each letter is folded once, into the image its
-    prefix shares, and each word is yielded once.  Lamps are a dense tuple
-    over the positions -length..length, so keys of one length compare
-    exactly."""
+    One depth-first walk keeps the image after k letters per depth, so each
+    letter is folded once, into the image its prefix shares.  Shifts run
+    over 0..2 length from length; ``lamp`` holds each lamp value (at most
+    length in size) as one digit in balanced base 2^s > 2 length."""
+    s = length.bit_length() + 1
+    # (shift after the letter, what it adds to the lamp) per letter and shift
+    moves = [[(p + d, c << s * p) for p in range(2 * length + 1)]
+             for d, c in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     word = [0] * length
-    shifts = [length] * (length + 1)  # positions offset by length
-    lamps = [(0,) * (2 * length + 1)] * (length + 1)
-    # successors of each letter, pushed in reverse so they pop in order
-    inner = [[u for u in (3, 2, 1, 0) if u != _INV[t]] for t in range(4)]
-    final = [[u for u in nxt if u in last] for nxt in inner]
-    stack = [(0, t) for t in (3, 2, 1, 0) if length > 1 or t in last]
+    shifts, lamps = [length] * length, [0] * length
+    # successors of each letter as (depth, letter), pushed in reverse so they pop in order
+    succ = [[tuple((k, u) for u in (3, 2, 1, 0) if u != _INV[t]) for t in range(4)]
+            for k in range(length)]
+    final = [[u for u in range(4) if u in last and u != _INV[t]] for t in range(4)]
+    stack = [(0, t) for t in (3, 2, 1, 0)]
     while stack:
         k, t = stack.pop()
         word[k] = t
-        shift, lamp = shifts[k], lamps[k]
-        sign = -1 if t & 1 else 1
-        if t < 2:
-            shift += sign
-        else:
-            lamp = lamp[:shift] + (lamp[shift] + sign,) + lamp[shift + 1 :]
+        shift, add = moves[t][shifts[k]]
+        lamp = lamps[k] + add
         k += 1
-        if k == length:
-            yield tuple(word), (shift, lamp)
+        if k + 1 < length:
+            shifts[k], lamps[k] = shift, lamp
+            stack.extend(succ[k][t])
             continue
-        shifts[k], lamps[k] = shift, lamp
-        stack.extend((k, u) for u in (inner if k + 1 < length else final)[t])
+        for u in final[t]:  # the last letter is folded as the word is yielded
+            word[k] = u
+            end, add = moves[u][shift]
+            yield tuple(word), (end, lamp + add)
 
 
 def _inverse(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -195,37 +197,39 @@ def _wreath_trivial_words(length: int) -> list[tuple[int, ...]]:
     """Canonical freely and cyclically reduced words of this exact length
     whose wreath image is trivial, in lexicographic order.  A canonical
     word is minimal in its class under rotation and inversion, so it
-    starts with 'a'.
+    starts with 'a', and it does not end with 'a': a rotation would then
+    start with a longer run of a's.
 
     Meet in the middle: w = u v dies exactly when the tail v has the image
     of the head's inverse x = u^-1, so the heads are indexed by the image
     of x (every reduced x ending in A) and each tail looks up its partners.
-    Both exponent sums of such a word are 0, so its length is even."""
-    if length < 2 or length % 2:
+    Both exponent sums of such a word are 0, so its length is even and,
+    as it is reduced, at least 4."""
+    if length < 4 or length % 2:
         return []
     half = length // 2
     heads: dict[tuple, list[tuple[int, ...]]] = {}
     for x, key in _reduced_words(half, (1,)):
-        heads.setdefault(key, []).append(_inverse(x))
-    # no tail ends in A (cyclic reduction) or cancels into its head
+        heads.setdefault(key, []).append(x)
+    # every tail ends in b or B, and none cancels into its head, whose last letter is x[0]^-1
     return sorted(
         w
-        for v, key in _reduced_words(half, (0, 2, 3))
-        for u in heads.get(key, ())
-        if v[0] != _INV[u[-1]] and _is_canonical(w := u + v)
+        for v, key in _reduced_words(half, (2, 3))
+        for x in heads.get(key, ())
+        if v[0] != x[0] and _is_canonical(w := _inverse(x) + v)
     )
 
 
 def _is_canonical(word: tuple[int, ...]) -> bool:
-    """Minimal among all rotations of the word and of its inverse."""
-    n = len(word)
-    inv = _inverse(word)
-    for k in range(n):
-        if word[k:] + word[:k] < word and k:
-            return False
-        rot = inv[k:] + inv[:k]
-        if rot < word:
-            return False
+    """Minimal among all rotations of the word and of its inverse.  The word
+    starts with 'a', the least letter, so only rotations that start with 'a'
+    can be less, and the inverse is built only if no rotation of the word is."""
+    for w in (f(word) for f in (tuple, _inverse)):
+        k = -1
+        for _ in range(w.count(0)):
+            k = w.index(0, k + 1)
+            if w[k:] + w[:k] < word:
+                return False
     return True
 
 

@@ -378,10 +378,10 @@ def test_bswp_limits_a_powers_before_parsing(capsys, monkeypatch):
     code, out, _ = run(capsys, "bswp", "--p", "1", "--q", "1", "--word", "a" * limit)
     assert code == 0 and out == "nontrivial"
 
-    def never(text):
-        raise AssertionError("parse_bs_word ran on an over-limit word")
+    def never(tokens):
+        raise AssertionError("bs_word ran on an over-limit word")
 
-    monkeypatch.setattr(cli, "parse_bs_word", never)
+    monkeypatch.setattr(cli, "bs_word", never)
     half = limit // 4
     for p, q, word, size in (
         ("1", "3", f"a^{half + 1}ba^-{half}", limit + 2),

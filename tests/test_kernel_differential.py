@@ -180,6 +180,7 @@ from bslim.madic import (
 )
 from bslim.markedspace import (
     DistanceBounds,
+    _is_canonical,
     _wreath_trivial_words,
     b_i_word,
     distance_bounds,
@@ -1829,6 +1830,67 @@ def ref_is_canonical(word: tuple[int, ...]) -> bool:
 def test_wreath_trivial_words_agree(length):
     canonical = [w for w in ref_wreath_trivial_words(length) if ref_is_canonical(w)]
     assert _wreath_trivial_words(length) == canonical
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("length", range(17, 21))
+def test_wreath_trivial_words_agree_long(length):
+    """The same lists at lengths 17-20: the reference search takes about
+    7 s at 18 and 50 s at 20."""
+    canonical = [w for w in ref_wreath_trivial_words(length) if ref_is_canonical(w)]
+    assert _wreath_trivial_words(length) == canonical
+
+
+def reduced_word(rng, length, letters=(0, 1, 2, 3)):
+    """A freely reduced word of this length over ``letters`` that starts with 'a'."""
+    nxt = [[u for u in letters if u != _INV[t]] for t in range(4)]
+    word = [0]
+    while len(word) < length:
+        word.append(rng.choice(nxt[word[-1]]))
+    return tuple(word)
+
+
+def ending_in_a(rng, length):
+    """A freely reduced word of this length that starts and ends with 'a'."""
+    while (word := reduced_word(rng, length))[-1]:
+        pass
+    return word
+
+
+def a_runs_word(rng, length):
+    """a^r y_1 a^r y_2 ...: several a-runs of one length r, each y_i a reduced
+    word over b, B and A that starts and ends with b or B; sometimes all y_i
+    are equal, so that a rotation equals the word."""
+    r = rng.randint(1, 3)
+    blocks = [rng.choice(((2,), (3,), (2, 1, 3), (3, 1, 2), (2, 2), (3, 1, 1, 3)))]
+    while len(blocks) * (r + 3) < length:
+        blocks.append(blocks[0] if rng.random() < 0.5 else rng.choice(((2,), (3,), (2, 1, 2))))
+    return tuple(t for y in blocks for t in (0,) * r + y)
+
+
+def test_is_canonical_agrees():
+    """Only rotations that start with 'a' are compared, against every
+    rotation of the word and of its inverse: the same verdict on 20,000
+    freely reduced words starting with 'a', of lengths 2-24, among them
+    words with no A (whose inverse has no 'a'), words ending in 'a' (an
+    a-run across the seam) and words with several equal a-runs."""
+    rng = random.Random("canonical")
+    kinds = [
+        lambda n: reduced_word(rng, n),
+        lambda n: reduced_word(rng, n, (0, 2, 3)),
+        lambda n: ending_in_a(rng, n),
+        lambda n: a_runs_word(rng, n),
+    ]
+    verdicts = Counter()
+    for i in range(20_000):
+        kind = i % len(kinds)
+        word = kinds[kind](rng.randint(2, 24))
+        verdict = _is_canonical(word)
+        assert verdict == ref_is_canonical(word), word
+        verdicts[kind, verdict] += 1
+        if kind == 2:  # a rotation starts with a longer a-run, unless the word is a power of a
+            assert verdict == (set(word) == {0}), word
+    assert all(verdicts[kind, v] > 100 for kind in range(len(kinds)) for v in (True, False))
 
 
 # --- the classical BS(p, q) oracle -------------------------------------------------

@@ -209,6 +209,18 @@ def test_one_module_knows_the_bswp_grammar():
     assert set(_enclosing_uses(cli, "_parse_decimal")) == {"<module>", "_int"}
 
 
+def test_bswp_reads_its_word_once():
+    """``bsl bswp`` builds its word from the tokens it priced: ``_bswp``
+    calls the reader ``bs_tokens`` once and never re-reads the text with
+    ``parse_bs_word``."""
+    (cli,) = [path for path in SOURCES if path.name == "cli.py"]
+    (fn,) = [node for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef) and node.name == "_bswp"]
+    calls = [node.func.id for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("bs_tokens") == 1 and "parse_bs_word" not in calls
+
+
 def _reader_uses(path):
     """(enclosing function, name) for every definition of, reference to or
     import of a letter reader or a second reduction pass."""

@@ -1,8 +1,11 @@
 """Mutation sweep: does the test suite notice a one-operator change?
 
-For each named function, every site of five operators is mutated in turn:
+For each named function, every site of six operators is mutated in turn:
 a comparison flipped to its negation, + and - swapped, // turned into *,
-% turned into //, and an int constant raised by 1.  Each mutant is written
+% turned into //, an int constant raised by 1, and a str argument of a call
+swapped for each other str constant that the file passes to the same
+callee (``_sized(args, "count")`` becomes ``_sized(args, "m")``, a price
+read off the wrong flag).  Each mutant is written
 into a scratch copy of ``src``, ``tests`` and the files the tests read (the
 checkout is never touched), and the given pytest selection runs against it
 with ``-x``.  A mutant is *killed* when the run fails, and *survives* when
@@ -47,9 +50,10 @@ FLIPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
 BINOPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv}
 
 
-def mutations(node: ast.AST):
-    """(label, mutate) for each way the five operators change this node;
-    ``mutate`` edits a copy of the node in place."""
+def mutations(node: ast.AST, strings: tuple[str, ...] = ()):
+    """(label, mutate) for each way the six operators change this node;
+    ``mutate`` edits a copy of the node in place.  ``strings`` are the
+    other str constants passed to the callee this node is an argument of."""
     if isinstance(node, ast.Compare):
         for k, op in enumerate(node.ops):
             def flip(n, k=k, new=FLIPS[type(op)]):
@@ -63,6 +67,23 @@ def mutations(node: ast.AST):
         def bump(n):
             n.value += 1
         yield "int+1", bump
+    elif isinstance(node, ast.Constant) and type(node.value) is str:
+        for other in strings:
+            def swap_str(n, other=other):
+                n.value = other
+            yield "str", swap_str
+
+
+def call_strings(tree: ast.AST) -> dict:
+    """For each str constant node passed as an argument to a call, the other
+    str constants that the tree passes to the same callee, sorted."""
+    args = [(ast.unparse(call.func), arg) for call in ast.walk(tree) if isinstance(call, ast.Call)
+            for arg in (*call.args, *(k.value for k in call.keywords))
+            if isinstance(arg, ast.Constant) and type(arg.value) is str]
+    pools: dict = {}
+    for callee, arg in args:
+        pools.setdefault(callee, set()).add(arg.value)
+    return {arg: tuple(sorted(pools[callee] - {arg.value})) for callee, arg in args}
 
 
 def mutants(path: Path, name: str):
@@ -81,11 +102,12 @@ def mutants(path: Path, name: str):
     fn = defs[0]
     start = (fn.decorator_list[0] if fn.decorator_list else fn).lineno - 1
     lines = text.splitlines(keepends=True)
+    strings = call_strings(tree)
     # every node below the def, in walk order, so site k is the same node in a copy
     sites = [n for n in ast.walk(fn) if n is not fn]
     for line, _, k in sorted((n.lineno, n.col_offset, k) for k, n in enumerate(sites)
-                             if any(mutations(n))):
-        for label, mutate in mutations(sites[k]):
+                             if any(mutations(n, strings.get(n, ())))):
+        for label, mutate in mutations(sites[k], strings.get(sites[k], ())):
             fn_copy = copy.deepcopy(fn)
             target = [n for n in ast.walk(fn_copy) if n is not fn_copy][k]
             before = ast.unparse(target)
@@ -126,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     args, selection = parser.parse_args(argv[:split]), argv[split + 1 :] or ["tests"]
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy_root = Path(scratch)
-        for part in ("src", "tests", "pyproject.toml", "README.md"):
+        for part in ("src", "tests", "tools", "pyproject.toml", "README.md"):
             src = ROOT / part
             if src.is_dir():
                 shutil.copytree(src, copy_root / part, ignore=shutil.ignore_patterns("__pycache__"))
